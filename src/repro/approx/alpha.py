@@ -15,14 +15,26 @@ carry a uniqueness axiom (an ``NE`` pair).
 Two implementations are provided and tested against each other:
 
 * :func:`disagree` — the direct decision procedure (union-find over
-  ``G_{c,d}``), used by :class:`AlphaAtom` for fast evaluation and by
-  Theorem 14's polynomial-time argument;
+  ``G_{c,d}``), used by :class:`AlphaAtom` for tuple-at-a-time evaluation
+  and by Theorem 14's polynomial-time argument;
 * :func:`build_alpha_formula` — the literal first-order formula of
   Lemma 10, of length ``O(k log k)``, built from the succinct connectivity
   formula ``beta_k`` (the "divide the path in half" trick with a single
   occurrence of the edge relation).  Evaluating this formula on ``Ph2(LB)``
   must agree with the direct procedure; it also demonstrates that the whole
   approximation is expressible to a standard relational engine.
+
+**Oracle and serving path.**  Everything in this module is the *definition*:
+the Tarskian evaluator reaches :meth:`AlphaAtom.holds` once per candidate
+tuple (one union-find per stored tuple of ``P``), which is what the tests,
+the benchmarks' correctness gates and ``engine="tarski"`` run.  The serving
+path (``engine="algebra"`` and whatever ``"auto"`` sends there) never calls
+it: :mod:`repro.physical.compiler` translates an :class:`AlphaAtom` into
+set-at-a-time plan operators — an anti-join of the candidates against the
+stored tuples that may coincide with them, found by joining ``P`` with the
+derived "possibly equal" relation column by column — and only reads the
+atom's ``predicate`` and ``args``.  ``tests/property/test_prop_negation.py``
+holds the two (and :func:`build_alpha_formula`) equal.
 """
 
 from __future__ import annotations

@@ -327,6 +327,13 @@ class ExtensionAtom(Formula):
     #: tuple of terms; subclasses must define this attribute.
     args: tuple[Term, ...]
 
+    #: The stored predicate ``P`` whose *provable absence* the atom asserts
+    #: (``alpha_P``).  The algebra compiler and the dispatcher's cost model
+    #: know that one meaning and read it here; a subclass that does not
+    #: define it can only be evaluated by the Tarskian evaluator, through
+    #: :meth:`holds`.
+    predicate: str
+
     def holds(self, database: "PhysicalDatabase", values: tuple[object, ...]) -> bool:
         """Return the truth value of the atom for already-evaluated arguments.
 

@@ -28,13 +28,18 @@ from repro.logic.formulas import (
 )
 from repro.logic.terms import Constant, Variable
 
-__all__ = ["Vocabulary", "EQUALITY", "NE_PREDICATE"]
+__all__ = ["Vocabulary", "EQUALITY", "NE_PREDICATE", "PE_PREDICATE"]
 
 #: Name reserved for the built-in equality predicate.
 EQUALITY = "="
 
 #: Name of the inequality relation added by ``Ph2(LB)`` (Sections 3.2 and 5).
 NE_PREDICATE = "NE"
+
+#: Name reserved for the derived "possibly equal" relation ``PE`` — the
+#: complement of ``NE`` over the active domain — that compiled ``alpha_P``
+#: plans join against (:meth:`repro.physical.database.PhysicalDatabase.possibly_equal`).
+PE_PREDICATE = "~NE"
 
 
 @dataclass(frozen=True)
@@ -69,6 +74,8 @@ class Vocabulary:
                 raise VocabularyError(f"predicate names must be non-empty strings, got {pred!r}")
             if pred == EQUALITY:
                 raise VocabularyError("equality is built in and must not be declared")
+            if pred == PE_PREDICATE:
+                raise VocabularyError(f"{PE_PREDICATE!r} is derived from {NE_PREDICATE!r} and must not be declared")
             if not isinstance(arity, int) or arity < 1:
                 raise VocabularyError(f"predicate {pred!r} must have a positive integer arity, got {arity!r}")
         object.__setattr__(self, "constants", names)

@@ -207,8 +207,7 @@ class _ExecutionContext:
 
     def _resolve_columns(self, plan: PlanNode) -> tuple[str, ...]:
         if isinstance(plan, (ScanRelation, IndexScan)):
-            self.database.relation(plan.relation)  # raises on unknown predicates
-            arity = self.database.vocabulary.arity(plan.relation)
+            arity = self.database.relation(plan.relation).arity  # raises on unknown predicates
             if len(plan.columns) != arity:
                 raise EvaluationError(
                     f"scan of {plan.relation!r} names {len(plan.columns)} columns but the relation has arity {arity}"

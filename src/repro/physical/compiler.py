@@ -19,17 +19,32 @@ the active domain equals the whole domain, so the compiled plan computes
 exactly the Tarskian answer; the ablation experiment E12 checks this
 agreement and compares run times.
 
-Extension atoms (the ``alpha_P`` atoms of Lemma 10) are materialized into
-literal tables at compile time by enumerating active-domain tuples — a
-polynomial step, mirroring Theorem 14's observation that satisfaction of
-``alpha_P`` is checkable in polynomial time.
+Extension atoms (the ``alpha_P`` atoms of Lemma 10) compile to ordinary
+operators as well — Lemma 10 says ``alpha_P`` is first-order over ``Ph2(LB)``,
+so nothing about it needs evaluating at compile time:
+
+    alpha_P(t) = Cand(vars) |> project_vars select_exact( P(y) |x|_i PE(t_i, y_i) )
+
+``|>`` is an anti-join and ``PE`` ("possibly equal") is the complement of
+``NE`` over the active domain, derived once per database
+(:meth:`~repro.physical.database.PhysicalDatabase.possibly_equal`).  A
+candidate ``c`` fails ``alpha_P`` iff some stored ``d`` does *not* disagree
+with it, and not disagreeing implies ``PE(c_i, d_i)`` in every column, so the
+column-wise join finds every such pair; ``select_exact`` then re-checks the
+few survivors whose graph ``G_{c,d}`` merges columns (:class:`_MayCoincide`).
+Constant and ``$parameter`` arguments are bindings on ``PE``'s first column,
+so a template compiles once and is rebound by
+:func:`~repro.physical.plan.substitute_plan_parameters` like any other plan.
+The per-tuple decision procedure :meth:`repro.approx.alpha.AlphaAtom.holds`
+is the test oracle, not part of this path.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from dataclasses import dataclass, field
+from typing import Mapping
 
-from repro.errors import UnboundParameterError, UnsupportedFormulaError
+from repro.errors import UnsupportedFormulaError
 from repro.logic.analysis import free_variables, is_first_order
 from repro.logic.formulas import (
     And,
@@ -47,11 +62,13 @@ from repro.logic.formulas import (
 from repro.logic.queries import Query
 from repro.logic.terms import Constant, Parameter, Variable
 from repro.logic.transform import eliminate_implications, standardize_apart
+from repro.logic.vocabulary import PE_PREDICATE
 from repro.physical.algebra import execute
 from repro.physical.database import PhysicalDatabase
 from repro.physical.optimizer import maybe_optimize
 from repro.physical.plan import (
     ActiveDomain,
+    AntiJoin,
     CrossProduct,
     Difference,
     LiteralTable,
@@ -203,35 +220,90 @@ def _compile_atom(atom: Atom, database: PhysicalDatabase) -> tuple[PlanNode, tup
     return plan, output
 
 
-def _compile_extension_atom(atom: ExtensionAtom, database: PhysicalDatabase) -> tuple[PlanNode, tuple[str, ...]]:
-    """Materialize an extension atom over the active domain into a literal table."""
-    parameters = sorted(term.name for term in atom.args if isinstance(term, Parameter))
-    if parameters:
-        # Materialization evaluates holds() per tuple *now*; a placeholder
-        # has no value to evaluate with, and the result could not be fixed
-        # up by substitution later.  Prepared queries catch this and fall
-        # back to binding at the AST level before compiling.
-        raise UnboundParameterError(
-            "cannot compile an extension atom with unbound parameter(s) "
-            + ", ".join(f"${name}" for name in parameters)
+@dataclass(frozen=True)
+class _MayCoincide:
+    """``select_exact``: may candidate tuple ``c`` equal stored tuple ``d``?
+
+    True iff ``c`` and ``d`` do *not* disagree (Lemma 10): no two values in
+    one connected component of ``G_{c,d}`` — the graph linking ``c_i`` to
+    ``d_i`` in every column — are a declared-unequal pair, i.e. every
+    component is a clique of ``PE``.  Rows reaching this filter already
+    satisfy ``PE(c_i, d_i)`` column by column (the join below it), which
+    decides every row in which no value occurs twice; the graph is only
+    built for the others.  A value object rather than a closure so that two
+    compilations of one query give equal, equally hashed plans.
+    """
+
+    #: ``(column of c_i, column of d_i)`` per argument position.
+    pairs: tuple[tuple[str, str], ...]
+    possibly_equal: frozenset[tuple] = field(repr=False)
+
+    def __call__(self, row: Mapping[str, object]) -> bool:
+        values = [row[column] for pair in self.pairs for column in pair]
+        if len(set(values)) == len(values):
+            return True  # no value occurs twice: every component is one column
+        components: list[set] = []
+        for edge in zip(values[::2], values[1::2]):
+            merged = set(edge)
+            for component in [c for c in components if c & merged]:
+                components.remove(component)
+                merged |= component
+            components.append(merged)
+        return all(
+            (left, right) in self.possibly_equal
+            for component in components
+            for left in component
+            for right in component
         )
-    adom = sorted(database.active_domain(), key=repr)
+
+
+def _compile_extension_atom(atom: ExtensionAtom, database: PhysicalDatabase) -> tuple[PlanNode, tuple[str, ...]]:
+    """Compile ``alpha_P(t)`` to an anti-join of candidates against refuted ones.
+
+    The filter side joins the stored tuples ``P(y)`` with one ``PE(t_i, y_i)``
+    scan per argument position and projects onto the atom's variables: the
+    candidates some stored tuple may coincide with, which are exactly those
+    ``alpha_P`` rejects.  Candidates are active-domain columns, which sibling
+    joins restrict through sideways information passing.
+    """
+    predicate = getattr(atom, "predicate", None)
+    if predicate is None:
+        raise UnsupportedFormulaError(
+            f"cannot compile {type(atom).__name__}: the algebra compiler translates extension atoms "
+            "as provable-absence (alpha_P) atoms over a stored predicate"
+        )
+    stored_columns = tuple(f"__y{i}" for i in range(len(atom.args)))
+    refuted: PlanNode = ScanRelation(predicate, stored_columns)
     variables: list[str] = []
-    for term in atom.args:
-        if isinstance(term, Variable) and term.name not in variables:
-            variables.append(term.name)
-    rows = set()
-    for values in product(adom, repeat=len(variables)):
-        assignment = dict(zip(variables, values))
-        arg_values = []
-        for term in atom.args:
-            if isinstance(term, Constant):
-                arg_values.append(database.constant_value(term.name))
-            else:
-                arg_values.append(assignment[term.name])
-        if atom.holds(database, tuple(arg_values)):
-            rows.add(values)
-    return LiteralTable(tuple(variables), frozenset(rows)), tuple(variables)
+    argument_columns: list[str] = []
+    for position, (term, stored) in enumerate(zip(atom.args, stored_columns)):
+        if isinstance(term, Constant):
+            column = f"__t{position}"
+            value = _constant_plan_value(term, database)
+            link: PlanNode = Selection(
+                ScanRelation(PE_PREDICATE, (column, stored)),
+                None,
+                description=f"{column}={value!r}",
+                bindings=((column, value),),
+            )
+        else:
+            column = term.name
+            if column not in variables:
+                variables.append(column)
+            link = ScanRelation(PE_PREDICATE, (column, stored))
+        argument_columns.append(column)
+        refuted = NaturalJoin(refuted, link)
+    if len(stored_columns) > 1:
+        refuted = Selection(
+            refuted,
+            _MayCoincide(
+                tuple(zip(argument_columns, stored_columns)),
+                database.possibly_equal().tuples,
+            ),
+            description=f"({', '.join(argument_columns)}) may equal ({', '.join(stored_columns)})",
+        )
+    columns = tuple(variables)
+    return AntiJoin(_universe(columns), Projection(refuted, columns), tuple((c, c) for c in columns)), columns
 
 
 def _constant_plan_value(term: Constant, database: PhysicalDatabase) -> object:
@@ -284,14 +356,19 @@ def _compile_equality(formula: Equals, database: PhysicalDatabase) -> tuple[Plan
     return plan, (left.name, right.name)
 
 
-def _compile_negation(formula: Not, database: PhysicalDatabase) -> tuple[PlanNode, tuple[str, ...]]:
-    inner_plan, columns = _compile(formula.operand, database)
+def _universe(columns: tuple[str, ...]) -> PlanNode:
+    """Every active-domain tuple over *columns* (the one empty row for none)."""
     if not columns:
-        return Difference(_TRUE_TABLE, inner_plan), ()
+        return _TRUE_TABLE
     universe: PlanNode = ActiveDomain(columns[0])
     for column in columns[1:]:
         universe = CrossProduct(universe, ActiveDomain(column))
-    return Difference(universe, inner_plan), columns
+    return universe
+
+
+def _compile_negation(formula: Not, database: PhysicalDatabase) -> tuple[PlanNode, tuple[str, ...]]:
+    inner_plan, columns = _compile(formula.operand, database)
+    return Difference(_universe(columns), inner_plan), columns
 
 
 def _pad_to(plan: PlanNode, columns: tuple[str, ...], target: tuple[str, ...]) -> PlanNode:

@@ -9,7 +9,10 @@ The on-disk layout keeps a database human-editable:
 
 Values are stored as strings; physical databases loaded from disk therefore
 have string domains, which matches the ``Ph1``/``Ph2`` databases the library
-constructs from logical databases.
+constructs from logical databases.  A loaded database holds **one** ``str``
+object per value: every CSV cell is mapped through the schema's constant (or
+domain) list, because ``csv.reader`` hands out a fresh string per cell and a
+logical database names each constant in up to ``|C|`` rows of ``unequal.csv``.
 """
 
 from __future__ import annotations
@@ -59,14 +62,15 @@ def load_physical_database(directory: str | Path) -> PhysicalDatabase:
         raise DatabaseError(f"no {_SCHEMA_FILE} in {path}")
     schema = json.loads(schema_path.read_text())
     vocabulary = Vocabulary(tuple(schema["constants"]), {k: int(v) for k, v in schema["predicates"].items()})
+    values = {value: value for value in schema["domain"]}
     relations = {}
     for predicate in vocabulary.predicates:
-        rows = _read_rows(path / f"{predicate}.csv")
+        rows = _read_rows(path / f"{predicate}.csv", values)
         relations[predicate] = rows
     return PhysicalDatabase(
         vocabulary,
         frozenset(schema["domain"]),
-        dict(schema["constants"]),
+        {symbol: values.get(value, value) for symbol, value in schema["constants"].items()},
         relations,
     )
 
@@ -102,10 +106,11 @@ def load_cw_database(directory: str | Path):
         raise DatabaseError(f"no {_SCHEMA_FILE} in {path}")
     schema = json.loads(schema_path.read_text())
     predicates = {k: int(v) for k, v in schema["predicates"].items()}
+    values = {constant: constant for constant in schema["constants"]}
     facts = {}
     for predicate in predicates:
-        facts[predicate] = {tuple(row) for row in _read_rows(path / f"{predicate}.csv")}
-    unequal = {tuple(row) for row in _read_rows(path / _UNEQUAL_FILE)}
+        facts[predicate] = set(_read_rows(path / f"{predicate}.csv", values))
+    unequal = set(_read_rows(path / _UNEQUAL_FILE, values))
     return CWDatabase(
         constants=tuple(schema["constants"]),
         predicates=predicates,
@@ -114,8 +119,13 @@ def load_cw_database(directory: str | Path):
     )
 
 
-def _read_rows(file_path: Path) -> list[tuple[str, ...]]:
+def _read_rows(file_path: Path, values: dict[str, str]) -> list[tuple[str, ...]]:
+    """The rows of one CSV file, each cell replaced by its entry in *values*.
+
+    A cell *values* does not know stays as read, so the database constructor
+    rejects it exactly as it would have.
+    """
     if not file_path.exists():
         return []
     with file_path.open(newline="") as handle:
-        return [tuple(row) for row in csv.reader(handle) if row]
+        return [tuple(map(values.get, row, row)) for row in csv.reader(handle) if row]

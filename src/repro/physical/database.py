@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from repro.errors import DatabaseError, VocabularyError
-from repro.logic.vocabulary import Vocabulary
+from repro.logic.vocabulary import NE_PREDICATE, PE_PREDICATE, Vocabulary
 from repro.physical.relation import Relation, RelationLike
 
 __all__ = ["PhysicalDatabase"]
@@ -181,10 +182,17 @@ class PhysicalDatabase:
             raise DatabaseError(f"unknown constant symbol {symbol!r}") from None
 
     def relation(self, predicate: str) -> RelationLike:
-        """Return the relation assigned to a predicate symbol."""
+        """Return the relation assigned to a predicate symbol.
+
+        The reserved name :data:`~repro.logic.vocabulary.PE_PREDICATE` answers
+        with the derived :meth:`possibly_equal` relation, which is how plan
+        scans, hash indexes and statistics reach it without it being stored.
+        """
         try:
             return self.relations[predicate]
         except KeyError:
+            if predicate == PE_PREDICATE:
+                return self.possibly_equal()
             raise DatabaseError(f"unknown predicate {predicate!r}") from None
 
     def has_relation(self, predicate: str) -> bool:
@@ -210,6 +218,38 @@ class PhysicalDatabase:
                         values |= set(row)
             cached = frozenset(values)
             object.__setattr__(self, "_active_domain", cached)
+        return cached
+
+    def possibly_equal(self) -> Relation:
+        """``PE``: the pairs of active-domain values not known to be unequal.
+
+        The complement of ``NE`` (read in both orientations, like Lemma 10's
+        disagreement test) over the active domain, reflexive pairs included:
+        ``PE(a, b)`` iff the theory does not force ``a != b``.  Compiled
+        ``alpha_P`` plans join against it under the reserved name
+        :data:`~repro.logic.vocabulary.PE_PREDICATE`.  It is derived, not
+        stored: absent from :attr:`vocabulary`, :attr:`relations`,
+        :meth:`fingerprint` and :meth:`total_tuples`, built on first use from
+        membership probes only (so a virtual ``NE`` is never enumerated) and
+        cached on the instance.  Unlike the other instance caches the build
+        takes a lock: it costs a pass over the squared active domain, and
+        the serving layer's threads share one instance.
+        """
+        cached = self.__dict__.get("_possibly_equal")
+        if cached is None:
+            with self.__dict__.setdefault("_possibly_equal_lock", threading.Lock()):
+                cached = self.__dict__.get("_possibly_equal")
+                if cached is None:
+                    unequal = self.relations.get(NE_PREDICATE, ())
+                    values = sorted(self.active_domain(), key=repr)
+                    pairs = [(value, value) for value in values]
+                    for index, left in enumerate(values):
+                        for right in values[index + 1 :]:
+                            if (left, right) not in unequal and (right, left) not in unequal:
+                                pairs.append((left, right))
+                                pairs.append((right, left))
+                    cached = Relation(PE_PREDICATE, 2, pairs)
+                    object.__setattr__(self, "_possibly_equal", cached)
         return cached
 
     def total_tuples(self) -> int:

@@ -12,7 +12,9 @@ routed to whichever evaluator is expected to be cheaper.
 The Tarskian model mirrors :func:`repro.physical.evaluator.candidate_values`:
 each quantified (or head) variable multiplies the search space by its
 candidate-set size — the full domain when no sound restriction exists — and
-each connective adds the cost of its operands.  The algebra model is
+each connective adds the cost of its operands.  An ``alpha_P`` extension atom
+is not a lookup: one check runs Lemma 10's disagreement test against every
+stored tuple of ``P``, so it is priced at ``|I(P)| * arity``.  The algebra model is
 :func:`repro.physical.optimizer.plan_cost` over the *optimized* plan, so
 observed cardinalities recorded by the feedback loop sharpen the dispatch
 decision exactly as they sharpen join ordering.
@@ -45,7 +47,7 @@ from repro.physical.evaluator import candidate_values
 from repro.physical.optimizer import plan_cost
 from repro.physical.plan import PlanNode
 from repro.physical.relation import Relation
-from repro.physical.statistics import Statistics
+from repro.physical.statistics import Statistics, statistics_for
 
 __all__ = ["tarskian_cost", "prefer_tarskian", "choose_engine"]
 
@@ -82,6 +84,12 @@ def tarskian_cost(storage: PhysicalDatabase, query: Query) -> float:
         return float(max(len(candidates), 1))
 
     def formula_cost(formula: Formula) -> float:
+        if isinstance(formula, ExtensionAtom) and hasattr(formula, "predicate"):
+            try:
+                stored = statistics_for(storage).row_count(formula.predicate)
+            except DatabaseError:  # bound by a second-order quantifier
+                return 1.0
+            return float(max(stored * len(formula.args), 1))
         if isinstance(formula, (Top, Bottom, Atom, Equals, ExtensionAtom)):
             return 1.0
         if isinstance(formula, Not):

@@ -31,7 +31,9 @@ This module rewrites a compiled plan into an equivalent cheaper one:
   *before* the join, pushed down to the underlying scans (where the stored
   hash indexes turn a full pass into per-key probes); differences whose
   right side is expensive get the symmetric
-  :class:`~repro.physical.plan.AntiJoin` treatment.
+  :class:`~repro.physical.plan.AntiJoin` treatment, and the candidate
+  columns of a compiled ``alpha_P`` atom (an anti-join over active-domain
+  columns) are restricted by their siblings' keys.
 
 The estimator also consults **observed cardinalities**: actual subplan row
 counts recorded by previous executions (:class:`~repro.physical.statistics.CardinalityRecorder`,
@@ -799,7 +801,10 @@ class _Rewriter:
                 self._push_semi(plan.right, filter_plan, pairs),
             )
         if isinstance(plan, (SemiJoin, AntiJoin)):
-            source = self._push_semi(plan.source, filter_plan, pairs)
+            if isinstance(plan, AntiJoin) and _is_universe(plan.source):
+                source = self._restrict_candidates(plan.source, filter_plan, pairs)
+            else:
+                source = self._push_semi(plan.source, filter_plan, pairs)
             own = dict(plan.pairs)
             translated = tuple((own[column], key) for column, key in pairs if column in own)
             filtered = plan.filter
@@ -811,6 +816,30 @@ class _Rewriter:
         # IndexScan (already selective), literals, active domains: the filter
         # would cost more than the rows it could remove.
         return plan
+
+    def _restrict_candidates(
+        self,
+        universe: PlanNode,
+        filter_plan: PlanNode,
+        pairs: tuple[tuple[str, str], ...],
+    ) -> PlanNode:
+        """Semi-join-reduce the paired columns of an ``alpha_P`` candidate universe.
+
+        An anti-join over active-domain columns is the compiler's translation
+        of an ``alpha_P`` atom (nothing else produces one): its candidates
+        multiply — one domain-sized column per variable of the negated atom —
+        and every one that the sibling's keys exclude is dropped by the
+        enclosing join anyway.  Elsewhere an active-domain leaf is left alone
+        (see :meth:`_push_semi`): on its own it is a single domain-sized
+        column, cheaper than the filter.
+        """
+        if isinstance(universe, CrossProduct):
+            return CrossProduct(
+                self._restrict_candidates(universe.left, filter_plan, pairs),
+                self._restrict_candidates(universe.right, filter_plan, pairs),
+            )
+        own = tuple(pair for pair in pairs if pair[0] == universe.column)
+        return SemiJoin(universe, filter_plan, own) if own else universe
 
     # Common-subplan interning -------------------------------------------------
 

@@ -140,7 +140,7 @@ class Statistics:
 
     def _summarize(self, name: str) -> RelationStatistics:
         relation = self._database.relation(name)
-        arity = self._database.vocabulary.arity(name)
+        arity = relation.arity
         rows = len(relation)
         if isinstance(relation, Relation):
             distinct = tuple(len(relation.column_values(position)) for position in range(arity))

@@ -44,7 +44,7 @@ from typing import Mapping
 
 from repro.approx.evaluator import ApproximateEvaluator
 from repro.complexity.classes import classify_query
-from repro.errors import ReproError, ServiceError, UnboundParameterError, UnknownDatabaseError
+from repro.errors import ReproError, ServiceError, UnknownDatabaseError
 from repro.logic.parser import parse_query
 from repro.logic.queries import Query
 from repro.logical.database import CWDatabase
@@ -93,9 +93,9 @@ DEFAULT_PLAN_CACHE_CAPACITY = 1024
 #: the compile + optimize + cost-model work the dispatcher needed to decide.
 _TARSKI_ROUTE = "tarski-route"
 
-#: Plan-cache value meaning "this template has no generic plan" (parameterized
-#: extension atoms, second order, an explicitly Tarskian statement): prepared
-#: executions bind at the AST level and take the ad-hoc per-binding plan path.
+#: Plan-cache value meaning "this template has no generic plan" (second order,
+#: an explicitly Tarskian statement): prepared executions bind at the AST
+#: level and take the ad-hoc per-binding plan path.
 _AST_ROUTE = "ast-route"
 
 
@@ -838,9 +838,9 @@ class QueryService:
         Each execution substitutes the bound values into that plan — a pure
         tree rebuild — unless
 
-        * no generic plan exists (parameterized extension atoms, second
-          order, an explicitly Tarskian statement): fall back to the ad-hoc
-          plan path on the bound query (still parse-free);
+        * no generic plan exists (second order, an explicitly Tarskian
+          statement): fall back to the ad-hoc plan path on the bound query
+          (still parse-free);
         * the ``auto`` dispatcher costed the template onto the Tarskian
           route: enumerate the bound query directly;
         * the bound plan's cost under *observed* statistics diverges from
@@ -859,13 +859,9 @@ class QueryService:
 
         def compute_plan():
             generation = statistics_for(storage).generation
-            try:
-                plan = evaluator.plan_on_storage(storage, statement.query)
-            except UnboundParameterError:
-                plan = _AST_ROUTE
-            else:
-                if plan is None:
-                    plan = _TARSKI_ROUTE if statement.engine == "auto" else _AST_ROUTE
+            plan = evaluator.plan_on_storage(storage, statement.query)
+            if plan is None:
+                plan = _TARSKI_ROUTE if statement.engine == "auto" else _AST_ROUTE
             return (plan, generation)
 
         plan, __ = self._plan_with_markers(storage, template_key, compute_plan)

@@ -12,7 +12,8 @@ from repro.workloads.generators import employee_database
 
 #: Template text → bindings, chosen so every routing rule is exercised:
 #: scatter (split relation), single shard (replicated-only), Boolean
-#: conjunction, and the full-copy fallback.
+#: conjunction, and the full-copy fallback — the last also with a negated
+#: atom over a parameter (an ``alpha_P`` template: known and null manager).
 TEMPLATES = {
     "(x) . EMP_DEPT($e, x)": [{"e": f"emp{i}"} for i in range(6)],
     "(x) . DEPT_MGR($d, x)": [{"d": "dept0"}, {"d": "dept1"}],
@@ -21,6 +22,7 @@ TEMPLATES = {
         {"e": "emp1", "d": "dept1", "m": "emp0"},
     ],
     "(x1) . exists y. EMP_DEPT(x1, y) & DEPT_MGR(y, $m)": [{"m": "emp0"}, {"m": "emp3"}],
+    "(x) . exists d. EMP_DEPT(x, d) & ~DEPT_MGR(d, $k)": [{"k": "emp11"}, {"k": "mgr_null11"}],
 }
 
 

@@ -65,9 +65,10 @@ class TestCompilerSpecifics:
         plan = compile_query(query, teaches_physical)
         assert plan.columns == ("y", "x")
 
-    def test_extension_atoms_are_materialized(self, ripper_cw):
+    def test_extension_atoms_compile_to_operators(self, ripper_cw):
         from repro.approx.alpha import AlphaAtom
         from repro.logical.ph import ph2
+        from repro.physical.plan import AntiJoin
 
         storage = ph2(ripper_cw)
         x = Variable("x")
@@ -75,3 +76,4 @@ class TestCompilerSpecifics:
         compiled = evaluate_query_algebra(storage, query)
         direct = evaluate_query(storage, query)
         assert compiled == direct
+        assert isinstance(compile_query(query, storage).source, AntiJoin)

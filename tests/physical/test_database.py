@@ -123,3 +123,89 @@ class TestUpdates:
         assert image.constant_value("b") == "a"
         assert ("a", "a") in image.relation("R")
         assert ("a", "c") in image.relation("R")
+
+
+class TestPossiblyEqual:
+    """``PE``, the derived complement of ``NE`` that compiled ``alpha_P`` plans join against."""
+
+    @pytest.fixture
+    def storage(self):
+        from repro.logical.database import CWDatabase
+        from repro.logical.ph import ph2
+
+        # a, b, c known and pairwise distinct; n is a null known only to differ from a.
+        database = CWDatabase(
+            ("a", "b", "c", "n"),
+            {"P": 1},
+            {"P": {("a",)}},
+            [("a", "b"), ("a", "c"), ("b", "c"), ("a", "n")],
+        )
+        return database, ph2(database)
+
+    def test_complement_of_ne_in_both_orientations_with_reflexive_pairs(self, storage):
+        __, physical = storage
+        assert physical.possibly_equal().tuples == {
+            ("a", "a"), ("b", "b"), ("c", "c"), ("n", "n"),
+            ("b", "n"), ("n", "b"), ("c", "n"), ("n", "c"),
+        }  # fmt: skip
+
+    def test_one_orientation_of_ne_is_enough_to_exclude_a_pair(self, vocabulary):
+        database = PhysicalDatabase(
+            vocabulary.with_predicates({"NE": 2}), {"a", "b"}, {"a": "a", "b": "b"}, {"NE": {("a", "b")}}
+        )
+        assert database.possibly_equal().tuples == {("a", "a"), ("b", "b")}
+
+    def test_without_ne_every_pair_is_possibly_equal(self, database):
+        assert len(database.possibly_equal()) == len(database.active_domain()) ** 2
+
+    def test_virtual_and_materialized_ne_derive_the_same_relation(self, storage):
+        from repro.logical.ph import ph2
+
+        database, physical = storage
+        assert ph2(database, virtual_ne=True).possibly_equal() == physical.possibly_equal()
+
+    def test_served_under_the_reserved_name_only(self, storage):
+        from repro.logic.vocabulary import PE_PREDICATE
+        from repro.logical.ph import ph2
+        from repro.physical.statistics import statistics_payload
+
+        database, physical = storage
+        assert physical.relation(PE_PREDICATE) is physical.possibly_equal()
+        assert PE_PREDICATE not in physical.vocabulary.predicates
+        assert PE_PREDICATE not in physical.relations and not physical.has_relation(PE_PREDICATE)
+        assert PE_PREDICATE not in statistics_payload(physical)["relations"]
+        untouched = ph2(database)
+        assert physical.fingerprint() == untouched.fingerprint()
+        assert physical.total_tuples() == untouched.total_tuples()
+
+    def test_the_reserved_name_cannot_be_declared(self):
+        from repro.logic.vocabulary import PE_PREDICATE
+
+        with pytest.raises(VocabularyError, match="derived"):
+            Vocabulary(("a",), {PE_PREDICATE: 2})
+
+    def test_concurrent_first_touch_builds_one_relation(self, storage):
+        import sys
+        import threading
+
+        __, physical = storage
+        barrier = threading.Barrier(8)
+        seen = []
+
+        def touch():
+            barrier.wait(timeout=10)
+            seen.append(physical.possibly_equal())
+
+        threads = [threading.Thread(target=touch) for __ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 8 and all(relation is seen[0] for relation in seen)
+        assert physical.possibly_equal() is seen[0]

@@ -62,6 +62,37 @@ class TestCostModels:
         assert choose_engine(storage, rewritten, None) == "tarski"
 
 
+class TestExtensionAtomPricing:
+    """One ``alpha_P`` check is |I(P)| disagreement tests, not one lookup."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(x) . exists d. EMP_DEPT(x, d) & ~DEPT_MGR(d, 'emp7') & EMP_SAL('emp17', 'low')",
+            "(x) . exists d. EMP_DEPT(x, d) & ~DEPT_MGR(d, 'mgr_null11')",
+            "(m) . ~DEPT_MGR('dept3', m) & EMP_SAL('emp17', 'low')",
+            "(m) . ~DEPT_MGR('dept3', m)",
+        ],
+    )
+    def test_the_benchmark_negation_shapes_stay_on_the_algebra_engine(self, text):
+        storage = ph2(employee_database(300, seed=21))
+        rewritten = rewrite_query(parse_query(text), "direct")
+        plan = optimize(compile_query(rewritten, storage), storage)
+        assert choose_engine(storage, rewritten, plan) == "algebra"
+
+    def test_cost_scales_with_the_stored_relation_and_the_arity(self, storage):
+        unary = rewrite_query(parse_query("() . ~EMP_DEPT('emp1', 'dept0')"), "direct")
+        stored = len(storage.relation("EMP_DEPT"))
+        assert tarskian_cost(storage, unary) == 2.0 * stored
+
+    def test_a_handful_of_stored_tuples_may_still_go_tarskian(self):
+        tiny = ph2(employee_database(3, seed=2))
+        rewritten = rewrite_query(parse_query("(m) . ~DEPT_MGR('dept0', m)"), "direct")
+        plan = optimize(compile_query(rewritten, tiny), tiny)
+        assert len(tiny.relation("DEPT_MGR")) <= 3
+        assert choose_engine(tiny, rewritten, plan) == "tarski"
+
+
 class TestAutoAnswers:
     def test_auto_agrees_with_both_engines_on_random_positive_queries(self, storage):
         database = employee_database(12, seed=9)

@@ -3,6 +3,10 @@
 The strategies generate *small* artifacts on purpose: several properties
 compare the approximation against the exact (exponential) evaluator, so
 databases stay at <= 4 constants and formulas at modest depth.
+
+:func:`negation_cases` is the strategy for the paper's own case — a negated
+stored atom over a database with nulls (Lemma 10's ``alpha_P``) — and is not
+compared against the exact evaluator, so it affords 5 constants and arity 3.
 """
 
 from __future__ import annotations
@@ -96,3 +100,58 @@ def queries(draw, max_arity: int = 2, allow_negation: bool = True) -> Query:
         Variable(f"h{i}") for i in range(extra_arity)
     )
     return Query(head, formula)
+
+
+# Negated atoms over nulls ----------------------------------------------------------
+
+#: Schema of the negation strategy: one predicate of each arity 1-3.
+NEGATION_SCHEMA = {"P": 1, "R": 2, "T": 3}
+
+
+@st.composite
+def negation_cases(draw, max_constants: int = 5, max_facts: int = 4) -> tuple[CWDatabase, Query]:
+    """A CW database with nulls and a query built around negated stored atoms.
+
+    The database has 2-5 constants, up to *max_facts* stored tuples per
+    predicate and a random subset of the uniqueness axioms, so some constants
+    are nulls (possibly equal to others) and some are known.  The negated
+    atoms draw their arguments from a pool of two variables and two
+    constants — smaller than the largest arity — so they repeat variables
+    (``~R(x, x)``, ``~T(x, y, x)``), repeat constants, and name values that
+    also occur in *other* columns of stored tuples (``~R(x, 'a')`` with
+    ``R('a', 'a')`` stored): exactly the cases where the graph ``G_{c,d}`` of
+    Lemma 10 merges components across columns.
+    """
+    n_constants = draw(st.integers(min_value=2, max_value=max_constants))
+    constants = ("a", "b", "c", "d", "e")[:n_constants]
+    facts = {
+        predicate: draw(
+            st.sets(st.tuples(*[st.sampled_from(constants)] * arity), max_size=max_facts)
+        )
+        for predicate, arity in NEGATION_SCHEMA.items()
+    }
+    pairs = [(left, right) for i, left in enumerate(constants) for right in constants[i + 1 :]]
+    unequal = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    database = CWDatabase(constants, dict(NEGATION_SCHEMA), facts, unequal)
+
+    pool = [Variable("x"), Variable("y"), Constant("a"), Constant(constants[-1])]
+
+    def atom():
+        predicate = draw(st.sampled_from(sorted(NEGATION_SCHEMA)))
+        return Atom(predicate, tuple(draw(st.sampled_from(pool)) for __ in range(NEGATION_SCHEMA[predicate])))
+
+    body: Formula = Not(atom())
+    shape = draw(st.sampled_from(["bare", "guarded", "either", "both"]))
+    if shape == "guarded":
+        body = And((atom(), body))
+    elif shape == "either":
+        body = Or((body, atom()))
+    elif shape == "both":
+        body = And((body, Not(atom())))
+
+    from repro.logic.analysis import free_variables
+
+    free = sorted(free_variables(body), key=lambda variable: variable.name)
+    if len(free) == 2 and draw(st.booleans()):
+        body = Exists((free.pop(),), body)
+    return database, Query(tuple(free), body)

@@ -91,10 +91,9 @@ class TestExecute:
         assert response.complete is True
         assert response.answers["approximate"] == response.answers["exact"]
 
-    def test_negated_template_falls_back_soundly(self):
-        # The rewrite turns ~MURDERER($k) into an extension atom over a
-        # parameter, which has no generic plan; the AST-route fallback must
-        # still produce exactly the ad-hoc answers.
+    def test_negated_template_on_a_boolean_query(self):
+        # The rewrite turns ~MURDERER($who) into an alpha_P atom over a
+        # parameter; it plans like any other template (a binding on PE).
         service = QueryService()
         service.register("ripper", jack_the_ripper_database())
         try:
@@ -102,6 +101,38 @@ class TestExecute:
             prepared = service.execute_prepared(statement.statement_id, {"who": "john_watson"})
             adhoc = service.execute(QueryRequest("ripper", prepared.query))
             assert prepared.answers == adhoc.answers
+            assert service.stats().prepared["generic_plans"] == 1
+        finally:
+            service.close()
+
+    @pytest.mark.parametrize("virtual_ne", [False, True])
+    def test_negated_template_runs_on_one_generic_plan(self, virtual_ne):
+        """E21's ``neg_members`` shape, over every employee and null manager."""
+        from repro.approx.evaluator import ApproximateEvaluator
+        from repro.logic.parser import parse_query
+
+        database = employee_database(40, seed=21)
+        employees = sorted({row[0] for row in database.facts_for("EMP_DEPT")})
+        nulls = sorted({row[1] for row in database.facts_for("DEPT_MGR")} - set(employees))
+        assert nulls
+        service = QueryService(answer_cache_capacity=0)
+        service.register("emp", database)
+        oracle = ApproximateEvaluator(engine="tarski", virtual_ne=virtual_ne)
+        try:
+            statement = service.prepare(
+                "emp", "(x) . exists d. EMP_DEPT(x, d) & ~DEPT_MGR(d, $k)", virtual_ne=virtual_ne
+            )
+            storage = service.entry("emp").storage(virtual_ne)
+            for key in employees + nulls:
+                prepared = service.execute_prepared(statement.statement_id, {"k": key})
+                adhoc = service.execute(QueryRequest("emp", prepared.query, virtual_ne=virtual_ne))
+                assert prepared.answers == adhoc.answers, key
+                truth = oracle.answers_on_storage(storage, parse_query(prepared.query))
+                assert prepared.answer_set("approximate") == truth, key
+            counters = service.stats().prepared
+            assert counters["executions"] == len(employees) + len(nulls)
+            assert counters["generic_plans"] == counters["executions"]
+            assert counters["custom_plans"] == 0
         finally:
             service.close()
 

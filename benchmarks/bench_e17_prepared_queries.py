@@ -8,7 +8,7 @@ thousands of parameter bindings.  Protocol v2's session API pays it once:
 ``prepare`` plans the template (parameters typing as constants), and each
 ``execute`` substitutes the binding into the finished plan.
 
-Three claims, each an assertion:
+Two claims, each an assertion:
 
 * **throughput** — on the :func:`~repro.workloads.traffic.parameter_sweep_workload`
   (one join-heavy template, many distinct bindings, the CLI-default
@@ -17,11 +17,8 @@ Three claims, each an assertion:
   ``TRIALS`` trials — with **byte-identical** answers on every binding, and
   agreement with exact certain answers (Tarskian ground truth) on a sample;
 * **streaming** — a large answer set streamed through a protocol v2 cursor
-  (pages over HTTP) reassembles byte-identically to the v1 single-body
-  response for the same query;
-* **compatibility** — a simulated protocol v1 client (raw ``v: 1``
-  envelopes over HTTP) still round-trips against the v2 server and gets
-  answers identical to a v2 client's.
+  (pages over HTTP) reassembles byte-identically to the single-body
+  response for the same query.
 
 Set ``REPRO_E17_SMOKE=1`` for the reduced CI configuration (smaller
 instance, fewer bindings, and only a "never slower" bar with headroom).
@@ -33,7 +30,6 @@ import json
 import os
 import random
 import time
-import urllib.request
 
 import pytest
 
@@ -199,7 +195,7 @@ def test_prepared_sweep_beats_adhoc_with_identical_answers(benchmark, experiment
 
 @pytest.mark.experiment("E17")
 def test_streamed_answer_roundtrips_identically(experiment_log):
-    """Cursor + pages reassemble to exactly the v1 single-body answer."""
+    """Cursor + pages reassemble to exactly the single-body answer."""
     database = _database()
     service = QueryService()
     service.register("emp", database)
@@ -214,7 +210,7 @@ def test_streamed_answer_roundtrips_identically(experiment_log):
             assert tuple(streamed) == single.answers["approximate"], (
                 "streamed pages do not reassemble to the single-body answer"
             )
-            # Same rows as the v1-era ad-hoc route for the same query text.
+            # Same rows as the ad-hoc route for the same query text.
             adhoc = client.query("emp", handle.template)
             assert adhoc.answers["approximate"] == single.answers["approximate"]
             experiment_log.append(
@@ -223,45 +219,3 @@ def test_streamed_answer_roundtrips_identically(experiment_log):
     finally:
         service.close()
 
-
-@pytest.mark.experiment("E17")
-def test_v1_client_still_passes_against_v2_server(experiment_log):
-    """Raw ``v: 1`` envelopes round-trip and answers match the v2 client's."""
-    database = _database()
-    service = QueryService()
-    service.register("emp", database)
-    query_text = "(x) . EMP_DEPT(x, 'dept0')"
-    try:
-        with running_server(service) as server:
-            # A v1 client: hand-built envelope, strict v1 expectations.
-            payload = {
-                "type": "query_request",
-                "v": 1,
-                "database": "emp",
-                "query": query_text,
-                "method": "approx",
-                "engine": "algebra",
-                "virtual_ne": False,
-            }
-            request = urllib.request.Request(
-                server.base_url + "/query",
-                data=json.dumps(payload).encode(),
-                headers={"Content-Type": "application/json"},
-                method="POST",
-            )
-            with urllib.request.urlopen(request) as response:
-                body = json.loads(response.read())
-            assert body["v"] == 1, "a v1 request must be answered with a v1 envelope"
-            assert body["type"] == "query_response"
-
-            # GET routes are v1-enveloped too (no request version to echo).
-            with urllib.request.urlopen(server.base_url + "/health") as response:
-                health = json.loads(response.read())
-            assert health["v"] == 1
-            assert 2 in health["protocol_versions"]
-
-            v2 = ServiceClient(server.base_url).query("emp", query_text)
-            assert [list(row) for row in v2.answers["approximate"]] == body["answers"]["approximate"]
-            experiment_log.append(("E17", {"trial": "== v1 compat ==", "speedup": "pass"}))
-    finally:
-        service.close()

@@ -1,7 +1,6 @@
-"""E18 — resilience: chaos correctness, overload shedding, kill-switch parity.
+"""E18 — resilience: chaos correctness and overload shedding.
 
-The resilience layer's pitch is a single invariant plus a cost bound, both
-checked here:
+The resilience layer's pitch is a single invariant, checked here two ways:
 
 * **faults may cost availability, never correctness** — an in-process
   cluster whose workers misbehave on a *scripted, seeded* schedule
@@ -14,14 +13,10 @@ checked here:
   and the post-outage pass must be fully available and non-degraded;
 * **overload is shed honestly** — a saturated HTTP server sheds with typed
   503s (never hangs, never answers wrong) and serves the same requests
-  correctly once the load passes;
-* **the kill switch is free and faithful** — ``REPRO_NO_RESILIENCE=1``
-  restores the pre-resilience single-pass router byte-for-byte, and the
-  resilient fault-free path costs at most a few percent of its throughput.
+  correctly once the load passes.
 
-``REPRO_E18_SMOKE=1`` switches to the reduced CI configuration: a smaller
-instance, fewer measured operations, and a looser (but still asserted)
-overhead floor.
+``REPRO_E18_SMOKE=1`` switches to the reduced CI configuration (fewer
+concurrent clients in the overload run).
 """
 
 from __future__ import annotations
@@ -35,7 +30,6 @@ import pytest
 
 from repro.cluster.deploy import local_router
 from repro.errors import ClusterError, DeadlineExceededError, OverloadedError
-from repro.harness.experiments import measure_parallel_throughput
 from repro.logic.parser import parse_query
 from repro.logical.exact import certain_answers
 from repro.resilience import FaultPlan, deadline_scope
@@ -65,17 +59,10 @@ QUERY_POOL = [
 OVERLOAD_CLIENTS = 4 if SMOKE else 8
 OVERLOAD_REQUESTS = 3
 
-MEASURE_OPERATIONS = 200 if SMOKE else 400
-MEASURE_ATTEMPTS = 3
-#: The committed bound is 0.95 (resilience may cost at most ~5% fault-free);
-#: the assertion floor is looser so a noisy CI runner cannot flake the job.
-REQUIRED_OVERHEAD_RATIO = 0.95
-ASSERTED_OVERHEAD_FLOOR = 0.75 if SMOKE else 0.85
-
 
 def _report(bench_reports):
     return bench_reports(
-        "E18", "resilience: chaos correctness, shedding, kill-switch parity",
+        "E18", "resilience: chaos correctness and overload shedding",
         mode="smoke" if SMOKE else "full",
     )
 
@@ -265,78 +252,3 @@ def test_overload_sheds_typed_and_recovers(experiment_log, bench_reports):
     assert wrong[0] == 0, "an overloaded server returned a wrong answer"
     assert sheds[0] > 0 and server_sheds > 0, "saturation never shed — admission control is inert"
 
-
-@pytest.mark.experiment("E18")
-def test_kill_switch_is_faithful_and_resilience_is_cheap(
-    monkeypatch, benchmark, experiment_log, bench_reports
-):
-    database = _database()
-    single = _single(database)
-    requests = [QueryRequest("db", shape, "approx", "algebra", False) for shape in QUERY_POOL]
-
-    def build(resilient: bool):
-        if resilient:
-            monkeypatch.delenv("REPRO_NO_RESILIENCE", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_NO_RESILIENCE", "1")
-        # Answer caching off: the overhead question is "what does the
-        # resilience wrapper add to a request that does real work", not
-        # "to a microsecond cache hit".
-        return local_router(
-            {"db": database}, shards=2, replicas=2, replication_threshold=0,
-            answer_cache_capacity=0,
-        )
-
-    rates = {False: 0.0, True: 0.0}
-    try:
-        direct = {request: single.execute(request).answers for request in requests}
-        # Byte-identity both ways: the kill switch must reproduce the
-        # pre-resilience router exactly, and the resilient fault-free
-        # path must change nothing either.
-        for resilient in (False, True):
-            router = build(resilient)
-            try:
-                for request in requests:
-                    assert router.execute(request).answers == direct[request]
-            finally:
-                router.close()
-        # Best-of-N interleaved single-client measurement: per-request
-        # overhead shows up identically without the thread-scheduling noise
-        # a contended parallel run adds.
-        for __ in range(MEASURE_ATTEMPTS):
-            for resilient in (False, True):
-                router = build(resilient)
-                try:
-                    rate = measure_parallel_throughput(
-                        lambda i: router.execute(requests[i % len(requests)]),
-                        MEASURE_OPERATIONS,
-                        1,
-                    ).per_second
-                    rates[resilient] = max(rates[resilient], rate)
-                finally:
-                    router.close()
-        resilient_router = build(True)
-        try:
-            benchmark(lambda: resilient_router.execute(requests[0]))
-        finally:
-            resilient_router.close()
-    finally:
-        single.close()
-
-    ratio = rates[True] / rates[False]
-    experiment_log.append(
-        ("E18", {
-            "measurement": "fault-free overhead (resilience on vs kill switch)",
-            "qps_off": round(rates[False]),
-            "qps_on": round(rates[True]),
-            "ratio": round(ratio, 3),
-        })
-    )
-    report = _report(bench_reports)
-    report.metric("fault_free_throughput_ratio", ratio, unit="x", required=REQUIRED_OVERHEAD_RATIO)
-    report.metric("qps_resilience_on", rates[True], unit="qps")
-    report.metric("qps_resilience_off", rates[False], unit="qps")
-    assert ratio >= ASSERTED_OVERHEAD_FLOOR, (
-        f"resilience costs too much fault-free: {rates[True]:.0f} qps on vs "
-        f"{rates[False]:.0f} qps off (ratio {ratio:.2f}, floor {ASSERTED_OVERHEAD_FLOOR})"
-    )

@@ -13,10 +13,10 @@ The forensic layer's pitch mirrors the resilience layer's: it must be
   complete resource account (``repro-cost/v1``), the error entry carries
   its typed error, and the captured traces render to a loadable Chrome
   trace-event document;
-* **fully-disabled forensics are free** — with no active trace, no active
-  account, ``REPRO_NO_EVENTS=1`` and ``profiler=None``, the E14 join-heavy
-  workload must run within ``DISABLED_OVERHEAD_LIMIT`` (the committed 5%
-  bound) of the bare executor, min-of-N per side to strip scheduler noise.
+* **idle forensics are free** — with no active trace, no active account
+  and ``profiler=None``, the E14 join-heavy workload must run within
+  ``DISABLED_OVERHEAD_LIMIT`` (the committed 5% bound) of the bare
+  executor, min-of-N per side to strip scheduler noise.
 
 ``REPRO_E19_SMOKE=1`` switches to the reduced CI configuration.
 """
@@ -101,9 +101,7 @@ def _report(bench_reports):
 
 
 @pytest.mark.experiment("E19")
-def test_chaos_leaves_a_complete_event_trail(monkeypatch, experiment_log, bench_reports):
-    monkeypatch.delenv("REPRO_NO_EVENTS", raising=False)
-    monkeypatch.delenv("REPRO_NO_RESILIENCE", raising=False)
+def test_chaos_leaves_a_complete_event_trail(experiment_log, bench_reports):
     database = random_cw_database(predicates=PREDICATES, **INSTANCE)
     faulting: dict[int, FaultingBackend] = {}
 
@@ -191,10 +189,7 @@ def test_chaos_leaves_a_complete_event_trail(monkeypatch, experiment_log, bench_
 
 
 @pytest.mark.experiment("E19")
-def test_flight_recorder_captures_slow_and_failing_requests_whole(
-    monkeypatch, experiment_log, bench_reports
-):
-    monkeypatch.delenv("REPRO_NO_EVENTS", raising=False)
+def test_flight_recorder_captures_slow_and_failing_requests_whole(experiment_log, bench_reports):
     database = random_cw_database(predicates=PREDICATES, **INSTANCE)
     service = QueryService()
     service.register("db", database)
@@ -254,18 +249,14 @@ def test_flight_recorder_captures_slow_and_failing_requests_whole(
 
 
 @pytest.mark.experiment("E19")
-def test_fully_disabled_forensics_stay_under_five_percent(
-    monkeypatch, experiment_log, bench_reports
-):
+def test_fully_disabled_forensics_stay_under_five_percent(experiment_log, bench_reports):
     """E14's 5% bound, re-proved with the whole forensic layer present.
 
     The disabled path is the production default: no active trace (spans are
     one thread-local read), no active account (charges are one ``is None``
-    check), the event kill switch on, and no profiler.  The bound is
-    asserted against the bare executor on the same join-heavy workload E14
-    uses, min-of-N per side.
+    check) and no profiler.  The bound is asserted against the bare
+    executor on the same join-heavy workload E14 uses, min-of-N per side.
     """
-    monkeypatch.setenv("REPRO_NO_EVENTS", "1")
     storage = ph2(employee_database(N_EMPLOYEES, seed=11))
     workload = join_heavy_workload(
         EMPLOYEE_PREDICATES,

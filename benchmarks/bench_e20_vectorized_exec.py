@@ -17,15 +17,14 @@ engine change must preserve: **the executor never changes an answer**.
 * **equivalence** — for every benchmarked query the vectorized answer set
   is byte-identical (same canonical wire form) to the tuple executor's,
   the naive unoptimized plan's, and — on a small instance — direct
-  Tarskian evaluation; ``REPRO_NO_VECTOR=1`` restores the tuple executor
-  exactly.
+  Tarskian evaluation.
 * **observability parity** — on the E16 skewed-star workload, EXPLAIN
   ANALYZE row counts, cardinality-feedback observations and
   ``account.*`` totals are identical between the two executors.
 
 The report's environment stanza embeds the operator-level batch-size
 sweep (:mod:`repro.harness.batchsweep`) that picked the executor's
-default ``REPRO_BATCH_SIZE``.
+``DEFAULT_BATCH_SIZE``.
 
 Set ``REPRO_BENCH_QUICK=1`` or ``REPRO_E20_SMOKE=1`` for the reduced CI
 configuration.
@@ -43,7 +42,7 @@ from repro.harness.batchsweep import sweep_summary
 from repro.harness.experiments import best_of, median
 from repro.logical.ph import ph2
 from repro.physical.algebra import execute, node_label
-from repro.physical.batch import DEFAULT_BATCH_SIZE, configured_batch_size, execute_batched
+from repro.physical.batch import DEFAULT_BATCH_SIZE, execute_batched
 from repro.physical.compiler import compile_query
 from repro.physical.evaluator import evaluate_query
 from repro.physical.optimizer import optimize
@@ -149,7 +148,7 @@ def test_vectorized_beats_tuple_executor_on_join_heavy_workload(
         "min_speedup": round(min(join_speedups), 2),
         "max_speedup": round(max(join_speedups), 2),
         "point_lookup_median": round(median(lookup_speedups), 2) if lookup_speedups else None,
-        "batch_rows": configured_batch_size(),
+        "batch_rows": DEFAULT_BATCH_SIZE,
         "required": REQUIRED_MEDIAN_SPEEDUP,
         "quick_mode": QUICK,
     }
@@ -168,8 +167,7 @@ def test_vectorized_beats_tuple_executor_on_join_heavy_workload(
         # ~100us that the tuple path does not pay on 5-row results.
         report.metric("point_lookup_median_speedup", median(lookup_speedups), unit="x")
     report.environment(
-        batch_rows=configured_batch_size(),
-        default_batch_rows=DEFAULT_BATCH_SIZE,
+        batch_rows=DEFAULT_BATCH_SIZE,
         batch_size_sweep=sweep_summary(repeats=REPEATS if QUICK else 5),
     )
     report.note(
@@ -186,9 +184,8 @@ def test_vectorized_beats_tuple_executor_on_join_heavy_workload(
 
 
 @pytest.mark.experiment("E20")
-def test_answers_identical_across_executors_and_ground_truth(experiment_log, monkeypatch):
-    """On a small instance: vectorized == tuple == naive == Tarskian, and
-    the ``REPRO_NO_VECTOR`` kill switch restores the tuple executor."""
+def test_answers_identical_across_executors_and_ground_truth(experiment_log):
+    """On a small instance: vectorized == tuple == naive == Tarskian."""
     storage = ph2(employee_database(16, seed=3))
     checked = 0
     for name, query in join_heavy_workload(
@@ -202,11 +199,8 @@ def test_answers_identical_across_executors_and_ground_truth(experiment_log, mon
         tuple_rows = execute(plan, storage, vectorize=False).rows
         for batch_rows in (1, 7, 1024):
             assert execute_batched(plan, storage, batch_rows=batch_rows).rows == tuple_rows, name
-        monkeypatch.setenv("REPRO_NO_VECTOR", "1")
-        killed = execute(plan, storage).rows
-        monkeypatch.delenv("REPRO_NO_VECTOR")
         vectorized = execute(plan, storage).rows
-        assert vectorized == killed == tuple_rows == naive == tarskian, (
+        assert vectorized == tuple_rows == naive == tarskian, (
             f"executors disagree on {name!r}"
         )
         checked += 1

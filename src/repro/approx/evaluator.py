@@ -35,7 +35,7 @@ from repro.physical.compiler import compile_query
 from repro.physical.database import PhysicalDatabase
 from repro.physical.dispatch import choose_engine
 from repro.physical.evaluator import evaluate_query
-from repro.physical.optimizer import maybe_optimize
+from repro.physical.optimizer import optimize as optimize_plan
 from repro.physical.plan import PlanNode
 from repro.physical.second_order import DEFAULT_MAX_RELATIONS, evaluate_query_so
 from repro.approx.rewrite import rewrite_query
@@ -64,16 +64,15 @@ class ApproximateEvaluator:
     max_relations:
         Cap per second-order quantifier if the query is second order.
     optimize:
-        Whether the algebra engine runs the plan optimizer: ``True``/``False``
-        force it, ``None`` (the default) follows the ``REPRO_NO_OPTIMIZER``
-        environment flag.  Answers are identical either way.
+        Whether the algebra engine runs the plan optimizer (default ``True``;
+        ``False`` executes naive plans).  Answers are identical either way.
     """
 
     mode: str = "direct"
     engine: str = "tarski"
     virtual_ne: bool = False
     max_relations: int = DEFAULT_MAX_RELATIONS
-    optimize: bool | None = None
+    optimize: bool = True
 
     def __post_init__(self) -> None:
         if self.engine not in _ENGINES:
@@ -117,7 +116,8 @@ class ApproximateEvaluator:
         :meth:`resolve_engine`) funnels through here.
         """
         plan = compile_query(rewritten, storage)
-        plan = maybe_optimize(plan, storage, self.optimize)
+        if self.optimize:
+            plan = optimize_plan(plan, storage)
         if self.engine == "auto" and choose_engine(storage, rewritten, plan) == "tarski":
             return None
         return plan

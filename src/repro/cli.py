@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -65,8 +66,6 @@ from repro.logic.parser import parse_query
 from repro.logical.exact import certain_answers
 from repro.observability.explain import PlanProfiler, render_profile
 from repro.physical.csvio import load_cw_database
-from repro.physical.algebra import VECTOR_ENV_FLAG
-from repro.physical.optimizer import OPTIMIZER_ENV_FLAG, SIP_ENV_FLAG
 from repro.service.client import ServiceClient
 from repro.service.engine import QueryService
 from repro.service.protocol import (
@@ -104,22 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
         "rows, wall time and index/scan/memo access after the answers",
     )
     query.add_argument("--json", action="store_true", help="print a protocol QueryResponse instead of text")
-    query.add_argument(
-        "--no-optimizer",
-        action="store_true",
-        help="run the algebra engine on naive (unoptimized) plans — a debugging aid; answers are identical",
-    )
-    query.add_argument(
-        "--no-sip",
-        action="store_true",
-        help="disable sideways information passing (semi-join reduction) only; answers are identical",
-    )
-    query.add_argument(
-        "--no-vector",
-        action="store_true",
-        help="run the tuple-at-a-time executor instead of the vectorized batch "
-        "executor — a debugging aid; answers are identical",
-    )
 
     classify = commands.add_parser("classify", help="show a query's prefix class and the paper's bounds")
     classify.add_argument("query", help="query text")
@@ -139,22 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="answer-cache capacity (0 disables caching; default: the service default)",
-    )
-    serve.add_argument(
-        "--no-optimizer",
-        action="store_true",
-        help="serve naive (unoptimized) plans — a debugging aid; answers are identical",
-    )
-    serve.add_argument(
-        "--no-sip",
-        action="store_true",
-        help="serve without sideways information passing (semi-join reduction); answers are identical",
-    )
-    serve.add_argument(
-        "--no-vector",
-        action="store_true",
-        help="serve with the tuple-at-a-time executor instead of the vectorized "
-        "batch executor; answers are identical",
     )
     serve.add_argument(
         "--shards",
@@ -490,14 +457,6 @@ def _command_info(arguments: argparse.Namespace) -> int:
 
 
 def _command_query(arguments: argparse.Namespace) -> int:
-    if arguments.no_optimizer:
-        # The one-shot process is the unit of configuration here: the env
-        # flag also covers the --json path's embedded QueryService.
-        os.environ[OPTIMIZER_ENV_FLAG] = "1"
-    if arguments.no_sip:
-        os.environ[SIP_ENV_FLAG] = "1"
-    if arguments.no_vector:
-        os.environ[VECTOR_ENV_FLAG] = "1"
     params = _parse_params(arguments.param)
     if arguments.json:
         # One-shot service: same evaluation and same serialization as the server.
@@ -541,11 +500,7 @@ def _command_query(arguments: argparse.Namespace) -> int:
     results: dict[str, frozenset[tuple[str, ...]]] = {}
     profiler: PlanProfiler | None = None
     if arguments.method in ("approx", "both"):
-        evaluator = ApproximateEvaluator(
-            engine=arguments.engine,
-            virtual_ne=arguments.virtual_ne,
-            optimize=False if arguments.no_optimizer else None,
-        )
+        evaluator = ApproximateEvaluator(engine=arguments.engine, virtual_ne=arguments.virtual_ne)
         if arguments.analyze:
             profiler = PlanProfiler()
             results["approximate"] = evaluator.answers_on_storage(
@@ -602,13 +557,13 @@ def _named_databases(specifiers: Sequence[str]) -> dict[str, object]:
     return databases
 
 
+def _exit_on_sigterm(signum, frame) -> None:
+    # SIGTERM's default action ends the process on the spot, orphaning a
+    # cluster's workers and its temporary store; unwind through the cleanup.
+    raise SystemExit(128 + signum)
+
+
 def _command_serve(arguments: argparse.Namespace) -> int:
-    if arguments.no_optimizer:
-        os.environ[OPTIMIZER_ENV_FLAG] = "1"
-    if arguments.no_sip:
-        os.environ[SIP_ENV_FLAG] = "1"
-    if arguments.no_vector:
-        os.environ[VECTOR_ENV_FLAG] = "1"
     if arguments.shards < 1:
         print("error: --shards must be at least 1", file=sys.stderr)
         return 2
@@ -655,6 +610,7 @@ def _command_serve(arguments: argparse.Namespace) -> int:
 
     cluster = None
     temporary_store = None
+    previous_sigterm = signal.signal(signal.SIGTERM, _exit_on_sigterm)
     try:
         if arguments.shards > 1:
             import tempfile
@@ -707,6 +663,7 @@ def _command_serve(arguments: argparse.Namespace) -> int:
             import shutil
 
             shutil.rmtree(temporary_store, ignore_errors=True)
+        signal.signal(signal.SIGTERM, previous_sigterm)
     return 0
 
 

@@ -81,7 +81,6 @@ from repro.logic.template import bind_query, query_parameters
 from repro.observability import events, tracing
 from repro.observability.accounting import activate as activate_account, current_account
 from repro.observability.metrics import MetricsRegistry, merge_metric_snapshots
-from repro.resilience import resilience_disabled
 from repro.resilience import deadlines
 from repro.resilience.retry import BREAKER_STATE_GAUGE, BackoffPolicy, CircuitBreaker
 from repro.service.cache import LRUCache
@@ -215,8 +214,8 @@ class _WorkerState:
         self.backend = backend
         self.alive = True
         self.transport_errors = 0
-        #: Circuit breaker guarding this backend (``None`` with resilience
-        #: off): consecutive transport failures open it, and an open breaker
+        #: Circuit breaker guarding this backend (``None`` when breakers are
+        #: disabled): consecutive transport failures open it, and an open breaker
         #: is skipped with a fast local check instead of paying a transport
         #: timeout per request while the worker is down.
         self.breaker = breaker
@@ -239,8 +238,7 @@ class ClusterRouter:
     retry_policy:
         Backoff schedule for re-walking the replica set after a full pass
         fails on transport errors.  Defaults to a small capped-exponential
-        policy; forced off (single pass, the pre-resilience behavior) by
-        ``REPRO_NO_RESILIENCE=1``.
+        policy.
     breaker_threshold / breaker_reset_seconds:
         Per-backend circuit breakers: that many *consecutive* transport
         failures open a worker's breaker, and an open worker is skipped
@@ -282,11 +280,7 @@ class ClusterRouter:
                 )
         if degraded not in (None, "stale_cache"):
             raise ClusterError(f"unknown degraded mode {degraded!r}; expected None or 'stale_cache'")
-        # One kill switch restores the pre-resilience router byte-for-byte:
-        # single-pass failover, no breakers, no degraded serving.
-        resilient = not resilience_disabled()
-        self._retry = (retry_policy or BackoffPolicy()) if resilient else None
-        make_breaker = resilient and breaker_threshold is not None
+        self._retry = retry_policy or BackoffPolicy()
         self._layouts = dict(layouts)
         self._workers = [
             _WorkerState(
@@ -296,12 +290,12 @@ class ClusterRouter:
                     failure_threshold=breaker_threshold,
                     reset_after_seconds=breaker_reset_seconds,
                 )
-                if make_breaker
+                if breaker_threshold is not None
                 else None,
             )
             for index, backend in enumerate(backends)
         ]
-        self._degraded_mode = degraded if resilient else None
+        self._degraded_mode = degraded
         self._stale = LRUCache(stale_cache_capacity) if self._degraded_mode else None
         self._replicas = max(1, replicas)
         self._parses = LRUCache(512)
@@ -802,10 +796,10 @@ class ClusterRouter:
         are deterministic — a replica would answer identically — so they
         propagate to the caller untouched.
 
-        With resilience on, a full failed pass over the replica set is
-        retried under the backoff policy (bounded by the request's deadline),
-        open circuit breakers are skipped with a local check instead of a
-        transport timeout, and a worker's ``503 overloaded`` answer moves on
+        A full failed pass over the replica set is retried under the backoff
+        policy (bounded by the request's deadline), open circuit breakers are
+        skipped with a local check instead of a transport timeout, and a
+        worker's ``503 overloaded`` answer moves on
         to the next replica without marking anyone dead.  Every replay is
         safe: either the failure proves the request never reached a server
         (``sent_request=False``), or it is one of the idempotent reads this
@@ -815,8 +809,6 @@ class ClusterRouter:
         must consult :func:`ServiceUnavailableError.sent_request` here
         before any ambiguous replay.
         """
-        if self._retry is None:
-            return self._attempt_workers(candidates, request, what, (None, None))
         rng = None  # the jitter stream is only built once a retry happens
         deadline = deadlines.current_deadline()
         last_error: ServiceError | None = None
@@ -844,7 +836,7 @@ class ClusterRouter:
                     last_error=str(last_error) if last_error else None,
                 )
             try:
-                return self._attempt_workers(candidates, request, what, (retry_round, last_error))
+                return self._attempt_workers(candidates, request, what, last_error)
             except _RoundFailed as failed:
                 last_error = failed.last_error
         raise ClusterError(
@@ -858,16 +850,13 @@ class ClusterRouter:
         candidates: Sequence[int],
         request: QueryRequest,
         what: str,
-        round_state: tuple[int | None, ServiceError | None],
+        carried_error: ServiceError | None,
     ) -> QueryResponse:
-        """One pass over the replica set (the pre-resilience failover loop).
+        """One pass over the replica set; exhaustion raises :class:`_RoundFailed`.
 
-        ``round_state`` is ``(None, None)`` on the resilience-off path —
-        exhaustion raises ``ClusterError`` directly, exactly as before PR 7 —
-        and ``(round_index, carried_error)`` under the retry loop, where
-        exhaustion raises the internal :class:`_RoundFailed` instead.
+        *carried_error* is the previous round's last error, cited if this
+        round attempts no candidate at all.
         """
-        retry_round, carried_error = round_state
         ordered = sorted(candidates, key=lambda index: not self._workers[index].alive)
         last_error: ServiceError | None = carried_error
         for index in ordered:
@@ -915,12 +904,7 @@ class ClusterRouter:
             if breaker is not None and breaker.record_success():
                 events.emit("breaker.healed", worker=index)
             return response
-        if retry_round is not None:
-            raise _RoundFailed(last_error)
-        raise ClusterError(
-            f"no live replica for {what}: tried workers {list(ordered)}"
-            + (f" (last error: {last_error})" if last_error else "")
-        )
+        raise _RoundFailed(last_error)
 
     # Internals ------------------------------------------------------------------
 

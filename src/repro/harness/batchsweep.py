@@ -1,4 +1,4 @@
-"""Batch-size sweep: measure operator microbenchmarks per ``REPRO_BATCH_SIZE``.
+"""Batch-size sweep: measure operator microbenchmarks per scan batch size.
 
 The vectorized executor's one tunable is the scan batch size.  Too small
 and the per-batch Python overhead (one loop iteration, one ``ColumnBatch``

@@ -182,7 +182,7 @@ class BenchReport:
 
         Benchmarks use this to record configuration that explains the
         numbers — e.g. E20 embeds the batch-size sweep that justified the
-        executor's default ``REPRO_BATCH_SIZE``.  Values must be
+        executor's ``DEFAULT_BATCH_SIZE``.  Values must be
         JSON-compatible; later calls overwrite earlier keys.
         """
         self._environment.update(entries)

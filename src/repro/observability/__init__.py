@@ -30,7 +30,7 @@ cost (almost) nothing when disabled:
 
 The serving layers import these modules unconditionally, but every hook is
 behind an ``is it on?`` check (an active thread-local trace, a non-``None``
-profiler or account, an environment kill switch), so the instrumented hot
+profiler or account), so the instrumented hot
 paths stay within noise of the uninstrumented ones — the e14/e16/e17
 speedup requirements still hold.
 """

@@ -14,18 +14,15 @@ of what the resilience layer actually did.
 
 Design rules (same priority order as tracing and deadlines):
 
-1. **Zero cost when off.**  ``REPRO_NO_EVENTS=1`` turns :func:`emit` into
-   an environment lookup and an immediate return; no lock is taken, no
-   record is built.  Emission sites therefore call it unconditionally.
-2. **Bounded memory.**  The in-process log is a fixed-capacity ring
+1. **Bounded memory.**  The in-process log is a fixed-capacity ring
    (``collections.deque(maxlen=...)``): old events fall off the end, the
    process can never OOM on its own telemetry.
-3. **Rate limited.**  A per-second window caps how many events are
+2. **Rate limited.**  A per-second window caps how many events are
    recorded; bursts beyond the cap are *counted*, and a single
    ``events.dropped`` summary event is emitted when the window rolls —
    the log degrades to a sampled record instead of amplifying an
    overload.
-4. **Optionally durable.**  ``REPRO_EVENT_LOG=/path/to/events.ndjson``
+3. **Optionally durable.**  ``REPRO_EVENT_LOG=/path/to/events.ndjson``
    (or an explicit sink) appends each record as one JSON line, so the
    evidence survives the process.
 
@@ -47,21 +44,16 @@ from repro.observability import tracing
 
 __all__ = [
     "EVENT_SCHEMA",
-    "EVENTS_ENV_FLAG",
     "EVENT_SINK_ENV",
     "LEVELS",
     "EventLog",
     "default_log",
     "emit",
-    "events_disabled",
     "reset_default_log",
     "validate_event",
 ]
 
 EVENT_SCHEMA = "repro-event/v1"
-
-#: Kill switch: ``REPRO_NO_EVENTS=1`` makes every ``emit`` a no-op.
-EVENTS_ENV_FLAG = "REPRO_NO_EVENTS"
 
 #: When set, the default log appends one JSON line per event to this path.
 EVENT_SINK_ENV = "REPRO_EVENT_LOG"
@@ -75,11 +67,6 @@ DEFAULT_RATE_LIMIT_PER_SECOND = 500
 #: coerced to ``repr`` at emission time so a bad call site degrades to an
 #: ugly string instead of a crashed request.
 _JSON_SCALARS = (str, int, float, bool, type(None))
-
-
-def events_disabled() -> bool:
-    """Read the kill switch per call, like ``resilience_disabled``."""
-    return os.environ.get(EVENTS_ENV_FLAG, "") == "1"
 
 
 def _clean_value(value: object) -> object:
@@ -129,8 +116,6 @@ class EventLog:
         trace, so events emitted while serving a request correlate with
         its spans without any plumbing at the call site.
         """
-        if events_disabled():
-            return None
         if level not in LEVELS:
             level = "info"
         now = self._clock()
@@ -264,8 +249,6 @@ def reset_default_log() -> None:
 
 def emit(kind: str, level: str = "info", **attributes: object) -> dict | None:
     """Emit on the process-wide default log (the standard call site form)."""
-    if events_disabled():
-        return None
     return default_log().emit(kind, level, **attributes)
 
 

@@ -7,19 +7,8 @@ first-order evaluation, second-order evaluation by relation enumeration, and
 a small relational-algebra engine with a calculus-to-algebra compiler.
 """
 
-from repro.physical.algebra import (
-    VECTOR_ENV_FLAG,
-    execute,
-    plan_size,
-    plan_to_text,
-    vectorization_enabled,
-)
-from repro.physical.batch import (
-    BATCH_SIZE_ENV,
-    ColumnBatch,
-    configured_batch_size,
-    execute_batched,
-)
+from repro.physical.algebra import execute, plan_size, plan_to_text
+from repro.physical.batch import ColumnBatch, execute_batched
 from repro.physical.compiler import compile_formula, compile_query, evaluate_query_algebra
 from repro.physical.csvio import (
     load_cw_database,
@@ -53,10 +42,6 @@ __all__ = [
     "execute",
     "execute_batched",
     "ColumnBatch",
-    "BATCH_SIZE_ENV",
-    "VECTOR_ENV_FLAG",
-    "configured_batch_size",
-    "vectorization_enabled",
     "plan_size",
     "plan_to_text",
     "compile_query",

@@ -21,18 +21,16 @@ Two access paths consult the per-database hash indexes of
 Pass ``use_indexes=False`` to force the scan-and-filter paths (the
 benchmarks' naive configuration); answers are identical either way.
 
-Since PR 9 this tuple-at-a-time executor is the *fallback* path: by default
+This tuple-at-a-time executor is the *reference* path: by default
 :func:`execute` dispatches to the vectorized column-batch executor of
 :mod:`repro.physical.batch`, which mirrors every semantic detail of this
 module (memo, recorder, profiler and account hook points, index access
 paths) while moving data in column batches instead of one tuple at a time.
-Set ``REPRO_NO_VECTOR=1`` (or pass ``vectorize=False``) to restore the
-executor below byte-for-byte; answers are identical either way.
+Pass ``vectorize=False`` to run the executor below; answers are identical
+either way.
 """
 
 from __future__ import annotations
-
-import os
 
 from typing import Iterator
 
@@ -61,27 +59,12 @@ from repro.physical.plan import (
 )
 
 __all__ = [
-    "VECTOR_ENV_FLAG",
     "execute",
     "node_label",
     "output_columns",
     "plan_size",
     "plan_to_text",
-    "vectorization_enabled",
 ]
-
-#: Setting this environment variable to anything but ``0``/``false``/``no``
-#: disables the vectorized column-batch executor everywhere and restores the
-#: PR 2 tuple-at-a-time streaming executor byte-for-byte (the CLI's
-#: ``--no-vector`` flag sets it for one process).  Same convention as
-#: ``REPRO_NO_OPTIMIZER`` / ``REPRO_NO_SIP``.
-VECTOR_ENV_FLAG = "REPRO_NO_VECTOR"
-
-
-def vectorization_enabled() -> bool:
-    """Whether plans execute on column batches by default (honours the env flag)."""
-    value = os.environ.get(VECTOR_ENV_FLAG, "").strip().lower()
-    return value in ("", "0", "false", "no")
 
 
 def execute(
@@ -91,7 +74,7 @@ def execute(
     use_indexes: bool = True,
     recorder=None,
     profiler=None,
-    vectorize: bool | None = None,
+    vectorize: bool = True,
 ) -> Table:
     """Execute *plan* against *database* and return the result table.
 
@@ -111,14 +94,12 @@ def execute(
     per row — profiling is opt-in per request, and the disabled path costs
     one ``is None`` check per node.
 
-    *vectorize* selects the executor: ``True``/``False`` force the
-    column-batch / tuple-at-a-time path, ``None`` (the default) follows the
-    ``REPRO_NO_VECTOR`` environment flag.  Answers, recorder observations,
-    profiler row counts and account totals are identical either way — the
-    batch executor exists purely to cut per-tuple interpreter overhead.
+    *vectorize* selects the executor: the column-batch path (default) or,
+    with ``False``, the tuple-at-a-time reference.  Answers, recorder
+    observations, profiler row counts and account totals are identical
+    either way — the batch executor exists purely to cut per-tuple
+    interpreter overhead.
     """
-    if vectorize is None:
-        vectorize = vectorization_enabled()
     if vectorize:
         from repro.physical.batch import execute_batched
 

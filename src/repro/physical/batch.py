@@ -6,8 +6,8 @@ attribute lookups — **once per tuple per operator**.  With the optimizer
 (PR 2), sideways information passing (PR 4) and prepared plans (PR 5) in
 place, that per-tuple overhead is the dominant remaining hot-path cost.
 This module removes it by processing **column batches**: stdlib-only
-per-column sequences of up to ``REPRO_BATCH_SIZE`` rows (default
-:data:`DEFAULT_BATCH_SIZE`) that flow through the same operator tree.
+per-column sequences of up to :data:`DEFAULT_BATCH_SIZE` rows that flow
+through the same operator tree.
 
 * **Batch scans** slice stored relations columnwise from a per-database
   columnar cache (built once per relation, cached on the immutable database
@@ -38,14 +38,11 @@ executor: answers (set semantics make emission deterministic),
 :class:`~repro.observability.explain.PlanProfiler` per-node row counts
 (streamed rows, duplicates included, now counted once per batch), resource
 ``account`` totals (charged once per batch, one ``is None`` check per
-batch) and index-vs-scan access decisions.  ``REPRO_NO_VECTOR=1`` (or the
-``--no-vector`` CLI flag, or ``execute(..., vectorize=False)``) restores
-the tuple executor byte-for-byte.
+batch) and index-vs-scan access decisions.  ``execute(...,
+vectorize=False)`` runs the tuple executor as the reference.
 """
 
 from __future__ import annotations
-
-import os
 
 from itertools import chain, islice
 from time import perf_counter
@@ -76,37 +73,18 @@ from repro.physical.plan import (
 from repro.physical.relation import Relation
 
 __all__ = [
-    "BATCH_SIZE_ENV",
     "DEFAULT_BATCH_SIZE",
     "ColumnBatch",
     "columnar_relation",
-    "configured_batch_size",
     "execute_batched",
 ]
 
-#: Environment variable tuning how many rows a scan packs into one batch.
-#: The default was picked by the operator-level sweep in
+#: Rows a scan packs into one batch.  Picked by the operator-level sweep in
 #: :mod:`repro.harness.batchsweep` (scan/filter/join microbenchmarks keep
 #: improving up to a few thousand rows as per-batch overhead amortizes, then
 #: flatten; 4096 is the smallest size within noise of the fastest measured,
 #: and smaller batches only bound peak memory these workloads never stress).
-BATCH_SIZE_ENV = "REPRO_BATCH_SIZE"
-
-#: Default rows per scan batch (see :data:`BATCH_SIZE_ENV`).
 DEFAULT_BATCH_SIZE = 4096
-
-
-def configured_batch_size() -> int:
-    """The scan batch size: ``$REPRO_BATCH_SIZE`` when valid, else the default."""
-    raw = os.environ.get(BATCH_SIZE_ENV, "").strip()
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            return DEFAULT_BATCH_SIZE
-        if value >= 1:
-            return value
-    return DEFAULT_BATCH_SIZE
 
 
 class ColumnBatch:
@@ -202,14 +180,14 @@ def execute_batched(
     use_indexes: bool = True,
     recorder=None,
     profiler=None,
-    batch_rows: int | None = None,
+    batch_rows: int = DEFAULT_BATCH_SIZE,
 ) -> Table:
     """Execute *plan* on column batches; the vectorized twin of ``execute``.
 
     Same contract as :func:`repro.physical.algebra.execute` — same answers,
     same recorder/profiler/account observations, same access-path decisions.
     *batch_rows* overrides the scan batch size (tests and the batch-size
-    sweep use it; everyone else follows ``$REPRO_BATCH_SIZE``).
+    sweep use it).
     """
     context = _BatchContext(database, use_indexes, recorder, profiler, batch_rows)
     context.mark_shared_subplans(plan)
@@ -231,10 +209,10 @@ class _BatchContext(_ExecutionContext):
         use_indexes: bool,
         recorder=None,
         profiler=None,
-        batch_rows: int | None = None,
+        batch_rows: int = DEFAULT_BATCH_SIZE,
     ) -> None:
         super().__init__(database, use_indexes, recorder, profiler)
-        self.batch_rows = batch_rows if batch_rows and batch_rows >= 1 else configured_batch_size()
+        self.batch_rows = max(1, batch_rows)
         #: Shared subplans memoized directly as one columnar batch (only
         #: used when no profiler/recorder observes the materialization).
         self._batch_memo: dict[PlanNode, ColumnBatch] = {}

@@ -65,7 +65,7 @@ from repro.logic.transform import eliminate_implications, standardize_apart
 from repro.logic.vocabulary import PE_PREDICATE
 from repro.physical.algebra import execute
 from repro.physical.database import PhysicalDatabase
-from repro.physical.optimizer import maybe_optimize
+from repro.physical.optimizer import optimize as optimize_plan
 from repro.physical.plan import (
     ActiveDomain,
     AntiJoin,
@@ -90,17 +90,17 @@ _FALSE_TABLE = LiteralTable((), frozenset())
 def evaluate_query_algebra(
     database: PhysicalDatabase,
     query: Query,
-    optimize: bool | None = None,
+    optimize: bool = True,
     use_indexes: bool = True,
 ) -> frozenset[tuple]:
     """Evaluate *query* by compiling it to algebra and executing the plan.
 
     The compiled plan is rewritten by :mod:`repro.physical.optimizer` unless
-    *optimize* is ``False`` (or ``None`` with the ``REPRO_NO_OPTIMIZER``
-    environment flag set); answers are identical either way.
+    *optimize* is ``False``; answers are identical either way.
     """
     plan = compile_query(query, database)
-    plan = maybe_optimize(plan, database, optimize)
+    if optimize:
+        plan = optimize_plan(plan, database)
     return execute(plan, database, use_indexes=use_indexes).rows
 
 

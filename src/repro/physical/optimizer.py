@@ -42,15 +42,13 @@ the model badly enough the serving layer re-optimizes the query — the
 feedback loop that turns the plan-once compiler into an adaptive runtime.
 
 Every rewrite preserves the result *exactly* — same columns in the same
-order, same row set — so the optimizer can be toggled freely: set the
-``REPRO_NO_OPTIMIZER`` environment variable (or pass ``--no-optimizer`` to
-the CLI) to fall back to naive plans when debugging, or ``REPRO_NO_SIP`` /
-``--no-sip`` to keep everything but the semi-join reducer.
+order, same row set — so a naive plan (:func:`~repro.physical.compiler.compile_query`
+without this module) or ``optimize(..., sip=False)`` is a valid reference
+for the optimized one.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from repro.physical.algebra import _ExecutionContext
@@ -77,26 +75,12 @@ from repro.logic.terms import Parameter
 from repro.physical.statistics import CardinalityRecorder, Statistics, statistics_for
 
 __all__ = [
-    "OPTIMIZER_ENV_FLAG",
-    "SIP_ENV_FLAG",
     "DEFAULT_FEEDBACK_THRESHOLD",
     "FeedbackOutcome",
-    "optimizer_enabled",
-    "sip_enabled",
     "optimize",
-    "maybe_optimize",
     "apply_feedback",
     "plan_cost",
 ]
-
-#: Setting this environment variable to anything but ``0``/``false``/``no``
-#: disables plan optimization everywhere (the CLI's ``--no-optimizer`` flag
-#: and the benchmarks' naive configuration use explicit arguments instead).
-OPTIMIZER_ENV_FLAG = "REPRO_NO_OPTIMIZER"
-
-#: Same convention for the sideways-information-passing pass alone: set to
-#: disable semi-join reduction while keeping the rest of the optimizer.
-SIP_ENV_FLAG = "REPRO_NO_SIP"
 
 _SELECTIVITY_OPAQUE = 1.0 / 3.0
 
@@ -111,41 +95,18 @@ _SIP_MIN_ROWS = 64.0
 DEFAULT_FEEDBACK_THRESHOLD = 8.0
 
 
-def optimizer_enabled() -> bool:
-    """Whether plans should be optimized by default (honours the env flag)."""
-    value = os.environ.get(OPTIMIZER_ENV_FLAG, "").strip().lower()
-    return value in ("", "0", "false", "no")
-
-
-def sip_enabled() -> bool:
-    """Whether the semi-join reducer should run (honours ``REPRO_NO_SIP``)."""
-    value = os.environ.get(SIP_ENV_FLAG, "").strip().lower()
-    return value in ("", "0", "false", "no")
-
-
-def maybe_optimize(
-    plan: PlanNode, database: PhysicalDatabase, enabled: bool | None = None
-) -> PlanNode:
-    """Optimize *plan* unless optimization is disabled (arg or env flag)."""
-    if enabled is None:
-        enabled = optimizer_enabled()
-    return optimize(plan, database) if enabled else plan
-
-
 def optimize(
     plan: PlanNode,
     database: PhysicalDatabase,
     statistics: Statistics | None = None,
-    sip: bool | None = None,
+    sip: bool = True,
 ) -> PlanNode:
     """Rewrite *plan* into an equivalent plan that executes faster.
 
     The output has exactly the same columns (names *and* order) and row set
-    as the input on *database* — callers may substitute it blindly.  *sip*
-    toggles the semi-join reducer (``None`` follows ``REPRO_NO_SIP``).
+    as the input on *database* — callers may substitute it blindly.
+    ``sip=False`` skips the semi-join reducer (a reference for tests).
     """
-    if sip is None:
-        sip = sip_enabled()
     rewriter = _Rewriter(database, statistics or statistics_for(database))
     plan = rewriter.fold(plan)
     plan = rewriter.push_selections(plan)

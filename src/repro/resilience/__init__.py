@@ -18,41 +18,21 @@ available second* when parts of it misbehave:
   a queue watermark that sheds load as typed ``OverloadedError`` (503 +
   Retry-After) before server threads exhaust, plus the drain hook worker
   shutdown uses.
-
-Every feature honors one kill switch: with ``REPRO_NO_RESILIENCE=1`` in
-the environment the serving stack behaves byte-identically to the
-pre-resilience code — no admission control, no deadline stamping or
-enforcement, no retry/breaker logic in the router.  The flag is read at
-construction/dispatch sites (not import time) so tests can flip it per
-process.
 """
 
 from __future__ import annotations
 
-import os
-
-RESILIENCE_ENV_FLAG = "REPRO_NO_RESILIENCE"
-FAULTS_ENV = "REPRO_FAULTS"
-
-
-def resilience_disabled() -> bool:
-    """True when the ``REPRO_NO_RESILIENCE`` kill switch is set.
-
-    Read per call (not cached at import) so a test or benchmark can flip
-    the environment between phases of one process.
-    """
-    return os.environ.get(RESILIENCE_ENV_FLAG, "") not in ("", "0")
-
-
-from repro.resilience.admission import AdmissionController  # noqa: E402
-from repro.resilience.deadlines import (  # noqa: E402
+from repro.resilience.admission import AdmissionController
+from repro.resilience.deadlines import (
     Deadline,
     check_deadline,
     current_deadline,
     deadline_scope,
 )
-from repro.resilience.faults import Fault, FaultPlan, FaultingBackend  # noqa: E402
-from repro.resilience.retry import BackoffPolicy, CircuitBreaker  # noqa: E402
+from repro.resilience.faults import Fault, FaultPlan, FaultingBackend
+from repro.resilience.retry import BackoffPolicy, CircuitBreaker
+
+FAULTS_ENV = "REPRO_FAULTS"
 
 __all__ = [
     "AdmissionController",
@@ -63,9 +43,7 @@ __all__ = [
     "Fault",
     "FaultPlan",
     "FaultingBackend",
-    "RESILIENCE_ENV_FLAG",
     "check_deadline",
     "current_deadline",
     "deadline_scope",
-    "resilience_disabled",
 ]

@@ -16,7 +16,7 @@ Design rules (same priority order as :mod:`repro.observability.tracing`):
 2. **Wire-envelope propagation.**  ``deadline_ms`` rides next to the
    ``trace`` key on the request envelope; ``parse_wire`` filters unknown
    keys, so a pre-resilience peer ignores it harmlessly — no protocol
-   version bump, and a v1 envelope simply never carries one.
+   version bump.
 3. **Explicit thread handoff.**  The router captures
    :func:`current_deadline` before fanning out and re-activates it inside
    pool threads with :func:`activate` (a no-op when handed ``None``).

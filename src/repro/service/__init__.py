@@ -9,8 +9,8 @@ Loosely coupled layers, each usable on its own:
 * :mod:`repro.service.cache` — the thread-safe LRU underneath;
 * :mod:`repro.service.batch` — deduplicated concurrent batch evaluation
   (ad-hoc request batches and prepared parameter sweeps);
-* :mod:`repro.service.protocol` — versioned JSON request/response messages,
-  v1 + the v2 session/streaming API (also the CLI's ``--json`` serializer);
+* :mod:`repro.service.protocol` — versioned JSON request/response messages
+  with the v2 session/streaming API (also the CLI's ``--json`` serializer);
 * :mod:`repro.service.cursors` — server-side cursors for chunked streaming;
 * :mod:`repro.service.server` — the stdlib HTTP front-end;
 * :mod:`repro.service.client` — the keep-alive client with typed remote

@@ -1,4 +1,4 @@
-"""A thin stdlib client for the JSON HTTP front-end (protocol v1 + v2).
+"""A thin stdlib client for the JSON HTTP front-end (protocol v2).
 
 The client speaks exactly the protocol of :mod:`repro.service.protocol`:
 requests are protocol dataclasses serialized with
@@ -10,12 +10,6 @@ re-raised locally as the **typed** exception their stable ``code`` names
 the same way; transport-level failures (connection refused, timeout) raise
 :class:`~repro.errors.ServiceUnavailableError` so the cluster router can
 tell "worker down" from "worker said no".
-
-**Version negotiation.**  The first message that needs an envelope asks
-``/health`` which protocol versions the server speaks and caches the
-highest common one; requests are then serialized at that version.  Against
-a v1-only server everything except the session API keeps working;
-:meth:`ServiceClient.prepare` raises a clear error instead.
 
 **Sessions.**  :meth:`ServiceClient.prepare` registers a query template and
 returns a :class:`PreparedHandle`: ``execute`` / ``execute_many`` bind
@@ -70,12 +64,10 @@ from repro.errors import (
     error_for_code,
 )
 from repro.observability.tracing import current_trace, span
-from repro.resilience import FAULTS_ENV, resilience_disabled
+from repro.resilience import FAULTS_ENV
 from repro.resilience.deadlines import current_deadline
 from repro.resilience.faults import FaultPlan
 from repro.service.protocol import (
-    PROTOCOL_VERSION,
-    SUPPORTED_PROTOCOL_VERSIONS,
     BatchRequest,
     BatchResponse,
     ClassifyRequest,
@@ -128,10 +120,10 @@ class ServiceClient:
     ) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
-        #: When set, POST envelopes carry ``"account": true`` and a v2
+        #: When set, POST envelopes carry ``"account": true`` and the
         #: server answers queries with a ``cost`` resource bill attached.
         self.account = account
-        if fault_plan is None and not resilience_disabled():
+        if fault_plan is None:
             spec = os.environ.get(FAULTS_ENV, "")
             if spec:
                 fault_plan = FaultPlan.from_spec(spec)
@@ -144,8 +136,6 @@ class ServiceClient:
         self._port = parsed.port or (443 if self._tls else 80)
         self._prefix = parsed.path.rstrip("/")
         self._local = threading.local()
-        self._version_lock = threading.Lock()
-        self._negotiated: int | None = None
 
     # Endpoints -----------------------------------------------------------------
 
@@ -187,26 +177,7 @@ class ServiceClient:
     def batch(self, requests: Sequence[QueryRequest]) -> BatchResponse:
         return self._expect(self._post("/batch", BatchRequest(tuple(requests))), BatchResponse)
 
-    # The session API (protocol v2) ---------------------------------------------
-
-    def protocol_version(self) -> int:
-        """The negotiated wire version (health-probed once, then cached)."""
-        with self._version_lock:
-            if self._negotiated is not None:
-                return self._negotiated
-        # Probe outside the lock (the health round trip may be slow); a
-        # racing second probe computes the same answer.
-        try:
-            advertised = self.health().protocol_versions
-        except ProtocolError:
-            # Something answered /health but not with our message — assume
-            # the oldest protocol rather than refusing to talk at all.
-            advertised = (1,)
-        common = set(advertised) & set(SUPPORTED_PROTOCOL_VERSIONS)
-        version = max(common) if common else min(SUPPORTED_PROTOCOL_VERSIONS)
-        with self._version_lock:
-            self._negotiated = version
-        return version
+    # The session API ------------------------------------------------------------
 
     def prepare(
         self,
@@ -216,16 +187,7 @@ class ServiceClient:
         engine: str = "algebra",
         virtual_ne: bool = False,
     ) -> "PreparedHandle":
-        """Register a query template server-side; returns the execution handle.
-
-        Raises :class:`ServiceError` against a v1-only server — the session
-        API is a protocol v2 feature.
-        """
-        if self.protocol_version() < 2:
-            raise ServiceError(
-                f"the server at {self.base_url} only speaks protocol v1; "
-                "prepared queries need protocol v2"
-            )
+        """Register a query template server-side; returns the execution handle."""
         request = PrepareRequest(database, template, method, engine, virtual_ne)
         response = self._expect(self._post("/prepare", request), PrepareResponse)
         return PreparedHandle(self, response)
@@ -281,7 +243,7 @@ class ServiceClient:
         return self._parse(self._round_trip("GET", path))
 
     def _post(self, path: str, message: object) -> object:
-        wire = to_wire(message, self.protocol_version())
+        wire = to_wire(message)
         if self.account:
             # Ask the server to attach the per-request resource bill; a
             # pre-accounting server ignores the extra envelope key.
@@ -431,7 +393,7 @@ def _remote_error(message: ErrorResponse) -> ServiceError:
 
     The stable ``code`` picks the class; the ``kind`` prefix is only kept
     when it adds information (the code resolved to a different class, e.g.
-    an unregistered subclass or a message from a pre-v2 server).
+    an unregistered subclass).
     """
     error = error_for_code(message.code, message.error)
     if type(error).__name__ == message.kind:

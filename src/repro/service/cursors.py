@@ -1,8 +1,8 @@
 """Server-side cursors for chunked (streamed) answer delivery.
 
-Protocol v1 ships every answer set as one JSON body; a large answer over a
-large instance turns into a single multi-megabyte serialization on one
-thread.  Protocol v2's streaming path materializes the answer once into a
+A single-body response ships the whole answer set as one JSON body; a large
+answer over a large instance turns into a single multi-megabyte
+serialization on one thread.  The streaming path materializes the answer once into a
 *cursor* — the canonical sorted row order, chopped into fixed-size pages —
 and hands the client a cursor id; pages are then fetched individually and
 idempotently (:class:`~repro.service.protocol.FetchRequest` names an
@@ -46,7 +46,7 @@ class CursorStore:
 
         The rows are already in canonical wire order (``answers_to_wire``
         sorted them), so concatenating the pages in index order reproduces
-        the v1 single-body ``answers[label]`` byte for byte.
+        the single-body ``answers[label]`` byte for byte.
         """
         if page_size < 1:
             raise ServiceError(f"page_size must be a positive integer, got {page_size!r}")

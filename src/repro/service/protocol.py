@@ -1,4 +1,4 @@
-"""JSON request/response messages of the query service (protocol v1 + v2).
+"""JSON request/response messages of the query service (protocol v2).
 
 One wire format serves three consumers: the HTTP front-end
 (:mod:`repro.service.server`), the keep-alive client
@@ -10,30 +10,20 @@ Every message carries ``"type"`` (its message kind) and ``"v"`` (the
 protocol version).  :func:`parse_wire` is the single entry point for
 deserialization; it validates the version and dispatches on the type tag.
 
-**Versioning.**  Protocol v2 adds the session API — prepared statements
-(:class:`PrepareRequest` / :class:`PrepareResponse` /
-:class:`ExecuteRequest` / :class:`ExecuteManyRequest`) and chunked result
-streaming (:class:`CursorResponse` / :class:`FetchRequest` /
-:class:`PageResponse`) — plus the stable ``code`` field on
-:class:`ErrorResponse` and version advertisement on
-:class:`HealthResponse`.  The compatibility rules, documented in
-``docs/protocol.md``:
-
-* :func:`parse_wire` accepts **both** versions.  v1 messages pass through a
-  deprecation shim (:func:`upconvert_v1`) that fills v2 defaults, so
-  recorded v1 traffic logs and old clients keep working against a v2
-  server.  v2-only message types are rejected when tagged ``v: 1``.
-* A server answers every request **at the request's version** — a v1 client
-  never sees a ``v: 2`` envelope.
-* Clients discover support through :class:`HealthResponse.protocol_versions`
-  and speak the highest version both sides understand.
+**Versioning.**  The library speaks protocol v2 only: ad-hoc queries, the
+session API — prepared statements (:class:`PrepareRequest` /
+:class:`PrepareResponse` / :class:`ExecuteRequest` /
+:class:`ExecuteManyRequest`) and chunked result streaming
+(:class:`CursorResponse` / :class:`FetchRequest` / :class:`PageResponse`) —
+the stable ``code`` field on :class:`ErrorResponse` and version
+advertisement on :class:`HealthResponse`.  An envelope claiming any other
+version, v1 included, is refused with a :class:`~repro.errors.ProtocolError`
+("unsupported protocol version"); see ``docs/protocol.md``.
 """
 
 from __future__ import annotations
 
 import json
-import threading
-import warnings
 from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, Mapping, Sequence
 
@@ -73,18 +63,13 @@ __all__ = [
     "build_classify_response",
     "parse_wire",
     "wire_version",
-    "upconvert_v1",
-    "DeprecationGate",
-    "warn_v1_deprecated",
     "dump_wire",
 ]
 
-#: The highest protocol version this library speaks (and its default for
-#: serialization).  ``parse_wire`` still accepts every version in
-#: :data:`SUPPORTED_PROTOCOL_VERSIONS`.
+#: The protocol version this library stamps on every envelope.
 PROTOCOL_VERSION = 2
 
-SUPPORTED_PROTOCOL_VERSIONS = (1, 2)
+SUPPORTED_PROTOCOL_VERSIONS = (2,)
 
 #: Default rows-per-page of a streamed (cursor) result.
 DEFAULT_PAGE_SIZE = 1024
@@ -239,15 +224,12 @@ class InfoResponse:
 class HealthResponse:
     """Liveness probe result, advertising the protocol versions spoken.
 
-    ``protocol_versions`` defaults to ``(1,)`` so health messages from
-    servers predating v2 still parse — and absence of 2 is exactly what a
-    client needs to know to stay on v1.  The cluster router reads the field
-    off worker health checks.
+    The cluster router reads ``protocol_versions`` off worker health checks.
     """
 
     status: str
     library_version: str
-    protocol_versions: tuple[int, ...] = (1,)
+    protocol_versions: tuple[int, ...] = SUPPORTED_PROTOCOL_VERSIONS
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "protocol_versions", tuple(int(v) for v in self.protocol_versions))
@@ -518,43 +500,21 @@ _MESSAGE_TYPES: dict[str, type] = {
 }
 _TYPE_TAGS = {cls: tag for tag, cls in _MESSAGE_TYPES.items()}
 
-#: Message types introduced by protocol v2 — rejected inside a v1 envelope.
-_V2_ONLY_TAGS = frozenset(
-    {
-        "prepare_request",
-        "prepare_response",
-        "execute_request",
-        "execute_many_request",
-        "cursor_response",
-        "fetch_request",
-        "page_response",
-    }
-)
 
-
-def to_wire(message: object, version: int = PROTOCOL_VERSION) -> dict[str, object]:
-    """Serialize a protocol dataclass to a JSON-compatible dict.
-
-    *version* stamps the envelope; the server echoes each request's version
-    so v1 clients only ever see v1 envelopes.  Serializing a v2-only message
-    at v1 is a programming error and raises.
-    """
+def to_wire(message: object) -> dict[str, object]:
+    """Serialize a protocol dataclass to a JSON-compatible dict."""
     tag = _TYPE_TAGS.get(type(message))
     if tag is None:
         raise ProtocolError(f"not a protocol message: {type(message).__name__}")
-    if version not in SUPPORTED_PROTOCOL_VERSIONS:
-        raise ProtocolError(f"unsupported protocol version {version!r} (this library speaks {SUPPORTED_PROTOCOL_VERSIONS})")
-    if version < 2 and tag in _V2_ONLY_TAGS:
-        raise ProtocolError(f"message type {tag!r} requires protocol v2 (asked to serialize at v{version})")
     if isinstance(message, BatchRequest):
         # Shallow envelope: asdict would deep-convert every nested message
         # only for the list to be rebuilt via to_wire immediately after.
         payload: dict[str, object] = {
-            "requests": [to_wire(request, version) for request in message.requests]
+            "requests": [to_wire(request) for request in message.requests]
         }
     elif isinstance(message, BatchResponse):
         payload = {
-            "responses": [to_wire(response, version) for response in message.responses],
+            "responses": [to_wire(response) for response in message.responses],
             "total": message.total,
             "unique": message.unique,
             "deduplicated": message.deduplicated,
@@ -562,13 +522,13 @@ def to_wire(message: object, version: int = PROTOCOL_VERSION) -> dict[str, objec
     else:
         payload = asdict(message)
     payload["type"] = tag
-    payload["v"] = version
+    payload["v"] = PROTOCOL_VERSION
     return payload
 
 
-def dump_wire(message: object, indent: int | None = None, version: int = PROTOCOL_VERSION) -> str:
+def dump_wire(message: object, indent: int | None = None) -> str:
     """JSON text of a protocol message (the CLI's ``--json`` output)."""
-    return json.dumps(to_wire(message, version), indent=indent, sort_keys=True)
+    return json.dumps(to_wire(message), indent=indent, sort_keys=True)
 
 
 def wire_version(payload: Mapping[str, object] | str | bytes) -> int:
@@ -588,70 +548,8 @@ def wire_version(payload: Mapping[str, object] | str | bytes) -> int:
     return int(version)  # type: ignore[arg-type]
 
 
-class DeprecationGate:
-    """Once-per-owner latch for the v1-deprecation warning.
-
-    Each :class:`~repro.service.server.ServiceHTTPServer` owns one, so the
-    warning fires once per *server instance* rather than once per process —
-    a long-lived process that restarts its server (tests, embedding hosts)
-    warns again for the new instance instead of staying silent forever.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._warned = False
-
-    def warn(self, where: str) -> None:
-        """Emit the v1-deprecation warning if this gate has not yet fired."""
-        with self._lock:
-            if self._warned:
-                return
-            self._warned = True
-        warnings.warn(
-            f"received a protocol v1 request ({where}); v1 is supported but deprecated — "
-            "upgrade clients to v2 (see docs/protocol.md)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-
-_PROCESS_DEPRECATION_GATE = DeprecationGate()
-
-
-def warn_v1_deprecated(where: str) -> None:
-    """Emit the v1-deprecation warning, once per process.
-
-    Called by the *server* when a v1 request envelope arrives — not by
-    :func:`parse_wire` itself, which also parses the v1 envelopes this
-    library legitimately emits (GET responses, recorded traffic logs).
-    Servers should prefer their own :class:`DeprecationGate`; this module
-    gate remains for embedders without a server instance.
-    """
-    _PROCESS_DEPRECATION_GATE.warn(where)
-
-
-def upconvert_v1(tag: str, payload: Mapping[str, object]) -> dict:
-    """The v1 → v2 compatibility shim.
-
-    Today's v2 schema is a strict superset of v1 (every new field has a
-    default), so up-conversion is mostly "accept and fill defaults" — but it
-    is a named seam: when a future version renames or reshapes a field, the
-    rewrite lives here, and v1 traffic (recorded logs, old clients) keeps
-    parsing.  It receives the **raw** payload, before unknown fields are
-    filtered against the current schema — a renamed v1-only field must reach
-    the shim, or there would be nothing left to rewrite.
-    """
-    if tag in _V2_ONLY_TAGS:
-        raise ProtocolError(f"message type {tag!r} requires protocol v2 (got a v1 envelope)")
-    return dict(payload)
-
-
 def parse_wire(payload: Mapping[str, object] | str | bytes) -> object:
-    """Deserialize one protocol message, validating version and type tag.
-
-    Accepts every version in :data:`SUPPORTED_PROTOCOL_VERSIONS`; v1
-    messages are up-converted through :func:`upconvert_v1`.
-    """
+    """Deserialize one protocol message, validating version and type tag."""
     if isinstance(payload, (str, bytes)):
         try:
             payload = json.loads(payload)
@@ -659,15 +557,13 @@ def parse_wire(payload: Mapping[str, object] | str | bytes) -> object:
             raise ProtocolError(f"payload is not valid JSON: {error}") from None
     if not isinstance(payload, Mapping):
         raise ProtocolError(f"payload must be a JSON object, got {type(payload).__name__}")
-    version = wire_version(payload)
+    wire_version(payload)
     tag = payload.get("type")
     if not isinstance(tag, str):
         raise ProtocolError(f"message type must be a string, got {type(tag).__name__}")
     message_type = _MESSAGE_TYPES.get(tag)
     if message_type is None:
         raise ProtocolError(f"unknown message type {tag!r}")
-    if version < 2:
-        payload = upconvert_v1(tag, payload)
     known = {f.name for f in fields(message_type)}
     arguments = {key: value for key, value in payload.items() if key in known}
     try:

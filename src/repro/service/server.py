@@ -1,4 +1,4 @@
-"""A stdlib JSON HTTP front-end for the query service (protocol v1 + v2).
+"""A stdlib JSON HTTP front-end for the query service (protocol v2).
 
 Varda-style loosely coupled components: the engine knows nothing about
 HTTP, and this module knows nothing about query evaluation — it only
@@ -26,15 +26,8 @@ Routes
 =============  ======  ==================================================
 
 Errors come back as :class:`ErrorResponse` bodies (stable ``code`` field)
-with a 4xx status.
-
-**Version negotiation.**  POST responses are serialized at the *request
-envelope's* version, so a v1 client only ever sees v1 envelopes; GET
-responses (which carry no request envelope) are serialized at v1 — the
-lowest common denominator every client parses — and ``/health`` advertises
-the full :data:`~repro.service.protocol.SUPPORTED_PROTOCOL_VERSIONS` so v2
-clients know they may upgrade.  The session routes (``/prepare``,
-``/execute``, ``/fetch``) require v2 envelopes.
+with a 4xx status.  Every response is a v2 envelope; a request envelope
+claiming any other version is refused with a 400 ``protocol`` error.
 
 **Tracing.**  A POST request envelope may carry a ``trace`` context
 (``{"id": ..., "span": ...}``, see :mod:`repro.observability.tracing`); the
@@ -51,14 +44,13 @@ in-flight watermark queue briefly (bounded by their own deadline), and past
 the queue watermark they are shed as 503 ``overloaded`` with a
 ``Retry-After`` hint — failing a bounded subset fast instead of letting
 every request time out.  GETs bypass admission so monitoring stays usable
-exactly when the server is overloaded.  ``REPRO_NO_RESILIENCE=1`` disables
-both, restoring the pre-resilience behavior byte-for-byte.
+exactly when the server is overloaded.
 
 **Accounting and forensics.**  Every POST opens a
 :class:`~repro.observability.accounting.ResourceAccount` and activates it
 on the handling thread, so the executor, engine, admission controller and
 router charge the request's itemized bill without parameter threading.
-An envelope carrying ``"account": true`` (protocol v2) gets the bill back
+An envelope carrying ``"account": true`` gets the bill back
 as a ``cost`` field on the response; either way the bill is folded into
 the aggregate ``account.*`` counters and handed — together with the
 request's trace, plan profile and event tail — to the server's
@@ -92,18 +84,14 @@ from repro.errors import (
 from repro.observability import events, tracing
 from repro.observability.accounting import ResourceAccount, activate as activate_account
 from repro.observability.recorder import FlightRecorder
-from repro.resilience import resilience_disabled
 from repro.resilience import deadlines
 from repro.resilience.admission import AdmissionController
 from repro.service.cursors import CursorStore
 from repro.service.engine import QueryService
 from repro.service.protocol import (
-    PROTOCOL_VERSION,
-    SUPPORTED_PROTOCOL_VERSIONS,
     BatchRequest,
     ClassifyRequest,
     DatabasesResponse,
-    DeprecationGate,
     ErrorResponse,
     ExecuteManyRequest,
     ExecuteRequest,
@@ -121,10 +109,6 @@ from repro.service.protocol import (
 __all__ = ["ServiceHTTPServer", "make_server", "running_server", "serve"]
 
 MAX_REQUEST_BYTES = 4 * 1024 * 1024
-
-#: GET responses carry no request envelope to echo, so they are serialized
-#: at the lowest supported version — every client, v1 or v2, parses them.
-_GET_VERSION = min(SUPPORTED_PROTOCOL_VERSIONS)
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):
@@ -160,23 +144,16 @@ class ServiceHTTPServer(ThreadingHTTPServer):
         #: Streaming cursors are transport state: they live with the server,
         #: not the engine, so in-process service use never pays for them.
         self.cursors = CursorStore()
-        #: The v1-deprecation warning fires once per server instance, not
-        #: once per process — restarting the server re-arms it.
-        self.v1_deprecation = DeprecationGate()
         #: Admission control is transport state too: the in-process service
-        #: has no thread bound to protect.  ``None`` (with the kill switch)
-        #: means every POST dispatches immediately, as before PR 7.
-        if resilience_disabled():
-            self.admission: AdmissionController | None = None
-        else:
-            kwargs = {}
-            if max_in_flight is not None:
-                kwargs["max_in_flight"] = max_in_flight
-            if max_queue_depth is not None:
-                kwargs["max_queue_depth"] = max_queue_depth
-            self.admission = AdmissionController(
-                metrics=getattr(service, "metrics_registry", None), **kwargs
-            )
+        #: has no thread bound to protect.
+        kwargs = {}
+        if max_in_flight is not None:
+            kwargs["max_in_flight"] = max_in_flight
+        if max_queue_depth is not None:
+            kwargs["max_queue_depth"] = max_queue_depth
+        self.admission = AdmissionController(
+            metrics=getattr(service, "metrics_registry", None), **kwargs
+        )
 
     @property
     def base_url(self) -> str:
@@ -188,11 +165,8 @@ class ServiceHTTPServer(ThreadingHTTPServer):
 
         Graceful-shutdown hook: call after ``shutdown()`` (no new requests)
         and before ``server_close()``, so in-flight work completes instead
-        of surfacing as transport errors to callers.  A no-op ``True`` when
-        admission control is disabled.
+        of surfacing as transport errors to callers.
         """
-        if self.admission is None:
-            return True
         return self.admission.drain(timeout_seconds)
 
 
@@ -212,43 +186,30 @@ class _Handler(BaseHTTPRequestHandler):
             if url.path == "/health":
                 from repro import __version__
 
-                self._send_message(
-                    200,
-                    HealthResponse(
-                        status="ok",
-                        library_version=__version__,
-                        protocol_versions=SUPPORTED_PROTOCOL_VERSIONS,
-                    ),
-                    _GET_VERSION,
-                )
+                self._send_message(200, HealthResponse(status="ok", library_version=__version__))
             elif url.path == "/databases":
-                self._send_message(
-                    200, DatabasesResponse(self.server.service.database_names()), _GET_VERSION
-                )
+                self._send_message(200, DatabasesResponse(self.server.service.database_names()))
             elif url.path == "/info":
                 names = parse_qs(url.query).get("db", [])
                 if len(names) != 1:
                     raise ServiceError("/info needs exactly one ?db=<name> parameter")
-                self._send_message(200, self.server.service.info(names[0]), _GET_VERSION)
+                self._send_message(200, self.server.service.info(names[0]))
             elif url.path == "/stats":
-                self._send_message(200, self.server.service.stats(), _GET_VERSION)
+                self._send_message(200, self.server.service.stats())
             elif url.path == "/metrics":
                 metrics = getattr(self.server.service, "metrics", None)
-                self._send_message(
-                    200, metrics() if callable(metrics) else MetricsResponse(), _GET_VERSION
-                )
+                self._send_message(200, metrics() if callable(metrics) else MetricsResponse())
             elif url.path == "/debug/flightrecorder":
                 # Plain JSON rather than a protocol dataclass: an operator
                 # forensic endpoint, versioned by its own ``schema`` field.
                 self._send(200, self.server.flight_recorder.snapshot())
             else:
-                self._send_error_response(404, ServiceError(f"no such route: GET {url.path}"), _GET_VERSION)
+                self._send_error_response(404, ServiceError(f"no such route: GET {url.path}"))
         except ReproError as error:
-            self._send_error_response(_status_for(error), error, _GET_VERSION)
+            self._send_error_response(_status_for(error), error)
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         url = urlparse(self.path)
-        version = PROTOCOL_VERSION
         started = time.perf_counter()
         account = ResourceAccount()
         trace_ctx = None
@@ -268,27 +229,15 @@ class _Handler(BaseHTTPRequestHandler):
                 payload = json.loads(body)
             except json.JSONDecodeError as error:
                 raise ProtocolError(f"payload is not valid JSON: {error}") from None
-            # The version is pinned *before* the message parse, so even a
-            # malformed v1 request gets its error echoed in a v1 envelope —
-            # a v1 client must never see a v2 envelope, errors included.
-            version = wire_version(payload)
-            if version < 2:
-                try:
-                    self.server.v1_deprecation.warn(f"POST {self.path}")
-                except DeprecationWarning:
-                    # An operator running -W error must not turn legacy-but-
-                    # supported v1 traffic into dropped connections.
-                    pass
-            trace_ctx = tracing.adopt(payload.get("trace")) if isinstance(payload, dict) else None
-            deadline = None
-            if isinstance(payload, dict) and not resilience_disabled():
-                # Re-anchor the caller's remaining budget on this process's
-                # monotonic clock; absent/malformed means "no deadline" (a v1
-                # envelope never carries one).
-                deadline = deadlines.adopt(payload.get("deadline_ms"))
-            wants_cost = (
-                version >= 2 and isinstance(payload, dict) and payload.get("account") is True
-            )
+            # Check the envelope before adopting anything from it, but adopt
+            # the trace before the message parses: a malformed message's
+            # trace still reaches the flight recorder.
+            wire_version(payload)
+            trace_ctx = tracing.adopt(payload.get("trace"))
+            # Re-anchor the caller's remaining budget on this process's
+            # monotonic clock; absent/malformed means "no deadline".
+            deadline = deadlines.adopt(payload.get("deadline_ms"))
+            wants_cost = payload.get("account") is True
             message = parse_wire(payload)
             with deadlines.activate(deadline):
                 if deadline is not None:
@@ -297,13 +246,11 @@ class _Handler(BaseHTTPRequestHandler):
                 # wait is bounded by its own remaining budget.  The account
                 # activates around admission too, so queue wait is billed.
                 with activate_account(account):
-                    admission = self.server.admission
-                    admit = admission.admit() if admission is not None else contextlib.nullcontext()
-                    with admit:
+                    with self.server.admission.admit():
                         with tracing.activate(trace_ctx):
                             with tracing.span(f"POST {url.path}"):
                                 response = self._dispatch_post(url.path, message)
-            wire = to_wire(response, version)
+            wire = to_wire(response)
             if trace_ctx is not None:
                 # Embedded after the root span closed, so the caller's tree
                 # includes this hop's full server-side duration.
@@ -317,7 +264,7 @@ class _Handler(BaseHTTPRequestHandler):
         except ReproError as error:
             status = _status_for(error)
             failure = error
-            self._send_error_response(status, error, version)
+            self._send_error_response(status, error)
         finally:
             self._observe_request(url.path, started, status, failure, trace_ctx, account, message, response)
 
@@ -428,10 +375,10 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
         return len(body)
 
-    def _send_message(self, status: int, message: object, version: int) -> None:
-        self._send(status, to_wire(message, version))
+    def _send_message(self, status: int, message: object) -> None:
+        self._send(status, to_wire(message))
 
-    def _send_error_response(self, status: int, error: ReproError, version: int = PROTOCOL_VERSION) -> None:
+    def _send_error_response(self, status: int, error: ReproError) -> None:
         # The request body may not have been drained (bad Content-Length,
         # oversized payload), which would desync a keep-alive connection —
         # close it rather than let the leftover bytes parse as a request.
@@ -442,7 +389,7 @@ class _Handler(BaseHTTPRequestHandler):
             # invites an earlier retry than the server asked for.  The precise
             # sub-second hint stays in the JSON error message.
             headers = {"Retry-After": str(max(1, math.ceil(error.retry_after_seconds)))}
-        self._send(status, to_wire(ErrorResponse.from_exception(error), version), headers)
+        self._send(status, to_wire(ErrorResponse.from_exception(error)), headers)
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002 - http.server API
         if not self.server.quiet:

@@ -18,7 +18,6 @@ from repro.errors import (
     OverloadedError,
     ServiceUnavailableError,
 )
-from repro.resilience import RESILIENCE_ENV_FLAG
 from repro.resilience.retry import BREAKER_CLOSED, BREAKER_OPEN, BackoffPolicy
 from repro.service.engine import QueryService
 from repro.service.protocol import QueryRequest
@@ -82,6 +81,25 @@ class TestRetry:
         finally:
             router.close()
             single.close()
+
+    def test_retired_env_switch_keeps_the_retrying_router(self, monkeypatch):
+        # REPRO_NO_RESILIENCE once restored a single-pass router that failed
+        # on the first refusal; the switch is gone and retries always run.
+        monkeypatch.setenv("REPRO_NO_RESILIENCE", "1")
+        database = _database()
+
+        def wrap(backend, index):
+            return _Scripted(backend, [ServiceUnavailableError("down", sent_request=False)])
+
+        router = local_router(
+            {"db": database}, shards=2, replicas=1, replication_threshold=0, backend_wrapper=wrap
+        )
+        try:
+            router.execute(REQUEST)
+            assert router.metrics().counters["router.retries"] >= 1
+            assert set(router.stats().cluster["breakers"]) == {"0", "1"}
+        finally:
+            router.close()
 
     def test_ambiguous_drops_are_replayed_without_changing_answers(self):
         database = _database()
@@ -285,35 +303,7 @@ class TestDegradedMode:
             local_router({"db": _database()}, shards=2, replicas=1, degraded="guesswork")
 
 
-class TestKillSwitch:
-    def test_env_flag_restores_the_single_pass_router(self, monkeypatch):
-        monkeypatch.setenv(RESILIENCE_ENV_FLAG, "1")
-        database = _database()
-
-        def wrap(backend, index):
-            return _Scripted(backend, [ServiceUnavailableError("down", sent_request=False)])
-
-        router = local_router(
-            {"db": database},
-            shards=2,
-            replicas=1,
-            replication_threshold=0,
-            degraded="stale_cache",
-            backend_wrapper=wrap,
-        )
-        try:
-            # One failure on the only replica: pre-resilience behavior is an
-            # immediate ClusterError in the pre-PR7 message format — no
-            # retry rounds, no breakers, no degraded serving.
-            with pytest.raises(ClusterError, match=r"no live replica for .*: tried workers"):
-                router.execute(REQUEST)
-            stats = router.stats()
-            assert stats.cluster["breakers"] == {}
-            assert stats.cluster["degraded_mode"] is None
-            assert "router.retries" not in router.metrics().counters
-        finally:
-            router.close()
-
+class TestRetryPolicy:
     def test_explicit_retry_policy_is_honored(self):
         database = _database()
         calls = {"n": 0}

@@ -1,4 +1,4 @@
-"""The batch-size sweep behind the executor's default ``REPRO_BATCH_SIZE``."""
+"""The batch-size sweep behind the executor's ``DEFAULT_BATCH_SIZE``."""
 
 from __future__ import annotations
 

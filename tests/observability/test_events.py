@@ -1,4 +1,4 @@
-"""The structured event log: schema, rate limiting, kill switch, sink."""
+"""The structured event log: schema, rate limiting, sink."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import pytest
 from repro.observability import tracing
 from repro.observability.events import (
     EVENT_SCHEMA,
-    EVENTS_ENV_FLAG,
     EVENT_SINK_ENV,
     EventLog,
     default_log,
@@ -130,12 +129,13 @@ class TestRateLimiting:
             validate_event(record)
 
 
-class TestKillSwitchAndDefaultLog:
-    def test_kill_switch_suppresses_emission(self, monkeypatch):
-        monkeypatch.setenv(EVENTS_ENV_FLAG, "1")
+class TestDefaultLog:
+    def test_retired_env_switch_changes_nothing(self, monkeypatch):
+        # REPRO_NO_EVENTS was retired: emission is unconditional.
+        monkeypatch.setenv("REPRO_NO_EVENTS", "1")
         log = EventLog()
-        assert log.emit("anything") is None
-        assert len(log) == 0
+        assert log.emit("anything") is not None
+        assert len(log) == 1
 
     def test_module_emit_uses_the_default_log(self):
         reset_default_log()

@@ -11,22 +11,14 @@ shared-subplan batch memo) are exercised both gated **on** (no observers)
 and gated **off** (observers active) against the same plans.
 """
 
-import os
-
 import pytest
 
 from repro.errors import EvaluationError
 from repro.logic.vocabulary import Vocabulary
 from repro.observability.accounting import ResourceAccount, activate
 from repro.observability.explain import PlanProfiler
-from repro.physical.algebra import execute, node_label, vectorization_enabled
-from repro.physical.batch import (
-    BATCH_SIZE_ENV,
-    DEFAULT_BATCH_SIZE,
-    ColumnBatch,
-    configured_batch_size,
-    execute_batched,
-)
+from repro.physical.algebra import execute, node_label
+from repro.physical.batch import DEFAULT_BATCH_SIZE, ColumnBatch, execute_batched
 from repro.physical.database import PhysicalDatabase
 from repro.physical.plan import (
     ActiveDomain,
@@ -289,33 +281,36 @@ class TestColumnBatch:
 
 
 class TestConfiguration:
-    def test_batch_size_env(self, monkeypatch):
-        monkeypatch.setenv(BATCH_SIZE_ENV, "7")
-        assert configured_batch_size() == 7
-        monkeypatch.setenv(BATCH_SIZE_ENV, "0")
-        assert configured_batch_size() == DEFAULT_BATCH_SIZE
-        monkeypatch.setenv(BATCH_SIZE_ENV, "junk")
-        assert configured_batch_size() == DEFAULT_BATCH_SIZE
-        monkeypatch.delenv(BATCH_SIZE_ENV)
-        assert configured_batch_size() == DEFAULT_BATCH_SIZE
-
-    def test_kill_switch_restores_tuple_executor(self, database, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_VECTOR", raising=False)
-        assert vectorization_enabled()
-        monkeypatch.setenv("REPRO_NO_VECTOR", "1")
-        assert not vectorization_enabled()
-        # The env flag and the explicit argument agree with each other and
-        # with the vectorized result.
+    def test_vectorize_false_runs_the_tuple_executor(self, database):
         plan = PLANS["join_unique_build"]
-        flagged = execute(plan, database)
-        monkeypatch.delenv("REPRO_NO_VECTOR")
-        assert flagged == execute(plan, database, vectorize=False)
-        assert flagged == execute(plan, database, vectorize=True)
+        batched, tupled = PlanProfiler(), PlanProfiler()
+        assert execute(plan, database, profiler=batched) == execute(
+            plan, database, vectorize=False, profiler=tupled
+        )
+        # Only the batch executor, the default, counts batches per node.
+        assert "batches" in batched.tree(node_label)
+        assert "batches" not in tupled.tree(node_label)
 
-    def test_explicit_argument_beats_env(self, database, monkeypatch):
+    def test_batch_rows_sets_the_scan_batch_size(self, database):
+        counts = {}
+        for batch_rows in (1, 3, DEFAULT_BATCH_SIZE):
+            profiler = PlanProfiler()
+            execute_batched(PLANS["scan"], database, profiler=profiler, batch_rows=batch_rows)
+            counts[batch_rows] = profiler.tree(node_label)["batches"]
+        # EMP_DEPT holds four rows.
+        assert counts == {1: 4, 3: 2, DEFAULT_BATCH_SIZE: 1}
+
+    def test_retired_vector_switch_changes_nothing(self, database, monkeypatch):
         monkeypatch.setenv("REPRO_NO_VECTOR", "1")
-        plan = PLANS["scan"]
-        assert execute(plan, database, vectorize=True) == execute(plan, database)
+        profiler = PlanProfiler()
+        execute(PLANS["join_unique_build"], database, profiler=profiler)
+        assert "batches" in profiler.tree(node_label)
+
+    def test_retired_batch_size_knob_changes_nothing(self, database, monkeypatch):
+        monkeypatch.setenv("REPRO_BATCH_SIZE", "1")
+        profiler = PlanProfiler()
+        execute(PLANS["scan"], database, profiler=profiler)
+        assert profiler.tree(node_label)["batches"] == 1
 
 
 class TestLazyRelations:

@@ -7,17 +7,13 @@ show up here as an intentional snapshot update.
 
 import pytest
 
+from repro.approx.evaluator import ApproximateEvaluator
 from repro.logic.parser import parse_query
 from repro.logic.vocabulary import Vocabulary
 from repro.physical.algebra import execute, plan_to_text
-from repro.physical.compiler import compile_query
+from repro.physical.compiler import compile_query, evaluate_query_algebra
 from repro.physical.database import PhysicalDatabase
-from repro.physical.optimizer import (
-    OPTIMIZER_ENV_FLAG,
-    maybe_optimize,
-    optimize,
-    optimizer_enabled,
-)
+from repro.physical.optimizer import optimize
 from repro.physical.plan import (
     ActiveDomain,
     CrossProduct,
@@ -188,20 +184,26 @@ class TestJoinReordering:
 
 
 class TestToggle:
-    def test_maybe_optimize_disabled_returns_plan(self, database):
-        plan = Projection(ScanRelation("EMP_DEPT", ("a", "b")), ("a",))
-        assert maybe_optimize(plan, database, enabled=False) is plan
+    def test_optimize_false_returns_the_naive_plan(self, ripper_cw):
+        evaluator = ApproximateEvaluator(engine="algebra", optimize=False)
+        storage = evaluator.storage(ripper_cw)
+        query = parse_query("(x) . exists y. LONDONER(x) & ~MURDERER(y)")
+        naive = compile_query(evaluator.rewrite(query), storage)
+        assert evaluator.plan_on_storage(storage, query) == naive
+        assert ApproximateEvaluator(engine="algebra").plan_on_storage(storage, query) != naive
 
-    def test_env_flag_disables(self, database, monkeypatch):
-        monkeypatch.setenv(OPTIMIZER_ENV_FLAG, "1")
-        assert not optimizer_enabled()
-        plan = Projection(ScanRelation("EMP_DEPT", ("a", "b")), ("a",))
-        assert maybe_optimize(plan, database) is plan
+    def test_retired_env_switch_changes_nothing(self, ripper_cw, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_OPTIMIZER", "1")
+        evaluator = ApproximateEvaluator(engine="algebra")
+        storage = evaluator.storage(ripper_cw)
+        query = parse_query("(x) . exists y. LONDONER(x) & ~MURDERER(y)")
+        naive = compile_query(evaluator.rewrite(query), storage)
+        assert evaluator.plan_on_storage(storage, query) != naive
 
-    def test_env_flag_falsy_values_keep_it_enabled(self, monkeypatch):
-        for value in ("", "0", "false", "no"):
-            monkeypatch.setenv(OPTIMIZER_ENV_FLAG, value)
-            assert optimizer_enabled()
+    def test_optimize_false_answers_like_the_optimizer(self, database):
+        query = parse_query("(x, z) . exists y. EMP_DEPT(x, y) & DEPT_MGR(y, z)")
+        naive = evaluate_query_algebra(database, query, optimize=False)
+        assert naive == evaluate_query_algebra(database, query)
 
 
 GOLDEN_INDEX_AND_JOIN = """\

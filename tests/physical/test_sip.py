@@ -7,11 +7,7 @@ from repro.logic.parser import parse_query
 from repro.logical.ph import ph2
 from repro.physical.algebra import execute, plan_to_text
 from repro.physical.compiler import compile_query
-from repro.physical.optimizer import (
-    SIP_ENV_FLAG,
-    optimize,
-    sip_enabled,
-)
+from repro.physical.optimizer import optimize
 from repro.physical.plan import AntiJoin, SemiJoin
 from repro.physical.statistics import Statistics
 from repro.service.protocol import answers_to_wire
@@ -137,17 +133,23 @@ class TestDifferenceReduction:
 
 
 class TestEscapeHatches:
-    def test_env_flag_disables_sip(self, storage, monkeypatch):
-        monkeypatch.setenv(SIP_ENV_FLAG, "1")
-        assert not sip_enabled()
+    def test_sip_false_disables_sip(self, storage):
         __, query = skewed_adaptive_workload()[0]
         plan = compile_query(rewrite_query(query, "direct"), storage)
-        assert not _contains(optimize(plan, storage, statistics=Statistics(storage)), SemiJoin)
+        assert not _contains(optimize(plan, storage, statistics=Statistics(storage), sip=False), SemiJoin)
 
-    def test_env_flag_falsy_values_keep_sip_enabled(self, monkeypatch):
-        for value in ("", "0", "false", "no"):
-            monkeypatch.setenv(SIP_ENV_FLAG, value)
-            assert sip_enabled()
+    def test_sip_is_on_by_default(self, storage):
+        __, query = skewed_adaptive_workload()[0]
+        plan = compile_query(rewrite_query(query, "direct"), storage)
+        default = optimize(plan, storage, statistics=Statistics(storage))
+        assert default == optimize(plan, storage, statistics=Statistics(storage), sip=True)
+        assert _contains(default, SemiJoin)
+
+    def test_retired_env_switch_changes_nothing(self, storage, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_SIP", "1")
+        __, query = skewed_adaptive_workload()[0]
+        plan = compile_query(rewrite_query(query, "direct"), storage)
+        assert _contains(optimize(plan, storage, statistics=Statistics(storage)), SemiJoin)
 
     def test_small_inputs_are_never_reduced(self):
         """Below the row threshold SIP stays out, keeping small plans stable."""

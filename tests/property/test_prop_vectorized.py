@@ -10,10 +10,9 @@ must agree with
 
 at every batch size in {1, 7, 1024} — batch boundaries land everywhere
 relative to operator cardinalities, so off-by-one emission bugs cannot
-hide.  The deterministic tests at the bottom drive the same equivalence
-through the service layer's prepared and ad-hoc routes and through both
-evaluator engines, under the ``REPRO_NO_VECTOR`` kill switch and the
-``REPRO_BATCH_SIZE`` knob.
+hide.  The deterministic tests at the bottom check that the service
+layer's prepared and ad-hoc routes answer alike, and that the service's own
+plan answers the same on both executors at every batch size.
 """
 
 from __future__ import annotations
@@ -23,11 +22,15 @@ from hypothesis import assume, given, settings
 
 from repro.approx.evaluator import ApproximateEvaluator
 from repro.approx.rewrite import rewrite_query
+from repro.logic.parser import parse_query
+from repro.logical.database import CWDatabase
 from repro.physical.algebra import execute
 from repro.physical.batch import execute_batched
 from repro.physical.compiler import compile_query
 from repro.physical.evaluator import evaluate_query
 from repro.physical.optimizer import optimize
+from repro.service.engine import QueryService
+from repro.service.protocol import QueryRequest, answers_to_wire
 from tests.property.strategies import cw_databases, queries
 
 MAX_EXAMPLES = 25
@@ -71,49 +74,35 @@ class TestExecutorEquivalence:
         assert _ALGEBRA.answers(database, query) == _TARSKI.answers(database, query)
 
 
-def _service(monkeypatch, no_vector: bool, batch_rows: int | None):
-    from repro.logical.database import CWDatabase
-    from repro.service.engine import QueryService
-
-    if no_vector:
-        monkeypatch.setenv("REPRO_NO_VECTOR", "1")
-    else:
-        monkeypatch.delenv("REPRO_NO_VECTOR", raising=False)
-    if batch_rows is None:
-        monkeypatch.delenv("REPRO_BATCH_SIZE", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_BATCH_SIZE", str(batch_rows))
-    database = CWDatabase(
-        ("a", "b", "c", "d"),
-        {"P": 1, "R": 2},
-        {"P": {("a",), ("c",)}, "R": {("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")}},
-        [("a", "b"), ("c", "d")],
-    )
-    service = QueryService()
-    service.register("db", database, precompute=False)
-    return service
+_SERVICE_DATABASE = CWDatabase(
+    ("a", "b", "c", "d"),
+    {"P": 1, "R": 2},
+    {"P": {("a",), ("c",)}, "R": {("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")}},
+    [("a", "b"), ("c", "d")],
+)
 
 
 class TestServiceRoutes:
-    """Prepared and ad-hoc service answers are identical with vectorization
-    on (at several batch sizes) and off — the kill switch is invisible."""
+    """Prepared and ad-hoc service answers are identical, and the ad-hoc
+    plan answers the same on the tuple executor and at every batch size."""
 
     TEMPLATE = "(x) . exists y . (R($start, y) & R(y, x))"
     ADHOC = "(x) . exists y . (R('a', y) & R(y, x))"
     PARAMS = {"start": "a"}
 
     @pytest.mark.parametrize("batch_rows", [None, 1, 7, 1024])
-    def test_prepared_matches_adhoc_at_every_batch_size(self, monkeypatch, batch_rows):
-        from repro.service.protocol import QueryRequest, answers_to_wire
-
-        wires = []
-        for no_vector in (False, True):
-            service = _service(monkeypatch, no_vector, batch_rows)
-            statement = service.prepare("db", self.TEMPLATE)
-            prepared = service.execute_prepared(statement.statement_id, self.PARAMS)
-            adhoc = service.execute(QueryRequest("db", self.ADHOC))
-            prepared_wire = answers_to_wire(prepared.answer_set("approximate"))
-            assert prepared_wire == answers_to_wire(adhoc.answer_set("approximate"))
-            wires.append(prepared_wire)
-        # Vectorized and kill-switched answers are byte-identical too.
-        assert wires[0] == wires[1]
+    def test_prepared_matches_adhoc_at_every_batch_size(self, batch_rows):
+        service = QueryService()
+        service.register("db", _SERVICE_DATABASE, precompute=False)
+        statement = service.prepare("db", self.TEMPLATE)
+        prepared = service.execute_prepared(statement.statement_id, self.PARAMS)
+        adhoc = service.execute(QueryRequest("db", self.ADHOC))
+        prepared_wire = answers_to_wire(prepared.answer_set("approximate"))
+        assert prepared_wire == answers_to_wire(adhoc.answer_set("approximate"))
+        storage = _ALGEBRA.storage(_SERVICE_DATABASE)
+        plan = _ALGEBRA.plan_on_storage(storage, parse_query(self.ADHOC))
+        if batch_rows is None:  # no batches: the tuple-at-a-time reference
+            rows = execute(plan, storage, vectorize=False).rows
+        else:
+            rows = execute_batched(plan, storage, batch_rows=batch_rows).rows
+        assert answers_to_wire(rows) == prepared_wire

@@ -55,12 +55,11 @@ class TestIdempotentPages:
                     truth = truth_client.prepare("emp", QUERY).execute({})
                 expected = truth.answers["approximate"]
 
-                # Operations: 0 = version negotiation, 1 = prepare,
-                # 2 = open_cursor, 3 = fetch page 0, 4 = fetch page 1
-                # (the reply is dropped), 5+ = the replay and the rest.
-                plan = FaultPlan(schedule={4: "drop"})
+                # Operations: 0 = prepare, 1 = open_cursor, 2 = fetch page 0,
+                # 3 = fetch page 1 (the reply is dropped), 4+ = the replay
+                # and the rest.
+                plan = FaultPlan(schedule={3: "drop"})
                 with closing(ServiceClient(server.base_url, fault_plan=plan)) as client:
-                    assert client.protocol_version() >= 2
                     handle = client.prepare("emp", QUERY)
                     cursor = client.open_cursor(handle.statement_id, {}, page_size=32)
                     rows: list[tuple[str, ...]] = []

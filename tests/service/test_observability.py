@@ -1,10 +1,9 @@
-"""Service-layer observability: profiles, /metrics, HTTP tracing, v1 warning."""
+"""Service-layer observability: profiles, /metrics, HTTP tracing, cost bills."""
 
 from __future__ import annotations
 
 import json
 import urllib.request
-import warnings
 
 import pytest
 
@@ -78,12 +77,12 @@ class TestMetricsEndpoint:
             assert histogram["count"] >= 1
             assert 0.0 <= histogram["p50"] <= histogram["p95"] <= histogram["p99"]
 
-    def test_metrics_route_serves_v1_envelopes_to_get_clients(self, service):
+    def test_metrics_route_serves_v2_envelopes_to_get_clients(self, service):
         with running_server(service) as server:
             with urllib.request.urlopen(server.base_url + "/metrics") as response:
                 body = json.loads(response.read())
         assert body["type"] == "metrics_response"
-        assert body["v"] == 1
+        assert body["v"] == 2
 
 
 class TestHttpTracing:
@@ -114,29 +113,6 @@ class TestHttpTracing:
         assert "trace" not in body
 
 
-class TestV1DeprecationWarning:
-    def _v1_query(self, base_url: str) -> None:
-        payload = {"type": "query_request", "v": 1, "database": "emp", "query": QUERY}
-        http_request = urllib.request.Request(
-            base_url + "/query",
-            data=json.dumps(payload).encode(),
-            headers={"Content-Type": "application/json"},
-            method="POST",
-        )
-        urllib.request.urlopen(http_request).read()
-
-    def test_warning_fires_once_per_server_instance(self, service):
-        """Satellite: the v1 warning resets per server, not once per process."""
-        for __ in range(2):  # a fresh server warns again on its first v1 hit
-            with running_server(service) as server:
-                with pytest.warns(DeprecationWarning, match="protocol v1"):
-                    self._v1_query(server.base_url)
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
-                    self._v1_query(server.base_url)
-                assert caught == []
-
-
 class TestCostField:
     def test_cost_is_opt_in_via_the_account_envelope_key(self, service):
         with running_server(service) as server:
@@ -146,28 +122,6 @@ class TestCostField:
         assert billed.cost["schema"] == "repro-cost/v1"
         assert billed.cost["rows_emitted"] == len(billed.answers["approximate"])
         assert billed.cost["bytes_in"] > 0
-
-    def test_v1_clients_never_see_cost(self, service):
-        with running_server(service) as server:
-            payload = {
-                "type": "query_request",
-                "v": 1,
-                "database": "emp",
-                "query": QUERY,
-                "account": True,
-            }
-            http_request = urllib.request.Request(
-                server.base_url + "/query",
-                data=json.dumps(payload).encode(),
-                headers={"Content-Type": "application/json"},
-                method="POST",
-            )
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                with urllib.request.urlopen(http_request) as response:
-                    body = json.loads(response.read())
-        assert body["v"] == 1
-        assert body["cost"] is None  # the opt-in key is v2-only
 
     def test_cost_never_enters_the_answer_cache(self, service):
         with running_server(service) as server:

@@ -1,4 +1,4 @@
-"""Protocol v2: round-trip identity, version negotiation, the v1 shim."""
+"""Protocol v2: round-trip identity and the version check."""
 
 from __future__ import annotations
 
@@ -46,14 +46,14 @@ QUERY_RESPONSE = QueryResponse(
     answers={"approximate": (("a",), ("b",))},
 )
 
-#: One representative instance per message type, v1 and v2 alike.
-V1_MESSAGES = [
+#: One representative instance per message type.
+MESSAGES = [
     QueryRequest("db", "(x) . P(x)", "both", "tarski", True),
     QUERY_RESPONSE,
     ClassifyRequest("(x) . P(x)"),
     ClassifyResponse("(x) . P(x)", True, "Sigma_1", True, "PTIME", "PSPACE", "summary"),
     InfoResponse("db", "f" * 64, 3, {"P": {"arity": 1, "facts": 2}}, 1, ("u",), False, "desc"),
-    HealthResponse("ok", "1.2.3", (1, 2)),
+    HealthResponse("ok", "1.2.3", (2,)),
     DatabasesResponse(("a", "b")),
     StatsResponse(
         databases=("a",),
@@ -69,9 +69,6 @@ V1_MESSAGES = [
     BatchRequest((QueryRequest("db", "(x) . P(x)"),)),
     BatchResponse((QUERY_RESPONSE, ErrorResponse("boom", "ParseError", "parse")), 2, 2, 0),
     ErrorResponse("boom", "CapacityError", "capacity"),
-]
-
-V2_ONLY_MESSAGES = [
     PrepareRequest("db", "(x) . P($k, x)", "approx", "auto", True),
     PrepareResponse("stmt-1", "db", "f" * 64, "(x) . P($k, x)", ("k",), 1, "approx", "auto", True),
     ExecuteRequest("stmt-1", {"k": "v"}, stream=True, page_size=16),
@@ -96,46 +93,37 @@ V2_ONLY_MESSAGES = [
 
 
 class TestRoundTrips:
-    @pytest.mark.parametrize("message", V1_MESSAGES, ids=lambda m: type(m).__name__)
-    @pytest.mark.parametrize("version", SUPPORTED_PROTOCOL_VERSIONS)
-    def test_v1_era_messages_round_trip_in_both_versions(self, message, version):
-        text = dump_wire(message, version=version)
+    @pytest.mark.parametrize("message", MESSAGES, ids=lambda m: type(m).__name__)
+    def test_every_message_round_trips(self, message):
+        text = dump_wire(message)
         payload = json.loads(text)
-        assert payload["v"] == version
+        assert payload["v"] == PROTOCOL_VERSION
         assert parse_wire(payload) == message
         assert parse_wire(text) == message  # str entry point too
 
-    @pytest.mark.parametrize("message", V2_ONLY_MESSAGES, ids=lambda m: type(m).__name__)
-    def test_v2_messages_round_trip_at_v2(self, message):
-        text = dump_wire(message, version=2)
-        assert parse_wire(text) == message
-
-    @pytest.mark.parametrize("message", V2_ONLY_MESSAGES, ids=lambda m: type(m).__name__)
-    def test_v2_messages_refuse_a_v1_envelope(self, message):
-        with pytest.raises(ProtocolError, match="requires protocol v2"):
-            dump_wire(message, version=1)
-        payload = to_wire(message, version=2)
+    @pytest.mark.parametrize("message", MESSAGES, ids=lambda m: type(m).__name__)
+    def test_every_message_refuses_a_v1_envelope(self, message):
+        payload = to_wire(message)
         payload["v"] = 1
-        with pytest.raises(ProtocolError, match="requires protocol v2"):
+        with pytest.raises(ProtocolError, match="unsupported protocol version 1"):
             parse_wire(payload)
 
     def test_default_serialization_version_is_two(self):
         assert PROTOCOL_VERSION == 2
+        assert SUPPORTED_PROTOCOL_VERSIONS == (2,)
         assert json.loads(dump_wire(QUERY_RESPONSE))["v"] == 2
 
 
 class TestVersioning:
     def test_wire_version_reads_the_envelope(self):
-        assert wire_version(dump_wire(QUERY_RESPONSE, version=1)) == 1
-        assert wire_version(dump_wire(QUERY_RESPONSE, version=2)) == 2
+        assert wire_version(dump_wire(QUERY_RESPONSE)) == 2
 
     def test_unknown_versions_rejected(self):
         payload = to_wire(QUERY_RESPONSE)
-        payload["v"] = 3
-        with pytest.raises(ProtocolError, match="unsupported protocol version"):
-            parse_wire(payload)
-        with pytest.raises(ProtocolError, match="unsupported protocol version"):
-            to_wire(QUERY_RESPONSE, version=3)
+        for version in (0, 1, 3, "2"):
+            payload["v"] = version
+            with pytest.raises(ProtocolError, match="unsupported protocol version"):
+                parse_wire(payload)
 
     def test_missing_version_rejected(self):
         payload = to_wire(QUERY_RESPONSE)
@@ -143,18 +131,11 @@ class TestVersioning:
         with pytest.raises(ProtocolError, match="missing the protocol version"):
             parse_wire(payload)
 
-    def test_v1_message_without_v2_fields_parses_with_defaults(self):
-        # Exactly what a recorded v1 log line or an old client sends.
-        payload = {
-            "type": "health",
-            "v": 1,
-            "status": "ok",
-            "library_version": "0.9",
-        }
-        message = parse_wire(payload)
-        assert message == HealthResponse("ok", "0.9", (1,))
-        error = parse_wire({"type": "error", "v": 1, "error": "x", "kind": "ServiceError"})
-        assert error.code == "service"
+    def test_a_recorded_v1_line_is_refused(self):
+        # Exactly what a traffic log recorded before v1 was retired holds.
+        payload = {"type": "health", "v": 1, "status": "ok", "library_version": "0.9"}
+        with pytest.raises(ProtocolError, match="unsupported protocol version 1"):
+            parse_wire(payload)
 
 
 class TestValidation:
@@ -199,9 +180,9 @@ class TestFuzzedRoundTrips:
     """Property/fuzz round-trips: ``parse_wire ∘ dump_wire`` is the identity."""
 
     @settings(max_examples=60, deadline=None)
-    @given(request=query_requests(), version=st.sampled_from(SUPPORTED_PROTOCOL_VERSIONS))
-    def test_query_requests(self, request, version):
-        assert parse_wire(dump_wire(request, version=version)) == request
+    @given(request=query_requests())
+    def test_query_requests(self, request):
+        assert parse_wire(dump_wire(request)) == request
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -214,7 +195,7 @@ class TestFuzzedRoundTrips:
     )
     def test_execute_requests(self, statement_id, params, stream, page_size):
         request = ExecuteRequest(statement_id, params, stream, page_size)
-        assert parse_wire(dump_wire(request, version=2)) == request
+        assert parse_wire(dump_wire(request)) == request
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -228,7 +209,7 @@ class TestFuzzedRoundTrips:
         # Pad rows to a rectangle? Not required: pages carry arbitrary row
         # tuples; the protocol only promises tuple-of-tuples fidelity.
         response = PageResponse("cursor", page, rows, last)
-        assert parse_wire(dump_wire(response, version=2)) == response
+        assert parse_wire(dump_wire(response)) == response
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -240,9 +221,8 @@ class TestFuzzedRoundTrips:
             min_size=1,
             max_size=2,
         ),
-        version=st.sampled_from(SUPPORTED_PROTOCOL_VERSIONS),
     )
-    def test_query_responses(self, answers, version):
+    def test_query_responses(self, answers):
         response = QueryResponse(
             database="db",
             fingerprint="f" * 64,
@@ -253,4 +233,4 @@ class TestFuzzedRoundTrips:
             arity=1,
             answers=answers,
         )
-        assert parse_wire(dump_wire(response, version=version)) == response
+        assert parse_wire(dump_wire(response)) == response

@@ -16,7 +16,7 @@ from repro.errors import (
     ProtocolError,
     ServiceUnavailableError,
 )
-from repro.resilience import FAULTS_ENV, RESILIENCE_ENV_FLAG, FaultPlan, deadline_scope
+from repro.resilience import FAULTS_ENV, FaultPlan, deadline_scope
 from repro.service.client import ServiceClient
 from repro.service.engine import QueryService
 from repro.service.protocol import QueryRequest, dump_wire
@@ -82,7 +82,7 @@ class TestDeadlines:
                 assert under_deadline.answers == plain.answers
                 assert under_deadline.degraded is False
 
-    def test_a_v1_style_envelope_without_deadline_is_untouched(self, service):
+    def test_an_envelope_without_deadline_is_untouched(self, service):
         with running_server(service) as server:
             status, body, __ = _post_raw(server.base_url, "/query", _envelope())
             assert status == 200
@@ -115,16 +115,14 @@ class TestAdmission:
                 client.query(DATABASE, QUERY)
                 assert client.metrics().counters["admission.admitted"] >= 1
 
-
-class TestKillSwitch:
-    def test_no_resilience_disables_admission_and_deadlines(self, service, monkeypatch):
-        monkeypatch.setenv(RESILIENCE_ENV_FLAG, "1")
+    def test_retired_env_switch_changes_nothing(self, service, monkeypatch):
+        # REPRO_NO_RESILIENCE was retired: admission and deadlines always run.
+        monkeypatch.setenv("REPRO_NO_RESILIENCE", "1")
         with running_server(service, max_in_flight=1, max_queue_depth=0) as server:
-            assert server.admission is None
-            # The dead budget is ignored entirely: the request just runs.
+            assert server.admission is not None
             status, body, __ = _post_raw(server.base_url, "/query", _envelope({"deadline_ms": 0.0001}))
-            assert status == 200
-            assert body["database"] == DATABASE
+            assert status == 504
+            assert body["code"] == "deadline_exceeded"
 
 
 class TestClientFaults:
@@ -142,18 +140,14 @@ class TestClientFaults:
 
     def test_injected_faults_fire_in_schedule_order(self, service):
         with running_server(service) as server:
-            # Operation 0 is the client's one-time version negotiation (a
-            # health probe, which deliberately swallows garbled replies) —
-            # settle it first so the schedule lands on the query POSTs.
-            plan = FaultPlan(schedule={1: "refuse", 2: "garble"})
+            plan = FaultPlan(schedule={0: "refuse", 1: "garble"})
             with closing(ServiceClient(server.base_url, fault_plan=plan)) as client:
-                assert client.protocol_version() >= 2  # operation 0
                 with pytest.raises(ServiceUnavailableError) as info:
-                    client.query(DATABASE, QUERY)  # operation 1
+                    client.query(DATABASE, QUERY)  # operation 0
                 assert info.value.sent_request is False
                 with pytest.raises(ProtocolError, match="truncated"):
-                    client.query(DATABASE, QUERY)  # operation 2
-                # Operation 3 is clean; the client must have recovered.
+                    client.query(DATABASE, QUERY)  # operation 1
+                # Operation 2 is clean; the client must have recovered.
                 assert client.query(DATABASE, QUERY).database == DATABASE
                 assert plan.injected() == {"refuse": 1, "garble": 1}
 
@@ -163,11 +157,4 @@ class TestClientFaults:
             with closing(ServiceClient(server.base_url)) as client:
                 with pytest.raises(ServiceUnavailableError):
                     client.query(DATABASE, QUERY)
-                assert client.query(DATABASE, QUERY).database == DATABASE
-
-    def test_kill_switch_beats_the_faults_env(self, service, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV, "refuse@0")
-        monkeypatch.setenv(RESILIENCE_ENV_FLAG, "1")
-        with running_server(service) as server:
-            with closing(ServiceClient(server.base_url)) as client:
                 assert client.query(DATABASE, QUERY).database == DATABASE

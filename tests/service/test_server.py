@@ -78,6 +78,22 @@ class TestRoundTrips:
         assert "employee-intro" in stats.databases
         assert stats.answer_cache["capacity"] > 0
 
+    @pytest.mark.parametrize(
+        "path, message_type",
+        [
+            ("/health", "health"),
+            ("/databases", "databases"),
+            ("/info?db=jack-the-ripper", "info_response"),
+            ("/stats", "stats_response"),
+            ("/metrics", "metrics_response"),
+        ],
+    )
+    def test_every_get_route_answers_a_v2_envelope(self, served, path, message_type):
+        __, server, __ = served
+        with urllib.request.urlopen(server.base_url + path) as response:
+            body = json.loads(response.read())
+        assert (body["v"], body["type"]) == (2, message_type)
+
     def test_second_request_is_served_from_cache(self, served):
         __, __, client = served
         text = "(x) . ~MURDERER(x)"
@@ -114,7 +130,7 @@ class TestErrors:
 
     def test_non_string_type_tag_is_400(self, served):
         __, server, __ = served
-        body = json.dumps({"type": ["query_request"], "v": 1}).encode()
+        body = json.dumps({"type": ["query_request"], "v": 2}).encode()
         request = urllib.request.Request(
             server.base_url + "/query",
             data=body,
@@ -140,7 +156,7 @@ class TestErrors:
 
     def test_wrong_message_type_for_route_is_400(self, served):
         __, server, __ = served
-        body = json.dumps({"type": "classify_request", "v": 1, "query": "(x) . P(x)"}).encode()
+        body = json.dumps({"type": "classify_request", "v": 2, "query": "(x) . P(x)"}).encode()
         request = urllib.request.Request(
             server.base_url + "/query",
             data=body,
@@ -151,6 +167,60 @@ class TestErrors:
             urllib.request.urlopen(request)
         assert excinfo.value.code == 400
 
+    def test_v1_envelope_is_a_typed_400_and_caches_nothing(self):
+        from repro.workloads.traffic import register_scenarios
+
+        service = QueryService()
+        register_scenarios(service)
+        body = json.dumps(
+            {"type": "query_request", "v": 1, "database": "jack-the-ripper", "query": "(x) . MURDERER(x)"}
+        ).encode()
+        with running_server(service) as server:
+            request = urllib.request.Request(
+                server.base_url + "/query",
+                data=body,
+                headers={"Content-Type": "application/json"},
+                method="POST",
+            )
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request)
+            assert excinfo.value.code == 400
+            error = json.loads(excinfo.value.read())
+        assert error["v"] == 2
+        assert error["type"] == "error"
+        assert error["code"] == "protocol"
+        assert "unsupported protocol version 1" in error["error"]
+        assert service.stats().answer_cache["size"] == 0
+        service.close()
+
+    @pytest.mark.parametrize(
+        "route, message_type",
+        [
+            ("/query", "query_request"),
+            ("/classify", "classify_request"),
+            ("/batch", "batch_request"),
+            ("/prepare", "prepare_request"),
+            ("/execute", "execute_request"),
+            ("/fetch", "fetch_request"),
+        ],
+    )
+    def test_v1_envelope_is_refused_on_every_post_route(self, served, route, message_type):
+        # The version is checked before the message parses, so even a v1
+        # body missing every field gets the protocol error, not a field error.
+        __, server, __ = served
+        request = urllib.request.Request(
+            server.base_url + route,
+            data=json.dumps({"type": message_type, "v": 1}).encode(),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request)
+        assert excinfo.value.code == 400
+        error = json.loads(excinfo.value.read())
+        assert (error["v"], error["type"], error["code"]) == (2, "error", "protocol")
+        assert "unsupported protocol version 1" in error["error"]
+
     def test_unreachable_server_is_a_clean_error(self):
         client = ServiceClient("http://127.0.0.1:9", timeout=0.5)
         with pytest.raises(ServiceError, match="cannot reach service"):
@@ -159,7 +229,7 @@ class TestErrors:
     def test_unknown_database_is_http_404(self, served):
         __, server, __ = served
         body = json.dumps(
-            {"type": "query_request", "v": 1, "database": "atlantis", "query": "(x) . P(x)"}
+            {"type": "query_request", "v": 2, "database": "atlantis", "query": "(x) . P(x)"}
         ).encode()
         request = urllib.request.Request(
             server.base_url + "/query",

@@ -66,8 +66,8 @@ class TestErrorResponse:
         assert response.kind == "UnknownDatabaseError"
         assert parse_wire(to_wire(response)) == response
 
-    def test_v1_error_without_code_defaults(self):
-        message = parse_wire({"type": "error", "v": 1, "error": "x"})
+    def test_error_without_code_defaults(self):
+        message = parse_wire({"type": "error", "v": 2, "error": "x"})
         assert message.code == "service"
 
 

@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+import os
+import signal
+import socket
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
 from repro.cluster.store import SnapshotStore
+from repro.errors import ServiceError
 from repro.physical.csvio import save_cw_database
+from repro.service.client import ServiceClient
 from repro.service.protocol import QueryRequest
 from repro.workloads.generators import employee_database
 from repro.workloads.traffic import save_traffic_log
@@ -222,3 +232,74 @@ class TestClusterGc:
         capsys.readouterr()
         assert main(["cluster", "gc", "--store", str(store_dir)]) == 0
         assert "nothing to collect" in capsys.readouterr().out
+
+
+def _alive(pid: int) -> bool:
+    """Whether *pid* runs (a zombie awaiting its reaper counts as gone)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def _children(pid: int) -> list[int]:
+    children = []
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            try:
+                stat = (entry / "stat").read_text()
+            except OSError:
+                continue
+            if int(stat.rsplit(")", 1)[1].split()[1]) == pid:
+                children.append(int(entry.name))
+    return children
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc to find worker pids")
+class TestServeSignals:
+    def test_sigterm_stops_the_workers_and_removes_the_temporary_store(self, tmp_path):
+        import repro
+
+        database = tmp_path / "emp20"
+        save_cw_database(employee_database(20, seed=21), database)
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        environment = {key: value for key, value in os.environ.items() if not key.startswith("REPRO_")}
+        environment["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        environment["TMPDIR"] = str(tmp_path)
+        command = [sys.executable, "-m", "repro.cli", "serve", str(database), "--shards", "2", "--port", str(port)]
+        with open(tmp_path / "serve.log", "w") as log:
+            process = subprocess.Popen(
+                command, env=environment, stdout=log, stderr=log, start_new_session=True
+            )
+        try:
+            client = ServiceClient(f"http://127.0.0.1:{port}", timeout=2.0)
+            deadline = time.monotonic() + 60
+            while True:
+                try:
+                    client.health()
+                    break
+                except ServiceError:
+                    assert process.poll() is None, (tmp_path / "serve.log").read_text()
+                    assert time.monotonic() < deadline, "serve --shards 2 did not come up"
+                    time.sleep(0.05)
+            client.close()
+            workers = _children(process.pid)
+            assert len(workers) == 2
+            assert list(tmp_path.glob("repro-cluster-store-*"))
+
+            process.send_signal(signal.SIGTERM)
+            process.wait(timeout=30)
+            deadline = time.monotonic() + 10
+            while any(_alive(pid) for pid in workers) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in workers if _alive(pid)]
+            assert not list(tmp_path.glob("repro-cluster-store-*"))
+        finally:
+            try:
+                os.killpg(process.pid, signal.SIGKILL)
+            except (ProcessLookupError, PermissionError):
+                pass
+            process.wait()

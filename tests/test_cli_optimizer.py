@@ -1,12 +1,9 @@
-"""Tests for the CLI's --no-optimizer debugging flag."""
-
-import json
+"""Tests for the CLI's engine choice and its one serving configuration."""
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.physical.csvio import save_cw_database
-from repro.physical.optimizer import OPTIMIZER_ENV_FLAG, optimizer_enabled
 
 
 @pytest.fixture
@@ -16,74 +13,21 @@ def stored_database(ripper_cw, tmp_path):
     return directory
 
 
-@pytest.fixture
-def restore_optimizer_env(monkeypatch):
-    # The CLI sets the env flag process-wide; registering it with monkeypatch
-    # first makes pytest restore the original (unset) state afterwards.
-    monkeypatch.setenv(OPTIMIZER_ENV_FLAG, "0")
+class TestOneConfiguration:
+    @pytest.mark.parametrize("command", ["query", "serve"])
+    def test_help_lists_no_switch_off_flags(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "--no-" not in capsys.readouterr().out
 
-
-class TestNoOptimizerFlag:
-    def test_answers_identical_with_and_without_optimizer(
-        self, stored_database, capsys, restore_optimizer_env
-    ):
-        assert main(["query", str(stored_database), "(x) . LONDONER(x)"]) == 0
-        optimized_out = capsys.readouterr().out
-        assert main(["query", str(stored_database), "(x) . LONDONER(x)", "--no-optimizer"]) == 0
-        naive_out = capsys.readouterr().out
-        assert naive_out == optimized_out
-
-    def test_flag_disables_optimizer_for_the_process(
-        self, stored_database, capsys, restore_optimizer_env
-    ):
-        assert optimizer_enabled()
-        assert main(["query", str(stored_database), "(x) . LONDONER(x)", "--no-optimizer"]) == 0
-        assert not optimizer_enabled()
-
-    def test_json_path_honours_the_flag(self, stored_database, capsys, restore_optimizer_env):
-        code = main(["query", str(stored_database), "(x) . LONDONER(x)", "--json", "--no-optimizer"])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["type"] == "query_response"
-        assert payload["answers"]["approximate"]
-
-    def test_serve_parser_accepts_the_flag(self):
-        from repro.cli import build_parser
-
-        arguments = build_parser().parse_args(["serve", "somedir", "--no-optimizer"])
-        assert arguments.no_optimizer
-
-
-class TestNoSipFlag:
-    def test_answers_identical_with_and_without_sip(self, stored_database, capsys, monkeypatch):
-        from repro.physical.optimizer import SIP_ENV_FLAG
-
-        monkeypatch.setenv(SIP_ENV_FLAG, "0")
-        assert main(["query", str(stored_database), "(x) . LONDONER(x)"]) == 0
-        with_sip = capsys.readouterr().out
-        assert main(["query", str(stored_database), "(x) . LONDONER(x)", "--no-sip"]) == 0
-        without_sip = capsys.readouterr().out
-        assert with_sip == without_sip
-
-    def test_flag_disables_sip_for_the_process(self, stored_database, capsys, monkeypatch):
-        from repro.physical.optimizer import SIP_ENV_FLAG, sip_enabled
-
-        monkeypatch.setenv(SIP_ENV_FLAG, "0")
-        assert sip_enabled()
-        assert main(["query", str(stored_database), "(x) . LONDONER(x)", "--no-sip"]) == 0
-        assert not sip_enabled()
-
-    def test_serve_parser_accepts_the_flag(self):
-        from repro.cli import build_parser
-
-        arguments = build_parser().parse_args(["serve", "somedir", "--no-sip"])
-        assert arguments.no_sip
+    @pytest.mark.parametrize("flag", ["--no-optimizer", "--no-sip", "--no-vector"])
+    def test_removed_flags_are_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "somedir", flag])
 
 
 class TestEngineChoices:
     def test_auto_is_the_default_engine(self):
-        from repro.cli import build_parser
-
         arguments = build_parser().parse_args(["query", "somedir", "(x) . P(x)"])
         assert arguments.engine == "auto"
 

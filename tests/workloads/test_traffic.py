@@ -113,7 +113,7 @@ class TestTrafficLog:
 
     def test_wrong_message_type_is_rejected(self, tmp_path):
         path = tmp_path / "traffic.jsonl"
-        path.write_text('{"type": "health", "v": 1, "status": "ok", "library_version": "1.0"}\n')
+        path.write_text('{"type": "health", "v": 2, "status": "ok", "library_version": "1.0"}\n')
         with pytest.raises(ProtocolError, match="query_request"):
             load_traffic_log(path)
 
@@ -210,7 +210,7 @@ class TestTolerantTrafficLog:
         path = save_traffic_log(traffic_stream(3, seed=4), tmp_path / "traffic.jsonl")
         lines = path.read_text().splitlines()
         lines.insert(1, "not json")  # line 2
-        lines.append('{"type": "health", "v": 1, "status": "ok", "library_version": "1.0"}')
+        lines.append('{"type": "health", "v": 2, "status": "ok", "library_version": "1.0"}')
         path.write_text("\n".join(lines) + "\n")
         requests, skipped = load_traffic_log_tolerant(path)
         assert len(requests) == 3  # the good entries all survive

@@ -1,7 +1,7 @@
 """Shared helpers for the experiment benchmarks.
 
-Every ``bench_eNN_*.py`` module reproduces one experiment from DESIGN.md's
-experiment index (the paper has no tables or figures of its own, so each
+Every ``bench_eNN_*.py`` module reproduces one experiment, named in its
+docstring (the paper has no tables or figures of its own, so each
 experiment illustrates one theorem).  The modules use the ``benchmark``
 fixture of pytest-benchmark for the timed rows and record the qualitative
 "shape" of the paper's claim (who wins, by roughly how much) in
@@ -27,31 +27,6 @@ def experiment_log():
     ``--benchmark-only``.
     """
     return []
-
-
-@pytest.fixture(scope="session")
-def bench_reports():
-    """Get-or-create one :class:`BenchReport` per experiment id.
-
-    Modules call ``bench_reports("E14", "title", mode=...)`` and record
-    metrics/latencies on the returned report; the fixture writes every
-    report as ``BENCH_<NAME>.json`` (under ``$REPRO_BENCH_DIR`` or
-    ``benchmarks/reports``) when the session ends, so one benchmark run
-    refreshes the committed perf-trajectory artifacts in place.
-    """
-    from repro.harness.reporting import BenchReport
-
-    registry: dict[str, BenchReport] = {}
-
-    def get(name: str, title: str, mode: str = "full") -> BenchReport:
-        report = registry.get(name.upper())
-        if report is None:
-            report = registry[name.upper()] = BenchReport(name, title, mode=mode)
-        return report
-
-    yield get
-    for report in registry.values():
-        print(f"bench artifact: {report.write()}")
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -42,8 +42,6 @@ Examples::
     python -m repro.cli client http://127.0.0.1:8080 debug --json > recorder.json
     python -m repro.cli trace export recorder.json -o timeline.json
     python -m repro.cli top http://127.0.0.1:8080 http://127.0.0.1:8081 --interval 2
-    python -m repro.cli bench-diff old/BENCH_E14.json new/BENCH_E14.json
-    python -m repro.cli bench-validate benchmarks/reports --expect E13 --expect E14
     python -m repro.cli chaos plan --faults "seed=7 refuse=0.1 garble@25" --draws 50
     python -m repro.cli chaos run http://127.0.0.1:8080 db_dir "(x) . P(x)" \\
         --faults "seed=7 drop=0.05 delay=0.1" --requests 50 --deadline-ms 2000
@@ -52,7 +50,6 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import os
 import signal
 import sys
 from pathlib import Path
@@ -155,39 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="cluster mode: when every replica of a shard is down, serve previously-answered "
         "requests from the router's stale cache, flagged degraded=true (default: fail loudly)",
-    )
-
-    bench_diff = commands.add_parser(
-        "bench-diff", help="compare two BENCH_*.json perf-trajectory artifacts and flag regressions"
-    )
-    bench_diff.add_argument("old", help="baseline BENCH_*.json artifact")
-    bench_diff.add_argument("new", help="candidate BENCH_*.json artifact")
-    bench_diff.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.10,
-        help="relative movement against a metric's direction of goodness "
-        "before it counts as a regression (default 0.10)",
-    )
-    bench_diff.add_argument(
-        "--metric",
-        action="append",
-        default=[],
-        metavar="NAME",
-        help="compare only this metric (repeatable; default: every metric the "
-        "artifacts share) — a named metric missing from either side fails the check",
-    )
-
-    bench_validate = commands.add_parser(
-        "bench-validate", help="schema-check the BENCH_*.json artifacts in a directory (CI gate)"
-    )
-    bench_validate.add_argument("directory", help="directory holding BENCH_*.json artifacts")
-    bench_validate.add_argument(
-        "--expect",
-        action="append",
-        default=[],
-        metavar="NAME",
-        help="require BENCH_<NAME>.json to exist (repeatable); missing files fail the check",
     )
 
     top = commands.add_parser(
@@ -667,84 +631,6 @@ def _command_serve(arguments: argparse.Namespace) -> int:
     return 0
 
 
-def _command_bench_diff(arguments: argparse.Namespace) -> int:
-    from repro.harness.reporting import diff_bench_reports, load_bench_report
-
-    try:
-        old = load_bench_report(arguments.old)
-        new = load_bench_report(arguments.new)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    rows = diff_bench_reports(old, new, tolerance=arguments.tolerance)
-    if arguments.metric:
-        wanted = set(arguments.metric)
-        rows = [row for row in rows if row["metric"] in wanted]
-        missing = wanted - {row["metric"] for row in rows}
-        if missing:
-            print(
-                "error: metric(s) not present in both artifacts: " + ", ".join(sorted(missing)),
-                file=sys.stderr,
-            )
-            return 2
-    if not rows:
-        print("no comparable metrics between the two artifacts")
-        return 0
-    table = [
-        [
-            row["metric"],
-            "-" if row.get("old") is None else row["old"],
-            "-" if row.get("new") is None else row["new"],
-            f"{row['ratio']:.3f}" if "ratio" in row else "-",
-            row["status"],
-        ]
-        for row in rows
-    ]
-    print(f"{old['name']} ({old['mode']}) -> {new['name']} ({new['mode']}), tolerance {arguments.tolerance:.0%}")
-    print(format_table(["metric", "old", "new", "ratio", "status"], table))
-    regressions = [row for row in rows if row["status"] == "regression"]
-    if regressions:
-        print(f"{len(regressions)} regression(s) beyond tolerance", file=sys.stderr)
-        return 1
-    print("no regressions beyond tolerance")
-    return 0
-
-
-def _command_bench_validate(arguments: argparse.Namespace) -> int:
-    import glob
-
-    from repro.harness.reporting import load_bench_report
-
-    directory = arguments.directory
-    if not os.path.isdir(directory):
-        print(f"error: {directory!r} is not a directory", file=sys.stderr)
-        return 2
-    failures = 0
-    seen: set[str] = set()
-    for path in sorted(glob.glob(os.path.join(directory, "BENCH_*.json"))):
-        try:
-            payload = load_bench_report(path)
-        except ValueError as error:
-            print(f"FAIL {path}: {error}")
-            failures += 1
-            continue
-        seen.add(str(payload["name"]))
-        print(f"ok   {path}: {payload['name']} ({payload['mode']}), "
-              f"{len(payload['metrics'])} metric(s), {len(payload.get('latencies') or {})} latency sample(s)")
-    for expected in arguments.expect:
-        if expected.upper() not in seen:
-            print(f"FAIL missing artifact: BENCH_{expected.upper()}.json")
-            failures += 1
-    if not seen and not failures:
-        print(f"FAIL no BENCH_*.json artifacts in {directory!r}")
-        failures += 1
-    if failures:
-        print(f"{failures} problem(s)", file=sys.stderr)
-        return 1
-    print(f"validated {len(seen)} artifact(s)")
-    return 0
-
-
 def _command_top(arguments: argparse.Namespace) -> int:
     """Poll ``GET /metrics`` across servers and redraw one dashboard table."""
     import contextlib
@@ -1217,10 +1103,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _command_classify(arguments)
         if arguments.command == "serve":
             return _command_serve(arguments)
-        if arguments.command == "bench-diff":
-            return _command_bench_diff(arguments)
-        if arguments.command == "bench-validate":
-            return _command_bench_validate(arguments)
         if arguments.command == "top":
             return _command_top(arguments)
         if arguments.command == "trace":

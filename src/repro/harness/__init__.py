@@ -1,13 +1,6 @@
 """Experiment harness: timing helpers and plain-text reporting."""
 
-from repro.harness.experiments import (
-    Experiment,
-    Measurement,
-    ThroughputResult,
-    measure_throughput,
-    run_experiment,
-    timed,
-)
+from repro.harness.experiments import Experiment, Measurement, run_experiment, timed
 from repro.harness.reporting import format_ratio, format_report, format_table
 
 __all__ = [
@@ -15,8 +8,6 @@ __all__ = [
     "Measurement",
     "run_experiment",
     "timed",
-    "ThroughputResult",
-    "measure_throughput",
     "format_table",
     "format_report",
     "format_ratio",

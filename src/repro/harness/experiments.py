@@ -1,9 +1,9 @@
 """Experiment harness: timing, result collection and report generation.
 
-Every benchmark module in ``benchmarks/`` builds an :class:`Experiment`
-(an id, the paper claim it reproduces, and a list of measured rows), runs it
-and prints the resulting report.  EXPERIMENTS.md is the curated record of
-those reports next to the paper's claims.
+An :class:`Experiment` is an id, the paper claim it illustrates and a list
+of measured rows; :meth:`Experiment.report` renders it as the ASCII report
+of :mod:`repro.harness.reporting`.  :func:`timed` and :func:`best_of` are
+the timing helpers that fill such rows.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from statistics import median
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.harness.reporting import format_report
 
@@ -22,10 +22,6 @@ __all__ = [
     "Measurement",
     "Experiment",
     "run_experiment",
-    "ThroughputResult",
-    "measure_latencies",
-    "measure_throughput",
-    "measure_parallel_throughput",
 ]
 
 
@@ -41,8 +37,8 @@ def best_of(function: Callable[[], object], repeats: int = 3) -> tuple[object, f
     """Run *function* *repeats* times; return its result and the best time.
 
     Minimum-of-N is the standard way to strip scheduler noise from short
-    single-process measurements (the comparison benchmarks use it for both
-    contestants, so neither side benefits from the noise filtering).
+    single-process measurements (time both sides of a comparison with it,
+    so neither side benefits from the noise filtering).
     """
     if repeats < 1:
         raise ValueError("need at least one repeat")
@@ -53,84 +49,8 @@ def best_of(function: Callable[[], object], repeats: int = 3) -> tuple[object, f
     return result, best
 
 
-# ``median`` is re-exported from the standard library (statistics.median);
-# benchmark code imports it from here next to best_of/measure_throughput.
-
-
-@dataclass(frozen=True)
-class ThroughputResult:
-    """Operations-per-second measurement used by the serving benchmarks."""
-
-    operations: int
-    elapsed_seconds: float
-
-    @property
-    def per_second(self) -> float:
-        return self.operations / self.elapsed_seconds if self.elapsed_seconds else float("inf")
-
-    @property
-    def per_operation_seconds(self) -> float:
-        return self.elapsed_seconds / self.operations if self.operations else 0.0
-
-
-def measure_throughput(function: Callable[[], object], operations: int) -> ThroughputResult:
-    """Run *function* *operations* times and report aggregate throughput.
-
-    The per-operation path stays as thin as possible (one function call per
-    iteration) so sub-millisecond cached operations are still measured
-    meaningfully.
-    """
-    if operations < 1:
-        raise ValueError("need at least one operation")
-    start = time.perf_counter()
-    for __ in range(operations):
-        function()
-    return ThroughputResult(operations=operations, elapsed_seconds=time.perf_counter() - start)
-
-
-def measure_latencies(function: Callable[[], object], operations: int) -> list[float]:
-    """Per-operation wall times (seconds) of *operations* sequential calls.
-
-    The raw sample feeds :func:`repro.harness.reporting.latency_summary` /
-    ``BenchReport.latency`` — percentiles need the distribution, which the
-    aggregate-only :func:`measure_throughput` deliberately throws away.
-    """
-    if operations < 1:
-        raise ValueError("need at least one operation")
-    perf_counter = time.perf_counter
-    samples = []
-    for __ in range(operations):
-        start = perf_counter()
-        function()
-        samples.append(perf_counter() - start)
-    return samples
-
-
-def measure_parallel_throughput(
-    function: Callable[[int], object],
-    operations: int,
-    concurrency: int,
-) -> ThroughputResult:
-    """Aggregate throughput of *operations* calls issued by concurrent clients.
-
-    ``function(i)`` is called once per operation index from a pool of
-    *concurrency* client threads.  This is how the cluster benchmarks drive
-    a router: each client thread blocks on one in-flight request while the
-    worker processes evaluate in parallel, so the measured rate reflects the
-    whole serving path rather than one caller's round-trip latency.
-    """
-    if operations < 1:
-        raise ValueError("need at least one operation")
-    if concurrency < 1:
-        raise ValueError("need at least one client")
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=concurrency, thread_name_prefix="repro-load") as pool:
-        start = time.perf_counter()
-        for __ in pool.map(function, range(operations)):
-            pass
-        elapsed = time.perf_counter() - start
-    return ThroughputResult(operations=operations, elapsed_seconds=elapsed)
+# ``median`` is re-exported from the standard library (statistics.median)
+# so a comparison can import it from here next to best_of.
 
 
 @dataclass(frozen=True)
@@ -182,10 +102,3 @@ def run_experiment(
         print(experiment.report())
     return experiment
 
-
-def scaling_rows(
-    sizes: Sequence[int],
-    measure: Callable[[int], dict[str, object]],
-) -> list[dict[str, object]]:
-    """Run ``measure(size)`` for every size and collect the result dictionaries."""
-    return [dict(measure(size), size=size) for size in sizes]

@@ -117,8 +117,9 @@ def _greedy_vertex_cover(pairs: frozenset[tuple[str, str]]) -> set[str]:
     """Greedy vertex cover of an undirected graph given as a set of edges.
 
     Repeatedly picks the vertex covering the most still-uncovered edges.
-    Not minimum (that is NP-hard) but at most twice... in practice tiny, and
-    any cover is sound for the encoding.
+    The result is not minimum (that is NP-hard) and carries no constant-factor
+    guarantee, but the encoding needs none: any vertex cover of the missing
+    pairs is sound for it.
     """
     remaining = {frozenset(pair) for pair in pairs}
     cover: set[str] = set()

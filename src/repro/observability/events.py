@@ -260,9 +260,9 @@ _REQUIRED_FIELDS = ("schema", "seq", "ts", "kind", "level", "trace_id", "span_id
 def validate_event(payload: object) -> None:
     """Raise ``ValueError`` unless *payload* is a schema-valid v1 event.
 
-    This is the contract the CI events-schema check enforces on every
-    emission site: tests route real traffic through the emitting code and
-    validate everything that lands in the log.
+    This is the contract the events-schema tests enforce on every emission
+    site: they route real traffic through the emitting code and validate
+    everything that lands in the log and in the NDJSON sink.
     """
     if not isinstance(payload, Mapping):
         raise ValueError(f"event must be a mapping, got {type(payload).__name__}")

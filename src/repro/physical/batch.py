@@ -79,11 +79,10 @@ __all__ = [
     "execute_batched",
 ]
 
-#: Rows a scan packs into one batch.  Picked by the operator-level sweep in
-#: :mod:`repro.harness.batchsweep` (scan/filter/join microbenchmarks keep
+#: Rows a scan packs into one batch.  Scan, filter and join throughput keeps
 #: improving up to a few thousand rows as per-batch overhead amortizes, then
-#: flatten; 4096 is the smallest size within noise of the fastest measured,
-#: and smaller batches only bound peak memory these workloads never stress).
+#: flattens; 4096 is the smallest size within noise of the fastest measured,
+#: and smaller batches only bound peak memory these workloads never stress.
 DEFAULT_BATCH_SIZE = 4096
 
 

@@ -34,7 +34,7 @@ Injection points: :class:`ServiceClient(fault_plan=...)
 <repro.service.client.ServiceClient>` injects at the HTTP round trip (or
 process-wide via the ``REPRO_FAULTS`` environment spec), and
 :class:`FaultingBackend` wraps any router backend — the deterministic
-in-process form the chaos property tests and ``bench_e18`` use.
+in-process form the chaos tests use.
 """
 
 from __future__ import annotations

@@ -4,8 +4,7 @@ Real query traffic is not uniform: a few hot queries dominate (skewed
 popularity), requests arrive in bursts, and only a small fraction can
 afford the exponential exact route.  This module turns the named scenarios
 of :mod:`repro.workloads.scenarios` into reproducible request streams with
-exactly those shapes, for the service benchmarks (E13) and the concurrency
-tests:
+exactly those shapes, for the service, cache and concurrency tests:
 
 * **hot-key skew** — with probability ``hot_fraction`` a request repeats
   one of the few "hot" (database, query) pairs, otherwise it draws
@@ -18,12 +17,7 @@ tests:
   lists a bursty client would POST to ``/batch``;
 * **recorded logs** — :func:`save_traffic_log` / :func:`load_traffic_log`
   persist a stream as JSONL of protocol messages, the format ``repro serve
-  --warm FILE`` replays through the caches before accepting connections;
-* **multi-shard traffic** — :func:`cluster_traffic_stream` generates the
-  skewed mix the cluster benchmarks serve: hot-constant selections that
-  scatter across shards, replicated-relation reads that route to single
-  shards, ground conjunctions, and a trickle of non-decomposable queries
-  that exercise the full-copy fallback.
+  --warm FILE`` replays through the caches before accepting connections.
 
 All generators take an explicit seed, like the rest of
 :mod:`repro.workloads`.
@@ -38,7 +32,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.errors import ProtocolError
-from repro.logical.database import CWDatabase
 from repro.observability import events
 from repro.service.protocol import QueryRequest, parse_wire, to_wire
 from repro.workloads.scenarios import (
@@ -51,12 +44,9 @@ from repro.logic.printer import query_to_text
 
 __all__ = [
     "TrafficProfile",
-    "ClusterTrafficProfile",
     "default_scenarios",
     "scenario_pool",
     "traffic_stream",
-    "cluster_traffic_stream",
-    "parameter_sweep_workload",
     "SWEEP_TEMPLATE",
     "batch_bursts",
     "register_scenarios",
@@ -227,152 +217,13 @@ def load_traffic_log_tolerant(
     return requests, skipped
 
 
-@dataclass(frozen=True)
-class ClusterTrafficProfile:
-    """Shape of the skewed multi-shard mix for the cluster benchmarks.
-
-    ``scatter_fraction`` of requests are bare-atom reads over split
-    relations (they fan out to every shard and union-merge); the rest route
-    to a single shard via replicated-relation queries.  Within the scatter
-    share, ``hot_fraction`` of the selections reuse one of ``hot_constants``
-    popular keys — the skew that makes some shards hotter than others.
-    ``conjunction_fraction`` and ``fallback_fraction`` carve out ground
-    Boolean conjunctions and deliberately non-decomposable join queries (the
-    full-copy fallback path), so a stream exercises every routing rule.
-    """
-
-    scatter_fraction: float = 0.3
-    hot_fraction: float = 0.7
-    hot_constants: int = 4
-    conjunction_fraction: float = 0.05
-    fallback_fraction: float = 0.05
-    tarski_fraction: float = 0.0
-
-
-def cluster_traffic_stream(
-    n_requests: int,
-    database_name: str,
-    database: CWDatabase,
-    split_relations: Sequence[str],
-    replicated_relations: Sequence[str],
-    profile: ClusterTrafficProfile = ClusterTrafficProfile(),
-    seed: int | None = None,
-) -> list[QueryRequest]:
-    """A reproducible skewed multi-shard stream against one database.
-
-    The caller says which relations the partitioner split and which it
-    replicated (see :func:`repro.cluster.partition.partition_database`); the
-    stream then mixes scatter reads, single-shard reads, ground conjunctions
-    and full-copy fallbacks in the profile's proportions.  Only binary
-    relations are used for the generated shapes.
-    """
-    rng = random.Random(seed)
-    split_binary = [name for name in split_relations if database.predicates.get(name) == 2]
-    replicated_binary = [name for name in replicated_relations if database.predicates.get(name) == 2]
-    if not split_binary or not replicated_binary:
-        raise ValueError("cluster traffic needs at least one split and one replicated binary relation")
-
-    def quoted(constant: str) -> str:
-        return "'" + constant.replace("'", "\\'") + "'"
-
-    # Sorted once per relation: sampling happens on almost every request and
-    # facts_for() returns an (unordered) frozenset.
-    sorted_rows = {
-        relation: sorted(database.facts_for(relation))
-        for relation in set(split_binary) | set(replicated_binary)
-    }
-
-    def sample_row(relation: str) -> tuple[str, ...]:
-        rows = sorted_rows[relation]
-        if rows:
-            return rows[rng.randrange(len(rows))]
-        constants = database.constants
-        return tuple(rng.choice(constants) for __ in range(database.predicates[relation]))
-
-    hot_keys = [sample_row(rng.choice(split_binary))[0] for __ in range(max(1, profile.hot_constants))]
-
-    stream: list[QueryRequest] = []
-    for __ in range(n_requests):
-        roll = rng.random()
-        engine = "tarski" if rng.random() < profile.tarski_fraction else "algebra"
-        if roll < profile.fallback_fraction:
-            # Non-decomposable: a join across a split and a replicated
-            # relation under an existential — full-copy territory.
-            split_name = rng.choice(split_binary)
-            replicated_name = rng.choice(replicated_binary)
-            anchor = sample_row(split_name)[0]
-            text = (
-                f"(x) . exists y. {split_name}({quoted(anchor)}, y) & {replicated_name}(y, x)"
-            )
-        elif roll < profile.fallback_fraction + profile.conjunction_fraction:
-            left_name = rng.choice(split_binary)
-            right_name = rng.choice(replicated_binary)
-            left_row = sample_row(left_name)
-            right_row = sample_row(right_name)
-            text = (
-                f"() . {left_name}({', '.join(map(quoted, left_row))})"
-                f" & {right_name}({', '.join(map(quoted, right_row))})"
-            )
-        elif roll < profile.fallback_fraction + profile.conjunction_fraction + profile.scatter_fraction:
-            relation = rng.choice(split_binary)
-            if rng.random() < profile.hot_fraction:
-                key = hot_keys[rng.randrange(len(hot_keys))]
-            else:
-                key = sample_row(relation)[0]
-            text = f"(x) . {relation}({quoted(key)}, x)"
-        else:
-            relation = rng.choice(replicated_binary)
-            shape = rng.randrange(3)
-            if shape == 0:
-                text = f"(x, y) . {relation}(x, y)"
-            elif shape == 1:
-                key = sample_row(relation)[rng.randrange(2)]
-                text = f"(x) . {relation}({quoted(key)}, x)"
-            else:
-                text = f"(x, y) . exists z. {relation}(x, z) & {relation}(y, z)"
-        stream.append(QueryRequest(database_name, text, "approx", engine, False))
-    return stream
-
-
-#: The E17 parameter-sweep template: a join-heavy query over the employee
-#: schema whose only varying part is the anchor employee ``$e`` — exactly the
+#: The parameter-sweep template: a join-heavy query over the employee schema
+#: whose only varying part is the anchor employee ``$e`` — exactly the
 #: hot-traffic shape the prepared-statement API amortizes (plan once per
 #: template, bind per request).
 SWEEP_TEMPLATE = (
     "(m, s) . exists d y. EMP_DEPT($e, d) & EMP_DEPT(y, d) & EMP_SAL(y, s) & DEPT_MGR(d, m)"
 )
-
-
-def parameter_sweep_workload(
-    database: CWDatabase,
-    n_bindings: int,
-    seed: int | None = None,
-    hot_fraction: float = 0.0,
-    hot_keys: int = 4,
-) -> tuple[str, list[dict[str, str]]]:
-    """One join-heavy template plus *n_bindings* parameter bindings.
-
-    The bindings draw employees from the database's ``EMP_DEPT`` relation —
-    mostly distinct (the sweep shape that defeats per-text answer and plan
-    caches on the ad-hoc path), optionally with a skewed hot head
-    (``hot_fraction`` of requests reuse one of ``hot_keys`` employees).
-    Returns ``(template text, bindings)`` for
-    :meth:`~repro.service.engine.QueryService.prepare` /
-    ``execute_many``.
-    """
-    employees = sorted({row[0] for row in database.facts_for("EMP_DEPT")})
-    if not employees:
-        raise ValueError("parameter_sweep_workload needs a populated EMP_DEPT relation")
-    rng = random.Random(seed)
-    hot = employees[: max(1, min(hot_keys, len(employees)))]
-    bindings = []
-    for __ in range(n_bindings):
-        if rng.random() < hot_fraction:
-            employee = hot[rng.randrange(len(hot))]
-        else:
-            employee = employees[rng.randrange(len(employees))]
-        bindings.append({"e": employee})
-    return SWEEP_TEMPLATE, bindings
 
 
 def register_scenarios(service, scenarios: Iterable[Scenario] | None = None) -> tuple[str, ...]:

@@ -1,13 +1,17 @@
 """Router resilience: retries, circuit breakers, shed handling, degraded mode.
 
-These tests script failures per worker (rather than drawing them from a
-seeded plan, which the chaos property tests do) so each router mechanism
-is pinned in isolation: when retries fire, when a breaker opens and what
-closes it, which errors are and are not retried, and what the degraded
-stale-cache mode may serve.
+Most of these tests script failures per worker (rather than drawing them
+from a seeded plan, which the chaos property tests do) so each router
+mechanism is pinned in isolation: when retries fire, when a breaker opens
+and what closes it, which errors are and are not retried, and what the
+degraded stale-cache mode may serve.  The scripted chaos run at the end
+strings the mechanisms together and checks the forensic trail they leave
+in the structured event log.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -18,9 +22,20 @@ from repro.errors import (
     OverloadedError,
     ServiceUnavailableError,
 )
+from repro.logic.parser import parse_query
+from repro.logical.exact import certain_answers
+from repro.observability import tracing
+from repro.observability.events import (
+    EVENT_SINK_ENV,
+    default_log,
+    reset_default_log,
+    validate_event,
+)
+from repro.resilience import FaultPlan
+from repro.resilience.faults import FaultingBackend
 from repro.resilience.retry import BREAKER_CLOSED, BREAKER_OPEN, BackoffPolicy
 from repro.service.engine import QueryService
-from repro.service.protocol import QueryRequest
+from repro.service.protocol import QueryRequest, answers_from_wire
 from repro.workloads.generators import random_cw_database
 
 PREDICATES = {"P": 1, "R": 2}
@@ -339,3 +354,130 @@ class TestRetryPolicy:
             direct.close()
             layout_router.close()
             service.close()
+
+
+def _faulting_router(database, **options):
+    """A 2-worker, 2-replica router whose backends inject from swappable plans."""
+    faulting: dict[int, FaultingBackend] = {}
+
+    def wrap(backend, index):
+        faulting[index] = FaultingBackend(backend, FaultPlan())
+        return faulting[index]
+
+    router = local_router(
+        {"db": database},
+        shards=2,
+        replicas=2,
+        replication_threshold=0,
+        backend_wrapper=wrap,
+        **options,
+    )
+    return router, faulting
+
+
+#: The scripted acts.  Each act swaps every worker's fault plan, so the
+#: script is act-deterministic however many executes each worker receives
+#: (retries and breaker skips make per-worker operation counts drift).
+#:
+#: * ``noise`` — both workers up, with seeded reply drops and garbles;
+#: * ``outage`` — worker 0 refuses everything: every request fails over;
+#: * ``dark`` — both workers refuse everything: breakers trip, and what was
+#:   answered before is served from the stale cache, flagged degraded;
+#: * ``recovery`` — faults gone, health checks heal the breakers.
+CHAOS_ACTS = (
+    ("noise", {0: dict(seed=18, rates={"drop": 0.15}), 1: dict(seed=81, rates={"garble": 0.15})}),
+    ("outage", {0: dict(rates={"refuse": 1.0}), 1: dict()}),
+    ("dark", {0: dict(rates={"refuse": 1.0}), 1: dict(rates={"refuse": 1.0})}),
+    ("recovery", {0: dict(), 1: dict()}),
+)
+
+#: Every routing rule appears: single-shard, scatter, negation, fallback.
+CHAOS_SHAPES = [
+    "(x) . P(x)",
+    "(x, y) . R(x, y)",
+    "(x) . exists y. R(x, y) & P(y)",
+    "(x) . ~P(x)",
+    "() . exists x. R(x, x)",
+    "(x) . exists y. S(x, y)",
+]
+
+
+class TestScriptedChaos:
+    def test_faults_cost_availability_never_correctness_and_leave_a_trail(self):
+        database = random_cw_database(
+            n_constants=5, predicates={"P": 1, "R": 2, "S": 2}, n_facts=14,
+            unknown_fraction=0.4, seed=11,
+        )
+        router, faulting = _faulting_router(database, degraded="stale_cache")
+        # Tighten the breakers so the dark act trips them within the run.
+        for state in router._workers:
+            state.breaker.failure_threshold = 2
+        single = QueryService()
+        single.register("db", database)
+        truths = {shape: certain_answers(database, parse_query(shape)) for shape in CHAOS_SHAPES}
+        trace_ids: set[str] = set()
+        refused = 0
+        reset_default_log()
+        try:
+            for act, specs in CHAOS_ACTS:
+                for index, spec in specs.items():
+                    faulting[index].plan = FaultPlan(**spec)
+                if act == "recovery":
+                    assert router.health_check() == {0: True, 1: True}
+                for shape in CHAOS_SHAPES:
+                    request = QueryRequest("db", shape, "both", "algebra", False)
+                    with tracing.trace(f"chaos {act}") as trace:
+                        trace_ids.add(trace.trace_id)
+                        try:
+                            response = router.execute(request)
+                        except ClusterError:
+                            assert act == "dark", f"availability lost outside the dark act: {shape!r} ({act})"
+                            continue
+                    assert response.degraded == (act == "dark"), (shape, act)
+                    assert response.answers == single.execute(request).answers, (shape, act)
+                    assert answers_from_wire(response.answers["exact"]) == truths[shape], (shape, act)
+                refused += sum(backend.plan.injected().get("refuse", 0) for backend in faulting.values())
+            counters = router.metrics().counters
+            failovers = router.stats().cluster["failovers"]
+            records = default_log().tail()
+        finally:
+            router.close()
+            single.close()
+            reset_default_log()
+
+        assert refused > 0, "the scripted outage never fired"
+        assert failovers > 0
+        for counter in ("router.retries", "router.breaker_trips", "router.degraded_served"):
+            assert counters.get(counter, 0) > 0, f"chaos never engaged {counter}"
+        by_kind: dict[str, list[dict]] = {}
+        for record in records:
+            validate_event(record)
+            by_kind.setdefault(record["kind"], []).append(record)
+        for kind in ("router.retry", "router.failover", "router.degraded_serve"):
+            assert by_kind.get(kind), f"chaos left no {kind!r} event"
+            for record in by_kind[kind]:
+                assert record["trace_id"] in trace_ids, f"{kind} event {record['seq']} has no request trace"
+        # Breaker events may fire from health probes, outside any request trace.
+        assert by_kind.get("breaker.tripped"), "chaos left no 'breaker.tripped' event"
+
+    def test_an_outage_leaves_only_schema_valid_records_in_the_sink(self, tmp_path, monkeypatch):
+        sink = tmp_path / "events.ndjson"
+        monkeypatch.setenv(EVENT_SINK_ENV, str(sink))
+        reset_default_log()
+        router, faulting = _faulting_router(_database(seed=11), answer_cache_capacity=0)
+        faulting[0].plan = FaultPlan(rates={"refuse": 1.0})
+        try:
+            for __ in range(5):
+                for text in ("(x) . P(x)", "(x, y) . R(x, y)", "(x) . ~P(x)"):
+                    try:
+                        router.execute(QueryRequest("db", text, "approx", "algebra", False))
+                    except ClusterError:
+                        pass
+        finally:
+            router.close()
+            reset_default_log()  # closes (and so flushes) the sink
+        records = [json.loads(line) for line in sink.read_text().splitlines()]
+        assert records, "the outage left the event sink empty"
+        for record in records:
+            validate_event(record)
+        assert any(record["kind"].startswith("router.") for record in records)

@@ -37,6 +37,32 @@ class TestTables:
         assert format_ratio(10, 2) == "5.0x"
         assert format_ratio(1, 0) == "n/a"
 
+    def test_format_ratio_rejects_a_negative_denominator(self):
+        assert format_ratio(3, -1) == "n/a"
+
+    def test_zero_float_prints_as_zero(self):
+        text = format_table(["v"], [[0.0], [-0.0]])
+        assert "| 0 |" in text
+        assert "e" not in text.replace("| v |", "")
+
+    def test_negative_extremes_use_scientific_notation(self):
+        text = format_table(["v"], [[-23456.0], [-0.0001]])
+        assert "-2.346e+04" in text and "-1.000e-04" in text
+
+    def test_table_without_rows_is_header_and_rules(self):
+        lines = format_table(["alpha", "b"], []).splitlines()
+        assert lines == ["+-------+---+", "| alpha | b |", "+-------+---+", "+-------+---+"]
+
+    def test_rows_wider_than_the_header_grow_the_table(self):
+        lines = format_table(["a"], [["x", "extra"]]).splitlines()
+        assert lines[0] == "+---+-------+"
+        assert lines[-2] == "| x | extra |"
+
+    def test_report_without_notes_has_no_note_lines(self):
+        text = format_report("t", "c", ["a"], [[1]])
+        assert text.splitlines()[:2] == ["== t ==", "paper claim: c"]
+        assert "note:" not in text
+
 
 class TestExperiment:
     def test_add_row_checks_width(self):
@@ -62,3 +88,17 @@ class TestExperiment:
         captured = capsys.readouterr()
         assert "42" in captured.out
         assert experiment.rows
+
+    def test_run_experiment_without_echo_prints_nothing(self, capsys):
+        experiment = Experiment("E0", "test", "claim", ("a",))
+        returned = run_experiment(experiment, lambda exp: exp.add_row(7), echo=False)
+        assert returned is experiment
+        assert [m.values for m in experiment.rows] == [(7,)]
+        assert capsys.readouterr().out == ""
+
+    def test_report_is_the_formatted_table_of_the_rows(self):
+        experiment = Experiment("E9", "title", "claim", ("n", "ok"))
+        experiment.add_row(3, True)
+        assert experiment.report() == format_report(
+            "E9: title", "claim", ("n", "ok"), [(3, True)], []
+        )

@@ -1,7 +1,10 @@
 """Tests for the measurement helpers used by the comparison benchmarks."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.harness import experiments
 from repro.harness.experiments import best_of, median
 
 
@@ -30,6 +33,18 @@ class TestBestOf:
         calls = []
         best_of(lambda: calls.append(1), repeats=4)
         assert len(calls) == 4
+
+    def test_returns_the_first_result(self):
+        results = iter(["first", "second", "third"])
+        result, __ = best_of(lambda: next(results), repeats=3)
+        assert result == "first"
+
+    def test_reports_the_fastest_run(self, monkeypatch):
+        # perf_counter is read twice per run: runs of 5, 2 and 9 ticks.
+        ticks = iter([0, 5, 10, 12, 20, 29])
+        monkeypatch.setattr(experiments, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+        __, seconds = best_of(lambda: None, repeats=3)
+        assert seconds == 2
 
     def test_rejects_zero_repeats(self):
         with pytest.raises(ValueError):

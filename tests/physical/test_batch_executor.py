@@ -351,7 +351,7 @@ class TestLazyRelations:
 
 
 class TestSkewedStarParity:
-    """The acceptance check on the E16 workload: EXPLAIN row counts,
+    """The acceptance check on the skewed-star workload: EXPLAIN row counts,
     feedback observations and account totals identical between executors."""
 
     @pytest.fixture(scope="class")

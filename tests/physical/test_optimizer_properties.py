@@ -19,10 +19,13 @@ from repro.approx.rewrite import rewrite_query
 from repro.logic.analysis import is_first_order
 from repro.logical.ph import ph2
 from repro.physical.algebra import execute
+from repro.physical.batch import execute_batched
 from repro.physical.compiler import compile_query
 from repro.physical.evaluator import evaluate_query
 from repro.physical.optimizer import optimize
 from repro.workloads.generators import (
+    EMPLOYEE_PREDICATES,
+    employee_database,
     join_heavy_workload,
     random_cw_database,
     random_query,
@@ -65,6 +68,24 @@ def test_join_heavy_workload_agrees_across_engines(seed):
     ):
         rewritten = rewrite_query(query, "direct")
         _check_query(storage, rewritten, f"workload seed={seed} query={name}")
+
+
+def test_employee_join_workload_agrees_across_engines_and_executors():
+    """The typed employee chains: naive and optimized plans, on the tuple and
+    the vectorized executor at every batch size, equal Tarskian truth."""
+    storage = ph2(employee_database(16, seed=3))
+    for name, query in join_heavy_workload(
+        EMPLOYEE_PREDICATES, constants=("dept0", "dept1"), chains=2, length=2, seed=9
+    ):
+        rewritten = rewrite_query(query, "direct")
+        naive_plan = compile_query(rewritten, storage)
+        plan = optimize(naive_plan, storage)
+        truth = evaluate_query(storage, rewritten)
+        assert execute(naive_plan, storage, use_indexes=False, vectorize=False).rows == truth, name
+        assert execute(plan, storage, vectorize=False).rows == truth, name
+        for batch_rows in (1, 7, 1024):
+            assert execute_batched(plan, storage, batch_rows=batch_rows).rows == truth, name
+        assert execute(plan, storage).rows == truth, name
 
 
 def test_positive_queries_need_no_rewrite_and_agree():

@@ -2,14 +2,18 @@
 
 import pytest
 
+from repro.approx.evaluator import ApproximateEvaluator
 from repro.approx.rewrite import rewrite_query
 from repro.logic.parser import parse_query
+from repro.logic.printer import query_to_text
 from repro.logical.ph import ph2
 from repro.physical.algebra import execute, plan_to_text
 from repro.physical.compiler import compile_query
+from repro.physical.evaluator import evaluate_query
 from repro.physical.optimizer import optimize
 from repro.physical.plan import AntiJoin, SemiJoin
 from repro.physical.statistics import Statistics
+from repro.service.engine import QueryService
 from repro.service.protocol import answers_to_wire
 from repro.workloads.generators import (
     skewed_adaptive_workload,
@@ -52,6 +56,33 @@ class TestSemiJoinReduction:
             naive = execute(plan, storage, use_indexes=False).rows
             assert answers_to_wire(execute(with_sip, storage).rows) == answers_to_wire(naive), name
             assert answers_to_wire(execute(without, storage).rows) == answers_to_wire(naive), name
+
+    def test_every_configuration_equals_tarskian_ground_truth(self):
+        """SIP on, SIP off, the naive engine, the ``auto`` dispatcher and the
+        adaptive service (observe, then re-optimize) all equal direct
+        Tarskian evaluation, on an instance small enough to enumerate."""
+        database = skewed_star_database(
+            n_entities=60, n_links=20, n_hubs=3, n_targets=10, facts_per_entity=5, n_hot=2, seed=3
+        )
+        storage = ph2(database)
+        service = QueryService(answer_cache_capacity=0)
+        service.register("skewed", database)
+        auto = ApproximateEvaluator(engine="auto")
+        try:
+            for name, query in skewed_adaptive_workload():
+                text = query_to_text(query)
+                rewritten = rewrite_query(query, "direct")
+                plan = compile_query(rewritten, storage)
+                truth = evaluate_query(storage, rewritten)
+                assert execute(plan, storage, use_indexes=False).rows == truth, name
+                for sip in (True, False):
+                    optimized = optimize(plan, storage, statistics=Statistics(storage), sip=sip)
+                    assert execute(optimized, storage).rows == truth, (name, sip)
+                assert auto.answers_on_storage(storage, query) == truth, name
+                service.query("skewed", text)  # observe
+                assert service.query("skewed", text).answer_set("approximate") == truth, name
+        finally:
+            service.close()
 
     def test_sip_plans_agree_without_indexes(self, storage):
         """The semi-join membership fallback equals the index-probe path."""

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import json
 import urllib.request
+from contextlib import closing
 
 import pytest
 
+from repro.errors import ReproError
 from repro.observability import tracing
+from repro.observability.export import chrome_trace_events
 from repro.service import QueryService, running_server
 from repro.service.client import ServiceClient
 from repro.service.protocol import QueryRequest, dump_wire
@@ -167,3 +170,32 @@ class TestFlightRecorderEndpoint:
         assert entry["cost"]["rows_emitted"] > 0
         # The recorder synthesizes a trace even for untraced clients.
         assert entry["trace"] is None or entry["trace"]["spans"]
+
+    def test_every_slow_or_failing_request_is_captured_whole_and_exportable(self, service):
+        texts = [QUERY, "(x) . EMP_DEPT('ada', x)", "(x, y) . EMP_DEPT(x, y)"]
+        with running_server(service, slow_threshold_ms=0.0) as server:
+            with closing(ServiceClient(server.base_url, account=True)) as client:
+                for text in texts:
+                    with tracing.trace("recorded"):
+                        client.query("emp", text)
+                with pytest.raises(ReproError):
+                    client.query("nope", QUERY)
+                snapshot = client.debug()
+        entries = snapshot["entries"]
+        assert len(entries) == len(texts) + 1, "a slow request escaped the recorder"
+        successes = [entry for entry in entries if entry["error"] is None]
+        (failure,) = [entry for entry in entries if entry["error"] is not None]
+        for entry in entries:
+            assert entry["cost"]["schema"] == "repro-cost/v1"
+            assert entry["cost"]["bytes_in"] > 0
+            assert entry["cost"]["elapsed_seconds"] > 0.0
+        for entry in successes:
+            assert entry["cost"]["bytes_out"] > 0
+            assert entry["trace"]["spans"]
+        assert failure["status"] == 404
+        assert failure["error"]["kind"] == "UnknownDatabaseError"
+        # The captured snapshot renders to a loadable Chrome trace-event
+        # document with at least one span per successful request.
+        document = json.loads(json.dumps(chrome_trace_events(snapshot)))
+        assert document["displayTimeUnit"] == "ms"
+        assert len([event for event in document["traceEvents"] if event["ph"] == "X"]) >= len(successes)

@@ -11,10 +11,15 @@ from repro.errors import (
     UnknownDatabaseError,
     UnknownStatementError,
 )
+from repro.logic.parser import parse_query
+from repro.logic.printer import query_to_text
+from repro.logic.template import bind_query
+from repro.logical.exact import certain_answers
 from repro.service import QueryService, QueryRequest
-from repro.service.protocol import ErrorResponse
+from repro.service.protocol import ErrorResponse, answers_from_wire
 from repro.workloads.generators import employee_database
 from repro.workloads.scenarios import employee_intro_scenario, jack_the_ripper_database
+from repro.workloads.traffic import SWEEP_TEMPLATE
 
 
 @pytest.fixture()
@@ -182,6 +187,32 @@ class TestExecuteMany:
         assert batch.responses[1].code == "unbound_parameter"
         assert not isinstance(batch.responses[0], ErrorResponse)
         assert not isinstance(batch.responses[2], ErrorResponse)
+
+    def test_sweep_template_matches_adhoc_and_certain_answers(self):
+        """The join-heavy sweep over every employee, on the ``auto`` engine:
+        each prepared answer is byte-identical to the ad-hoc request for the
+        bound text, and (a positive query, so the approximation is complete
+        by Theorem 13) equal to the exact certain answers."""
+        database = employee_database(12, seed=11)
+        adhoc, prepared = QueryService(answer_cache_capacity=0), QueryService(answer_cache_capacity=0)
+        adhoc.register("emp", database)
+        prepared.register("emp", database)
+        template = parse_query(SWEEP_TEMPLATE)
+        employees = sorted({row[0] for row in database.facts_for("EMP_DEPT")})
+        bindings = [{"e": employee} for employee in employees]
+        try:
+            statement = prepared.prepare("emp", SWEEP_TEMPLATE, engine="auto")
+            batch = prepared.execute_prepared_many(statement.statement_id, bindings, max_workers=1)
+            for binding, response in zip(bindings, batch.responses):
+                text = query_to_text(bind_query(template, binding))
+                assert response.query == text
+                assert response.answers == adhoc.query("emp", text, engine="auto").answers, binding
+            for binding, response in list(zip(bindings, batch.responses))[:3]:
+                exact = certain_answers(database, bind_query(template, binding))
+                assert answers_from_wire(response.answers["approximate"]) == exact, binding
+        finally:
+            adhoc.close()
+            prepared.close()
 
     def test_empty_sweep(self, service):
         statement = service.prepare("emp", "(x) . EMP_DEPT($k, x)")

@@ -92,6 +92,8 @@ class TestDeadlines:
 class TestAdmission:
     def test_sheds_map_to_503_with_retry_after(self, service):
         with running_server(service, max_in_flight=1, max_queue_depth=0) as server:
+            with closing(ServiceClient(server.base_url)) as client:
+                expected = client.query(DATABASE, QUERY).answers
             server.admission.acquire()  # pin the only slot
             try:
                 status, body, headers = _post_raw(server.base_url, "/query", _envelope())
@@ -106,8 +108,9 @@ class TestAdmission:
                         client.query(DATABASE, QUERY)
             finally:
                 server.admission.release()
+            # Once the load passes, the same request answers exactly as before.
             with closing(ServiceClient(server.base_url)) as client:
-                assert client.query(DATABASE, QUERY).database == DATABASE
+                assert client.query(DATABASE, QUERY).answers == expected
 
     def test_admitted_requests_count_in_metrics(self, service):
         with running_server(service) as server:

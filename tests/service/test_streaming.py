@@ -97,6 +97,8 @@ class TestHTTPStreaming:
         streamed = tuple(handle.stream({}, page_size=32))
         assert streamed == single.answers["approximate"]
         assert len(streamed) > 32  # genuinely multi-page
+        # The ad-hoc route answers the same query text with the same rows.
+        assert served.query("emp", handle.template).answers["approximate"] == streamed
 
     def test_stream_with_parameters(self, served):
         handle = served.prepare("emp", "(y) . exists d. EMP_DEPT($e, d) & EMP_DEPT(y, d)")

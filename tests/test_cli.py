@@ -1,10 +1,11 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.physical.csvio import save_cw_database
 from repro.service.engine import QueryService
 from repro.service.protocol import (
@@ -21,6 +22,30 @@ def stored_database(ripper_cw, tmp_path):
     directory = tmp_path / "ripper"
     save_cw_database(ripper_cw, directory)
     return directory
+
+
+class TestCommands:
+    def test_help_lists_no_benchmark_command(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: repro")
+        assert "bench" not in out
+
+    def test_subcommands_are_the_query_serving_and_operations_commands(self):
+        (commands,) = [
+            action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert sorted(commands.choices) == sorted(
+            ["info", "query", "classify", "serve", "top", "trace", "cluster", "client", "chaos"]
+        )
+
+    def test_an_unknown_subcommand_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["no-such-command"])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestInfo:

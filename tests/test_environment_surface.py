@@ -1,11 +1,11 @@
-"""Guard: the library reads four deployment settings from the environment, no more.
+"""Guard: the library reads three deployment settings from the environment, no more.
 
 Environment variables locate things the deployment hands down (a fault
-spec to inject, an event-log file, a process start method, a report
-directory); they do not toggle behaviour.  Every behaviour knob is an
-explicit argument with a production default, so there is one serving
-configuration to test.  This scan of ``src/repro`` fails the moment a new
-``os.environ`` read, or any write, appears.
+spec to inject, an event-log file, a process start method); they do not
+toggle behaviour.  Every behaviour knob is an explicit argument with a
+production default, so there is one serving configuration to test.  This
+scan of ``src/repro`` fails the moment a new ``os.environ`` read, or any
+write, appears.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ DEPLOYMENT_SETTINGS = {
     "REPRO_FAULTS",
     "REPRO_EVENT_LOG",
     "REPRO_CLUSTER_START_METHOD",
-    "REPRO_BENCH_DIR",
 }
 
 _WRITE_METHODS = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__", "__delitem__"}
@@ -115,7 +114,7 @@ def _resolve(key: ast.AST, constants: dict[str, set[str]]) -> set[str] | None:
     return constants.get(name) if name else None
 
 
-def test_src_reads_exactly_the_four_deployment_settings():
+def test_src_reads_exactly_the_three_deployment_settings():
     modules = _modules()
     constants = _string_constants(modules)
     reads, __, unclassified = _scan(modules)

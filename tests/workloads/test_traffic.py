@@ -2,18 +2,19 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ProtocolError
 from repro.logic.parser import parse_query
 from repro.service.engine import QueryService
-from repro.service.protocol import QueryRequest
-from repro.workloads.generators import employee_database
+from repro.service.protocol import QueryRequest, parse_wire
 from repro.workloads.traffic import (
-    ClusterTrafficProfile,
+    SWEEP_TEMPLATE,
     TrafficProfile,
     batch_bursts,
-    cluster_traffic_stream,
     default_scenarios,
     load_traffic_log,
     load_traffic_log_tolerant,
@@ -34,6 +35,17 @@ class TestPool:
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError, match="at least one scenario"):
             scenario_pool(())
+
+    def test_default_scenarios_are_employees_and_ripper(self):
+        names = [scenario.name for scenario in default_scenarios()]
+        assert names[1] == "jack-the-ripper"
+        assert len(set(names)) == 2
+
+    def test_sweep_template_binds_only_the_anchor_employee(self):
+        template = parse_query(SWEEP_TEMPLATE)
+        assert template.parameters() == ("e",)
+        assert template.is_template
+        assert [variable.name for variable in template.head] == ["m", "s"]
 
 
 class TestStream:
@@ -60,6 +72,20 @@ class TestStream:
         assert 100 < exactish < 300
         none_exact = traffic_stream(100, profile=TrafficProfile(exact_fraction=0.0), seed=9)
         assert all(r.method == "approx" for r in none_exact)
+
+    def test_empty_stream(self):
+        assert traffic_stream(0, seed=1) == []
+
+    def test_stream_draws_only_from_the_given_scenarios(self):
+        (employees, __) = default_scenarios()
+        stream = traffic_stream(60, scenarios=[employees], seed=12)
+        pool = set(scenario_pool([employees]))
+        assert {(r.database, r.query) for r in stream} <= pool
+
+    def test_more_hot_keys_than_pool_entries_uses_the_whole_pool(self):
+        profile = TrafficProfile(hot_keys=1000, hot_fraction=1.0, exact_fraction=0.0)
+        stream = traffic_stream(400, profile=profile, seed=13)
+        assert {(r.database, r.query) for r in stream} == set(scenario_pool(default_scenarios()))
 
     def test_engine_and_encoding_mix(self):
         stream = traffic_stream(300, profile=TrafficProfile(tarski_fraction=0.5, virtual_ne_fraction=0.5), seed=11)
@@ -88,12 +114,40 @@ class TestRegistration:
         stream = traffic_stream(30, seed=8)
         assert {request.database for request in stream} <= set(names)
 
+    def test_register_only_the_given_scenarios(self):
+        service = QueryService()
+        (__, ripper) = default_scenarios()
+        assert register_scenarios(service, [ripper]) == ("jack-the-ripper",)
+        assert set(service.database_names()) == {"jack-the-ripper"}
+
+    def test_skewed_stream_is_mostly_served_from_the_answer_cache(self):
+        # 200 skewed requests over a pool of a few dozen distinct keys: once
+        # warm, the steady state is overwhelmingly cache hits.
+        service = QueryService()
+        register_scenarios(service)
+        profile = TrafficProfile(hot_keys=2, hot_fraction=0.8, exact_fraction=0.05)
+        for request in traffic_stream(200, profile=profile, seed=7):
+            service.execute(request)
+        assert service.stats().answer_cache["hit_rate"] > 0.5
+
 
 class TestTrafficLog:
     def test_save_and_load_round_trip(self, tmp_path):
         stream = traffic_stream(25, seed=4)
         path = save_traffic_log(stream, tmp_path / "traffic.jsonl")
         assert load_traffic_log(path) == stream
+
+    def test_log_is_one_sorted_key_v2_envelope_per_line(self, tmp_path):
+        stream = traffic_stream(4, seed=4)
+        path = save_traffic_log(stream, str(tmp_path / "traffic.jsonl"))
+        assert isinstance(path, Path)
+        lines = path.read_text().splitlines()
+        assert len(lines) == 4
+        for line, request in zip(lines, stream):
+            message = json.loads(line)
+            assert message["type"] == "query_request" and message["v"] == 2
+            assert list(message) == sorted(message)
+            assert parse_wire(line) == request
 
     def test_blank_lines_are_skipped(self, tmp_path):
         stream = traffic_stream(3, seed=4)
@@ -129,72 +183,6 @@ class TestTrafficLog:
         # The caches are hot now: replaying again is all hits.
         again = service.warm(load_traffic_log(path))
         assert again.already_cached == 20
-
-
-class TestClusterTraffic:
-    @pytest.fixture
-    def employee(self):
-        return employee_database(60, seed=9)
-
-    def test_stream_is_reproducible_and_parsable(self, employee):
-        kwargs = dict(
-            database_name="emp",
-            database=employee,
-            split_relations=("EMP_DEPT", "EMP_SAL"),
-            replicated_relations=("DEPT_MGR",),
-        )
-        a = cluster_traffic_stream(40, seed=1, **kwargs)
-        b = cluster_traffic_stream(40, seed=1, **kwargs)
-        assert a == b
-        for request in a:
-            assert request.database == "emp"
-            parse_query(request.query)
-
-    def test_profile_fractions_shape_the_mix(self, employee):
-        stream = cluster_traffic_stream(
-            300,
-            "emp",
-            employee,
-            split_relations=("EMP_DEPT", "EMP_SAL"),
-            replicated_relations=("DEPT_MGR",),
-            profile=ClusterTrafficProfile(
-                scatter_fraction=0.4, conjunction_fraction=0.1, fallback_fraction=0.1
-            ),
-            seed=2,
-        )
-        conjunctions = sum(1 for r in stream if r.query.startswith("() ."))
-        fallbacks = sum(1 for r in stream if "exists y." in r.query)
-        scatters = sum(
-            1 for r in stream
-            if r.query.startswith("(x) . EMP_") and "exists" not in r.query
-        )
-        assert conjunctions > 10
-        assert fallbacks > 10
-        assert scatters > 60
-
-    def test_hot_keys_skew_the_scatter_reads(self, employee):
-        stream = cluster_traffic_stream(
-            300,
-            "emp",
-            employee,
-            split_relations=("EMP_DEPT",),
-            replicated_relations=("DEPT_MGR",),
-            profile=ClusterTrafficProfile(
-                scatter_fraction=1.0,
-                hot_fraction=1.0,
-                hot_constants=2,
-                conjunction_fraction=0.0,
-                fallback_fraction=0.0,
-            ),
-            seed=3,
-        )
-        assert len({request.query for request in stream}) <= 2
-
-    def test_needs_binary_relations_on_both_sides(self, employee):
-        with pytest.raises(ValueError, match="binary"):
-            cluster_traffic_stream(
-                10, "emp", employee, split_relations=(), replicated_relations=("DEPT_MGR",)
-            )
 
 
 class TestTolerantTrafficLog:

@@ -29,12 +29,11 @@ dead and the call retries on the next replica; a later :meth:`health_check`
 can revive it.  Replicas hold byte-identical immutable snapshots, so
 failover can never change an answer — only availability.
 
-The router deliberately presents the same surface as a
-:class:`~repro.service.engine.QueryService` (``execute``, ``query``,
-``batch``, ``classify``, ``info``, ``stats``, ``database_names``,
-``close``, and the session API ``prepare`` / ``execute_prepared`` /
-``execute_prepared_many``), so the existing HTTP front-end and batch
-evaluator serve a cluster unchanged.
+The router is a :class:`~repro.service.frontend.Frontend`, like the
+single-process service: statements, batches, warm-up, ``stats()`` and the
+terminal ``close()`` are the shared front-end's, and the router supplies
+only how a request is evaluated — route, fan out, merge — so the HTTP
+server serves a cluster unchanged.
 
 **Prepared statements.**  The proof-carrying decomposition depends only on
 a query's shape (parameters type as constants), so the router decomposes a
@@ -48,9 +47,7 @@ cluster-wide in ``stats().prepared``.
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import Mapping, Sequence
 
@@ -63,7 +60,6 @@ from repro.cluster.partition import (
     SingleShard,
     decompose_query,
 )
-from repro.complexity.classes import classify_query
 from repro.errors import (
     ClusterError,
     DeadlineExceededError,
@@ -74,31 +70,26 @@ from repro.errors import (
     ServiceUnavailableError,
     UnknownDatabaseError,
 )
-from repro.logic.parser import parse_query
 from repro.logic.printer import query_to_text
 from repro.logic.queries import Query
 from repro.logic.template import bind_query, query_parameters
 from repro.observability import events, tracing
 from repro.observability.accounting import activate as activate_account, current_account
-from repro.observability.metrics import MetricsRegistry, merge_metric_snapshots
+from repro.observability.metrics import merge_metric_snapshots
 from repro.resilience import deadlines
 from repro.resilience.retry import BREAKER_STATE_GAUGE, BackoffPolicy, CircuitBreaker
 from repro.service.cache import LRUCache
-from repro.service.lifecycle import ExecutorLifecycle
 from repro.service.client import ServiceClient
 from repro.service.engine import RegisteredDatabase
-from repro.service.prepared import PreparedStatement, StatementRegistry
+from repro.service.frontend import DEFAULT_PLAN_CACHE_CAPACITY, Frontend
+from repro.service.prepared import PreparedStatement
 from repro.service.protocol import (
     SUPPORTED_PROTOCOL_VERSIONS,
-    ClassifyResponse,
-    InfoResponse,
     MetricsResponse,
     QueryRequest,
     QueryResponse,
     StatsResponse,
     answers_to_wire,
-    build_classify_response,
-    build_info_response,
 )
 
 __all__ = [
@@ -108,8 +99,6 @@ __all__ = [
     "RemoteBackend",
     "ClusterRouter",
 ]
-
-DEFAULT_PLAN_CACHE_CAPACITY = 1024
 
 
 class _RoundFailed(Exception):
@@ -150,15 +139,11 @@ class LocalBackend:
     def execute(self, request: QueryRequest) -> QueryResponse:
         return self.service.execute(request)
 
-    def info(self, name: str) -> InfoResponse:
-        return self.service.info(name)
-
     def stats(self) -> StatsResponse:
         return self.service.stats()
 
     def metrics(self) -> MetricsResponse:
-        metrics = getattr(self.service, "metrics", None)
-        return metrics() if callable(metrics) else MetricsResponse()
+        return self.service.metrics()
 
     def ping(self) -> bool:
         return True
@@ -179,9 +164,6 @@ class RemoteBackend:
 
     def execute(self, request: QueryRequest) -> QueryResponse:
         return self.client.execute(request)
-
-    def info(self, name: str) -> InfoResponse:
-        return self.client.info(name)
 
     def stats(self) -> StatsResponse:
         return self.client.stats()
@@ -221,7 +203,7 @@ class _WorkerState:
         self.breaker = breaker
 
 
-class ClusterRouter:
+class ClusterRouter(Frontend):
     """Route requests across shard workers; merge answers soundly.
 
     Parameters
@@ -280,6 +262,7 @@ class ClusterRouter:
                 )
         if degraded not in (None, "stale_cache"):
             raise ClusterError(f"unknown degraded mode {degraded!r}; expected None or 'stale_cache'")
+        super().__init__(plan_cache_capacity=plan_cache_capacity)
         self._retry = retry_policy or BackoffPolicy()
         self._layouts = dict(layouts)
         self._workers = [
@@ -298,27 +281,13 @@ class ClusterRouter:
         self._degraded_mode = degraded
         self._stale = LRUCache(stale_cache_capacity) if self._degraded_mode else None
         self._replicas = max(1, replicas)
-        self._parses = LRUCache(512)
-        self._plans = LRUCache(plan_cache_capacity)
-        self._lock = threading.Lock()
         self._routed: dict[str, int] = {"single_shard": 0, "scatter": 0, "conjunction": 0, "full_copy": 0}
-        self._statements = StatementRegistry()
-        self._prepared = {"templates": 0, "executions": 0}
         self._failovers = 0
-        self._batch_executed = 0
-        self._batch_deduplicated = 0
-        self._started = time.monotonic()
-        self._lifecycle = ExecutorLifecycle(
-            "ClusterRouter", "start a new cluster instead of reusing it"
-        )
         # Fan-out tasks are leaves (one HTTP call each, never re-submitting),
         # so a dedicated pool cannot deadlock against the batch pool.
         self._fanout_workers = fanout_workers or max(8, 2 * n_workers)
-        #: Router-side telemetry (per-route latencies); ``metrics()`` merges
-        #: this with every reachable worker's registry snapshot.
-        self.metrics_registry = MetricsRegistry()
 
-    # Public QueryService-shaped surface ----------------------------------------
+    # Databases and evaluation -----------------------------------------------------
 
     def database_names(self) -> tuple[str, ...]:
         return tuple(sorted(self._layouts))
@@ -331,7 +300,7 @@ class ClusterRouter:
         return layout
 
     def entry(self, name: str) -> RegisteredDatabase:
-        """A :class:`RegisteredDatabase` view of the full database (for the CLI)."""
+        """A :class:`RegisteredDatabase` view of the full database (``info``, the CLI)."""
         layout = self.layout(name)
         return RegisteredDatabase(name=name, database=layout.full, fingerprint=layout.fingerprint)
 
@@ -343,11 +312,46 @@ class ClusterRouter:
         routing rule was chosen to preserve.
         """
         layout = self.layout(request.database)
-        started = time.perf_counter()
         query = self._parse(request.query)
-        plan = self._route_plan(layout, request.query, query)
+        return self._route(request, self._route_plan(layout, request.query, query), query)
+
+    def _plan_statement(self, statement: PreparedStatement) -> None:
+        """Decompose a template cluster-side **once**, at prepare time.
+
+        The proof-carrying route plan (:func:`~repro.cluster.partition.decompose_query`)
+        depends only on the query's *shape* — which predicates it mentions,
+        whether it is a bare atom or a Boolean conjunction — and parameters
+        type as constants, so the template's decomposition is valid for every
+        binding.  It is computed here and cached under the template text;
+        executions only substitute constants into the per-shard requests.
+        """
+        self._route_plan(self.layout(statement.database), statement.template, statement.query)
+
+    def _execute_bound(self, statement, request, bound, values) -> QueryResponse:
+        """Bind per shard on the template's cached plan, then route like ``execute``."""
+        plan = self._route_plan(self.layout(statement.database), statement.template, statement.query)
+        if isinstance(plan, BooleanConjunction) and values:
+            # Conjunct sub-queries carry the template's parameters; bind each
+            # part with exactly the parameters it mentions.  The *shape* of
+            # the plan (which conjunct routes where) is binding-independent.
+            bound_parts = []
+            for sub_text, sub_plan in plan.parts:
+                sub_query = self._parse(sub_text)
+                sub_values = {name: values[name] for name in query_parameters(sub_query)}
+                bound_parts.append((query_to_text(bind_query(sub_query, sub_values)), sub_plan))
+            plan = BooleanConjunction(tuple(bound_parts))
+        return self._route(request, plan, bound)
+
+    def _route(self, request: QueryRequest, plan: RoutePlan, query: Query) -> QueryResponse:
+        """Run *plan* for *request*, relabel the answer, and keep the stale copy.
+
+        When no live replica can answer, a previously served response for
+        the same request is returned instead (degraded mode, if enabled).
+        """
+        layout = self._layouts[request.database]
+        started = time.perf_counter()
         counter = _plan_counter(plan)
-        with self._lock:
+        with self._registry_lock:
             self._routed[counter] += 1
         try:
             with tracing.span(f"route {counter}", database=request.database):
@@ -386,133 +390,8 @@ class ClusterRouter:
         self.metrics_registry.observe(f"route.{counter}", time.perf_counter() - started)
         return response
 
-    def query(
-        self,
-        database: str,
-        query: str,
-        method: str = "approx",
-        engine: str = "algebra",
-        virtual_ne: bool = False,
-    ) -> QueryResponse:
-        return self.execute(QueryRequest(database, query, method, engine, virtual_ne))
-
-    def classify(self, query_text: str) -> ClassifyResponse:
-        """Classification is pure syntax: answered locally, no worker involved."""
-        return build_classify_response(query_text, classify_query(self._parse(query_text)))
-
-    def info(self, name: str) -> InfoResponse:
-        layout = self.layout(name)
-        return replace(build_info_response(name, layout.full), name=name)
-
-    def batch(self, requests, max_workers: int | None = None):
-        """Deduplicated concurrent evaluation, reusing the service batcher."""
-        from repro.service.batch import BatchEvaluator
-
-        if max_workers is None:
-            return BatchEvaluator(self, executor=self._shared_batch_executor()).run(requests)
-        self._check_open()
-        return BatchEvaluator(self, max_workers=max_workers).run(requests)
-
-    # Prepared statements --------------------------------------------------------
-
-    def prepare(
-        self,
-        database: str,
-        template: str,
-        method: str = "approx",
-        engine: str = "algebra",
-        virtual_ne: bool = False,
-    ) -> PreparedStatement:
-        """Register a template cluster-side; decomposition happens **once**.
-
-        The proof-carrying route plan (:func:`~repro.cluster.partition.decompose_query`)
-        depends only on the query's *shape* — which predicates it mentions,
-        whether it is a bare atom or a Boolean conjunction — and parameters
-        type as constants, so the template's decomposition is valid for every
-        binding.  It is computed here and cached under the template text;
-        executions only substitute constants into the per-shard requests.
-        """
-        layout = self.layout(database)
-        query = self._parse(template)
-        statement, created = self._statements.intern(database, query, method, engine, virtual_ne)
-        if created:
-            with self._lock:
-                self._prepared["templates"] += 1
-        # Pay the decomposition now, not on the first execution.
-        self._route_plan(layout, statement.template, statement.query)
-        return statement
-
-    def statement(self, statement_id: str) -> PreparedStatement:
-        return self._statements.get(statement_id)
-
-    def deallocate(self, statement_id: str) -> None:
-        self._statements.deallocate(statement_id)
-
-    def execute_prepared(self, statement_id: str, params=None) -> QueryResponse:
-        """Execute a prepared statement: bind per shard, route on the cached plan."""
-        statement = self._statements.get(statement_id)
-        values = dict(params or {})
-        bound, rendered = statement.bind(values)
-        layout = self.layout(statement.database)
-        with self._lock:
-            self._prepared["executions"] += 1
-        started = time.perf_counter()
-        plan = self._route_plan(layout, statement.template, statement.query)
-        if isinstance(plan, BooleanConjunction) and values:
-            # Conjunct sub-queries carry the template's parameters; bind each
-            # part with exactly the parameters it mentions.  The *shape* of
-            # the plan (which conjunct routes where) is binding-independent.
-            bound_parts = []
-            for sub_text, sub_plan in plan.parts:
-                sub_query = self._parse(sub_text)
-                sub_values = {name: values[name] for name in query_parameters(sub_query)}
-                bound_parts.append((query_to_text(bind_query(sub_query, sub_values)), sub_plan))
-            plan = BooleanConjunction(tuple(bound_parts))
-        with self._lock:
-            self._routed[_plan_counter(plan)] += 1
-        request = QueryRequest(
-            statement.database, rendered, statement.method, statement.engine, statement.virtual_ne
-        )
-        response = self._run_plan(layout, plan, request, bound)
-        if response.database != request.database or response.fingerprint != layout.fingerprint:
-            response = replace(
-                response,
-                database=request.database,
-                fingerprint=layout.fingerprint,
-                query=rendered,
-                elapsed_seconds=time.perf_counter() - started,
-            )
-        return response
-
-    def execute_prepared_many(self, statement_id: str, bindings, max_workers: int | None = None):
-        """One statement, many bindings: deduplicated, fanned out, positional."""
-        from repro.service.batch import PreparedBatchEvaluator
-
-        if max_workers is None:
-            evaluator = PreparedBatchEvaluator(self, executor=self._shared_batch_executor())
-        else:
-            self._check_open()
-            evaluator = PreparedBatchEvaluator(self, max_workers=max_workers)
-        return evaluator.run(statement_id, bindings)
-
-    def warm(self, requests):
-        """Replay recorded traffic through the cluster (``serve --warm``).
-
-        Warms the router's parse/plan caches *and* the workers' caches on
-        whichever shards the replayed queries route to — the same placement
-        live traffic will hit.
-        """
-        from repro.service.engine import replay_warmup
-
-        return replay_warmup(self.execute, requests)
-
-    def record_batch(self, executed: int, deduplicated: int) -> None:
-        with self._lock:
-            self._batch_executed += executed
-            self._batch_deduplicated += deduplicated
-
     def stats(self) -> StatsResponse:
-        """Router counters plus a best-effort stats summary per live worker.
+        """The front-end's counters plus a best-effort stats summary per live worker.
 
         Worker probes run concurrently on the fan-out pool, so one wedged
         worker delays the aggregate by a single probe timeout instead of
@@ -551,10 +430,7 @@ class ClusterRouter:
             )
             return summary
 
-        if len(self._workers) > 1 and not self._lifecycle.closed:
-            summaries = list(self._shared_fanout_executor().map(probe, self._workers))
-        else:
-            summaries = [probe(state) for state in self._workers]
+        summaries = self._probe_workers(probe)
         workers = {str(state.index): summary for state, summary in zip(self._workers, summaries)}
         # Aggregate the adaptive-execution and prepared-statement counters
         # across live workers so an operator sees cluster-wide activity
@@ -569,23 +445,17 @@ class ClusterRouter:
             for counter, value in summary.get("prepared", {}).items():
                 if isinstance(value, int):
                     prepared_total[counter] = prepared_total.get(counter, 0) + value
-        with self._lock:
+        own = super().stats()
+        # The router's own session counters fold into the cluster-wide
+        # totals: templates are prepared *here* (workers see only bound
+        # ad-hoc requests), worker counters cover direct worker clients.
+        for counter, value in own.prepared.items():
+            prepared_total[counter] = prepared_total.get(counter, 0) + value
+        with self._registry_lock:
             routed = dict(self._routed)
-            batch = {"executed": self._batch_executed, "deduplicated": self._batch_deduplicated}
             failovers = self._failovers
-            # The router's own session counters fold into the cluster-wide
-            # totals: templates are prepared *here* (workers see only bound
-            # ad-hoc requests), worker counters cover direct worker clients.
-            for counter, value in self._prepared.items():
-                prepared_total[counter] = prepared_total.get(counter, 0) + value
-        prepared_total["statements"] = prepared_total.get("statements", 0) + len(self._statements)
-        return StatsResponse(
-            databases=self.database_names(),
-            answer_cache={},
-            parse_cache=self._parses.stats().as_dict(),
-            batch=batch,
-            uptime_seconds=time.monotonic() - self._started,
-            plan_cache=self._plans.stats().as_dict(),
+        return replace(
+            own,
             feedback=feedback_total,
             prepared=prepared_total,
             cluster={
@@ -627,10 +497,7 @@ class ClusterRouter:
                 "histograms": getattr(remote, "histograms", {}),
             }
 
-        if len(self._workers) > 1 and not self._lifecycle.closed:
-            snapshots = list(self._shared_fanout_executor().map(probe, self._workers))
-        else:
-            snapshots = [probe(state) for state in self._workers]
+        snapshots = self._probe_workers(probe)
         for state in self._workers:
             if state.breaker is not None:
                 # Gauge encoding: 0 closed, 0.5 half-open, 1 open — a panel
@@ -662,10 +529,6 @@ class ClusterRouter:
                     events.emit("breaker.healed", worker=state.index, via="health_check")
             result[state.index] = state.alive
         return result
-
-    def close(self) -> None:
-        """Shut down the router's thread pools; terminal, like the service."""
-        self._lifecycle.close()
 
     # Plan execution -------------------------------------------------------------
 
@@ -720,8 +583,7 @@ class ClusterRouter:
                             f"shard {shard} of {layout.name!r}",
                         )
 
-        executor = self._shared_fanout_executor()
-        parts = list(executor.map(on_shard, range(layout.n_shards)))
+        parts = list(self._fanout().map(on_shard, range(layout.n_shards)))
         merged = {
             label: frozenset().union(*(part.answer_set(label) for part in parts))
             for label in parts[0].answers
@@ -887,7 +749,7 @@ class ClusterRouter:
                 state.alive = False
                 state.transport_errors += 1
                 last_error = error
-                with self._lock:
+                with self._registry_lock:
                     self._failovers += 1
                 events.emit(
                     "router.failover",
@@ -908,26 +770,20 @@ class ClusterRouter:
 
     # Internals ------------------------------------------------------------------
 
-    def _parse(self, query_text: str) -> Query:
-        query, __ = self._parses.get_or_compute(query_text, lambda: parse_query(query_text))
-        return query
-
     def _route_plan(self, layout: PartitionLayout, query_text: str, query: Query) -> RoutePlan:
         plan, __ = self._plans.get_or_compute(
             (layout.fingerprint, query_text), lambda: decompose_query(layout, query)
         )
         return plan
 
-    def _check_open(self) -> None:
-        self._lifecycle.check_open()
+    def _fanout(self):
+        return self._pool("fanout", self._fanout_workers)
 
-    def _shared_batch_executor(self) -> ThreadPoolExecutor:
-        from repro.service.batch import DEFAULT_MAX_WORKERS
-
-        return self._lifecycle.executor("batch", DEFAULT_MAX_WORKERS, "repro-router-batch")
-
-    def _shared_fanout_executor(self) -> ThreadPoolExecutor:
-        return self._lifecycle.executor("fanout", self._fanout_workers, "repro-router-fanout")
+    def _probe_workers(self, probe) -> list:
+        """``probe(state)`` for every worker, concurrently when there are several."""
+        if len(self._workers) > 1 and not self._closed:
+            return list(self._fanout().map(probe, self._workers))
+        return [probe(state) for state in self._workers]
 
 
 def _plan_counter(plan: RoutePlan) -> str:

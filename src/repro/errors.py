@@ -90,9 +90,9 @@ class UnknownDatabaseError(ServiceError):
 
 
 class ServiceClosedError(ServiceError):
-    """An operation was attempted on a :class:`QueryService` after ``close()``.
+    """An operation was attempted on a closed service or cluster router.
 
-    Closing a service is terminal: the shared batch thread pool is shut down
+    Closing a front-end is terminal: its shared thread pools are shut down
     and must not be silently recreated (that used to leak a fresh pool on
     every post-close batch).  Both a repeated ``close()`` and a post-close
     ``batch()`` raise this error.

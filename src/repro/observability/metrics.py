@@ -1,8 +1,8 @@
 """Thread-safe counters, gauges and log-bucketed latency histograms.
 
-The registry is the one mutable telemetry object each serving component
-owns (:class:`~repro.service.engine.QueryService`,
-:class:`~repro.cluster.router.ClusterRouter`, the HTTP handler).  Snapshots
+The registry is the one mutable telemetry object each front-end owns
+(:class:`~repro.service.frontend.Frontend`: the single-process service or
+the cluster router; its HTTP server records into it too).  Snapshots
 are plain JSON-compatible dicts, served at ``GET /metrics`` and merged
 cluster-wide with :func:`merge_metric_snapshots` — merging works on the
 wire form, so the router can fold in snapshots from workers running *newer*

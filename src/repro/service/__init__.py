@@ -2,10 +2,12 @@
 
 Loosely coupled layers, each usable on its own:
 
+* :mod:`repro.service.frontend` — the session surface (statements,
+  batches, warm-up, close) the service shares with the cluster router;
 * :mod:`repro.service.engine` — :class:`QueryService`: named immutable
   database snapshots with precomputed ``Ph2`` storage and result caching;
 * :mod:`repro.service.prepared` — prepared statements (parse + plan once,
-  execute per binding) shared with the cluster router;
+  execute per binding);
 * :mod:`repro.service.cache` — the thread-safe LRU underneath;
 * :mod:`repro.service.batch` — deduplicated concurrent batch evaluation
   (ad-hoc request batches and prepared parameter sweeps);

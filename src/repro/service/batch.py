@@ -16,24 +16,23 @@ slot and the rest of the batch completes normally.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Sequence
+from typing import Callable, Hashable, Sequence
 
 from repro.errors import ReproError
-from repro.service.protocol import BatchResponse, ErrorResponse, QueryRequest, QueryResponse
+from repro.service.protocol import BatchResponse, ErrorResponse, QueryRequest
 
 __all__ = ["BatchEvaluator", "PreparedBatchEvaluator", "evaluate_batch", "DEFAULT_MAX_WORKERS"]
 
 DEFAULT_MAX_WORKERS = 8
 
 
-class BatchEvaluator:
-    """Evaluate request batches against a :class:`~repro.service.engine.QueryService`.
+class _FanOut:
+    """Dedup → concurrent evaluation → positional rebuild, shared by both evaluators.
 
     With ``executor`` the evaluator fans out on that long-lived pool (and
-    never shuts it down); otherwise it spins up a pool per :meth:`run` call,
-    sized by ``max_workers``.  :meth:`QueryService.batch` passes the
-    service's shared pool so repeated small batches avoid per-call pool
-    startup.
+    never shuts it down); otherwise it spins up a pool per ``run`` call,
+    sized by ``max_workers``.  :meth:`Frontend.batch` passes the front-end's
+    shared pool so repeated small batches avoid per-call pool startup.
     """
 
     def __init__(self, service, max_workers: int | None = None, executor: ThreadPoolExecutor | None = None) -> None:
@@ -41,44 +40,56 @@ class BatchEvaluator:
         self.max_workers = max_workers or DEFAULT_MAX_WORKERS
         self.executor = executor
 
-    def run(self, requests: Sequence[QueryRequest]) -> BatchResponse:
-        """Evaluate a batch; duplicates are computed once and fanned back out."""
-        requests = list(requests)
-        if not requests:
-            return BatchResponse(responses=(), total=0, unique=0, deduplicated=0)
+    def _run(self, items: list, key: Callable[[object], Hashable], evaluate) -> BatchResponse:
+        """Evaluate each distinct item once; ``responses[i]`` answers ``items[i]``.
 
-        # Frozen QueryRequest dataclasses are their own dedup keys.
-        unique: list[QueryRequest] = []
-        seen: dict[QueryRequest, int] = {}
-        for request in requests:
-            if request not in seen:
-                seen[request] = len(unique)
-                unique.append(request)
+        *key* maps an item to its dedup key; *evaluate* answers one item, and
+        a :class:`~repro.errors.ReproError` it raises becomes that slot's
+        :class:`ErrorResponse`.  The counters are folded into the service via
+        ``record_batch``.
+        """
+        unique: list = []
+        seen: dict[Hashable, int] = {}
+        slots: list[int] = []
+        for item in items:
+            slot = seen.setdefault(key(item), len(unique))
+            if slot == len(unique):
+                unique.append(item)
+            slots.append(slot)
+
+        def guarded(item):
+            try:
+                return evaluate(item)
+            except ReproError as error:
+                return ErrorResponse.from_exception(error)
 
         if self.executor is not None:
-            unique_responses = list(self.executor.map(self._evaluate, unique))
+            results = list(self.executor.map(guarded, unique))
         else:
             workers = min(self.max_workers, len(unique))
             if workers <= 1:
-                unique_responses = [self._evaluate(request) for request in unique]
+                results = [guarded(item) for item in unique]
             else:
                 with ThreadPoolExecutor(max_workers=workers, thread_name_prefix="repro-batch") as pool:
-                    unique_responses = list(pool.map(self._evaluate, unique))
+                    results = list(pool.map(guarded, unique))
 
-        deduplicated = len(requests) - len(unique)
+        deduplicated = len(items) - len(unique)
         self.service.record_batch(executed=len(unique), deduplicated=deduplicated)
         return BatchResponse(
-            responses=tuple(unique_responses[seen[request]] for request in requests),
-            total=len(requests),
+            responses=tuple(results[slot] for slot in slots),
+            total=len(items),
             unique=len(unique),
             deduplicated=deduplicated,
         )
 
-    def _evaluate(self, request: QueryRequest) -> QueryResponse | ErrorResponse:
-        try:
-            return self.service.execute(request)
-        except ReproError as error:
-            return ErrorResponse.from_exception(error)
+
+class BatchEvaluator(_FanOut):
+    """Evaluate request batches against a :class:`~repro.service.frontend.Frontend`."""
+
+    def run(self, requests: Sequence[QueryRequest]) -> BatchResponse:
+        """Evaluate a batch; duplicates are computed once and fanned back out."""
+        # Frozen QueryRequest dataclasses are their own dedup keys.
+        return self._run(list(requests), lambda request: request, self.service.execute)
 
 
 def evaluate_batch(service, requests: Sequence[QueryRequest], max_workers: int | None = None) -> BatchResponse:
@@ -86,7 +97,7 @@ def evaluate_batch(service, requests: Sequence[QueryRequest], max_workers: int |
     return BatchEvaluator(service, max_workers=max_workers).run(requests)
 
 
-class PreparedBatchEvaluator:
+class PreparedBatchEvaluator(_FanOut):
     """The prepared counterpart of :class:`BatchEvaluator`: one statement, many bindings.
 
     A parameter sweep is the canonical prepared workload (same template,
@@ -95,48 +106,9 @@ class PreparedBatchEvaluator:
     per-binding failures isolated to their slot.
     """
 
-    def __init__(self, service, max_workers: int | None = None, executor: ThreadPoolExecutor | None = None) -> None:
-        self.service = service
-        self.max_workers = max_workers or DEFAULT_MAX_WORKERS
-        self.executor = executor
-
     def run(self, statement_id: str, bindings) -> BatchResponse:
-        bindings = [dict(binding or {}) for binding in bindings]
-        if not bindings:
-            return BatchResponse(responses=(), total=0, unique=0, deduplicated=0)
-
-        def freeze(binding: dict) -> tuple:
-            return tuple(sorted(binding.items()))
-
-        unique: list[dict] = []
-        seen: dict[tuple, int] = {}
-        for binding in bindings:
-            key = freeze(binding)
-            if key not in seen:
-                seen[key] = len(unique)
-                unique.append(binding)
-
-        def evaluate(binding: dict) -> QueryResponse | ErrorResponse:
-            try:
-                return self.service.execute_prepared(statement_id, binding)
-            except ReproError as error:
-                return ErrorResponse.from_exception(error)
-
-        if self.executor is not None:
-            unique_responses = list(self.executor.map(evaluate, unique))
-        else:
-            workers = min(self.max_workers, len(unique))
-            if workers <= 1:
-                unique_responses = [evaluate(binding) for binding in unique]
-            else:
-                with ThreadPoolExecutor(max_workers=workers, thread_name_prefix="repro-prepared") as pool:
-                    unique_responses = list(pool.map(evaluate, unique))
-
-        deduplicated = len(bindings) - len(unique)
-        self.service.record_batch(executed=len(unique), deduplicated=deduplicated)
-        return BatchResponse(
-            responses=tuple(unique_responses[seen[freeze(binding)]] for binding in bindings),
-            total=len(bindings),
-            unique=len(unique),
-            deduplicated=deduplicated,
+        return self._run(
+            [dict(binding or {}) for binding in bindings],
+            lambda binding: tuple(sorted(binding.items())),
+            lambda binding: self.service.execute_prepared(statement_id, binding),
         )

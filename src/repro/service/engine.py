@@ -14,8 +14,10 @@ clients:
   key, so re-registering a name with different content can never serve
   stale answers;
 * **result caching** — parsed queries and full responses live in
-  thread-safe LRU caches (:mod:`repro.service.cache`) keyed on
-  ``(fingerprint, query_text, method, engine, virtual_ne)``;
+  thread-safe LRU caches (:mod:`repro.service.cache`); responses are keyed
+  on ``(fingerprint, query_text, method, engine, virtual_ne, profile)``,
+  and a prepared execution uses its bound text, so it shares the slot of
+  the equivalent ad-hoc request;
 * **plan caching** — compiled + optimized relational-algebra plans are kept
   per ``(snapshot fingerprint, query_text, engine, NE encoding)``, so a warm
   server answering an uncached request (e.g. after answer-cache eviction, or
@@ -30,22 +32,21 @@ clients:
   The loop converges: only *new* divergent observations invalidate, and each
   re-optimization can only add observations.
 
+The session surface — prepared statements, batches, warm-up, the terminal
+``close()`` — is :class:`~repro.service.frontend.Frontend`'s, shared with
+the cluster router; this module only decides how a request is evaluated.
 The service is deliberately transport-agnostic: :mod:`repro.service.server`
-exposes it over HTTP and :mod:`repro.service.batch` fans request lists out
-over a thread pool, but it is equally usable in-process.
+exposes it over HTTP, but it is equally usable in-process.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Callable, Mapping
 
 from repro.approx.evaluator import ApproximateEvaluator
-from repro.complexity.classes import classify_query
-from repro.errors import ReproError, ServiceError, UnknownDatabaseError
-from repro.logic.parser import parse_query
+from repro.errors import ServiceError, UnknownDatabaseError
 from repro.logic.queries import Query
 from repro.logical.database import CWDatabase
 from repro.logical.exact import CertainAnswerEvaluator
@@ -54,7 +55,6 @@ from repro.logical.ph import ph2
 from repro.observability import events
 from repro.observability.accounting import current_account
 from repro.observability.explain import PlanProfiler, profile_payload
-from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import span
 from repro.physical.algebra import node_label
 from repro.resilience.deadlines import check_deadline
@@ -68,25 +68,19 @@ from repro.physical.statistics import (
     statistics_for,
 )
 from repro.service.cache import LRUCache
-from repro.service.lifecycle import ExecutorLifecycle
-from repro.service.prepared import PreparedStatement, StatementRegistry
+from repro.service.frontend import DEFAULT_PARSE_CACHE_CAPACITY, DEFAULT_PLAN_CACHE_CAPACITY, Frontend
+from repro.service.prepared import PreparedStatement
 from repro.service.protocol import (
-    ClassifyResponse,
-    InfoResponse,
     MetricsResponse,
     QueryRequest,
     QueryResponse,
     StatsResponse,
     answers_to_wire,
-    build_classify_response,
-    build_info_response,
 )
 
-__all__ = ["RegisteredDatabase", "QueryService", "WarmupReport", "replay_warmup"]
+__all__ = ["RegisteredDatabase", "QueryService"]
 
 DEFAULT_ANSWER_CACHE_CAPACITY = 4096
-DEFAULT_PARSE_CACHE_CAPACITY = 512
-DEFAULT_PLAN_CACHE_CAPACITY = 1024
 
 #: Plan-cache value meaning "the auto dispatcher chose Tarskian enumeration".
 #: Caching the *decision* (not just the absent plan) lets warm requests skip
@@ -147,49 +141,7 @@ class RegisteredDatabase:
         return self.storage(True)
 
 
-@dataclass(frozen=True)
-class WarmupReport:
-    """Outcome of replaying a recorded traffic log through the caches.
-
-    ``failed`` counts requests that raised (unknown database, parse
-    error...); warm-up is best-effort, so failures are tallied rather than
-    aborting the boot sequence.
-    """
-
-    total: int
-    warmed: int
-    already_cached: int
-    failed: int
-
-
-def replay_warmup(execute, requests) -> WarmupReport:
-    """Replay recorded traffic through *execute*, tallying the outcomes.
-
-    Shared by :meth:`QueryService.warm` and the cluster router's warm-up so
-    the semantics (best-effort, errors counted not raised) cannot drift.
-    Malformed entries — anything that is not a :class:`QueryRequest`, e.g. a
-    hand-edited log line that parsed as a different message — count as
-    failures instead of aborting the whole replay.
-    """
-    total = warmed = already = failed = 0
-    for request in requests:
-        total += 1
-        if not isinstance(request, QueryRequest):
-            failed += 1
-            continue
-        try:
-            response = execute(request)
-        except ReproError:
-            failed += 1
-            continue
-        if response.cached:
-            already += 1
-        else:
-            warmed += 1
-    return WarmupReport(total=total, warmed=warmed, already_cached=already, failed=failed)
-
-
-class QueryService:
+class QueryService(Frontend):
     """Registry of database snapshots plus cached, thread-safe evaluation.
 
     Parameters
@@ -219,19 +171,13 @@ class QueryService:
         max_mappings: int = DEFAULT_MAX_MAPPINGS,
         feedback_threshold: float | None = DEFAULT_FEEDBACK_THRESHOLD,
     ) -> None:
+        super().__init__(parse_cache_capacity, plan_cache_capacity)
         self._registry: dict[str, RegisteredDatabase] = {}
-        self._registry_lock = threading.Lock()
         self._answers = LRUCache(answer_cache_capacity)
-        self._parses = LRUCache(parse_cache_capacity)
-        self._plans = LRUCache(plan_cache_capacity)
         self._exact = CertainAnswerEvaluator(max_mappings=max_mappings)
-        self._started = time.monotonic()
-        self._batch_executed = 0
-        self._batch_deduplicated = 0
         self._feedback_threshold = feedback_threshold or None
         self._feedback = {"observations": 0, "invalidations": 0, "reoptimizations": 0}
-        self._statements = StatementRegistry()
-        self._prepared = {"templates": 0, "executions": 0, "generic_plans": 0, "custom_plans": 0}
+        self._prepared.update(generic_plans=0, custom_plans=0)
         #: (template plan key, statistics generation) → cached generic cost;
         #: bounded like the feedback marker maps.
         self._generic_costs: dict[tuple, float] = {}
@@ -247,12 +193,6 @@ class QueryService:
         #: not grow them forever); overflowing drops the oldest entries, whose
         #: only cost is one extra observation or invalidation round.
         self._marker_capacity = max(plan_cache_capacity, DEFAULT_PLAN_CACHE_CAPACITY)
-        #: Request telemetry (counters + latency histograms), served at
-        #: ``GET /metrics``; recording is a single lock acquire per request.
-        self.metrics_registry = MetricsRegistry()
-        self._lifecycle = ExecutorLifecycle(
-            "QueryService", "create a new service instead of reusing it"
-        )
 
     # Registry ------------------------------------------------------------------
 
@@ -341,18 +281,11 @@ class QueryService:
         def affected(key: tuple) -> bool:
             return key[0] == entry.fingerprint and key[3] == virtual_ne
 
-        dropped = self._plans.invalidate(affected)
-        with self._registry_lock:
-            if dropped:
-                self._feedback["invalidations"] += dropped
-            # New statistics make re-observation worthwhile again, and any
-            # pending feedback marker refers to plans that no longer exist.
-            self._converged = {
-                key: generation for key, generation in self._converged.items() if not affected(key)
-            }
-            for key in [key for key in self._replanned if affected(key)]:
-                del self._replanned[key]
+        # New statistics make re-observation worthwhile again.
+        dropped = self._forget_plans(affected)
         if dropped:
+            with self._registry_lock:
+                self._feedback["invalidations"] += dropped
             events.emit(
                 "plan.invalidated",
                 database=entry.name,
@@ -394,16 +327,21 @@ class QueryService:
         if entry is None:
             raise UnknownDatabaseError(f"unknown database {name!r}")
         self._answers.invalidate(lambda key: key[0] == entry.fingerprint)
-        self._plans.invalidate(lambda key: key[0] == entry.fingerprint)
+        self._forget_plans(lambda key: key[0] == entry.fingerprint)
         self._statements.drop_database(name)
+
+    def _forget_plans(self, affected) -> int:
+        """Drop the plan-cache entries *affected* selects, and their feedback markers.
+
+        A pending marker would refer to a plan that no longer exists.
+        Returns the number of dropped plan-cache entries.
+        """
+        dropped = self._plans.invalidate(affected)
         with self._registry_lock:
-            self._converged = {
-                key: generation
-                for key, generation in self._converged.items()
-                if key[0] != entry.fingerprint
-            }
-            for key in [key for key in self._replanned if key[0] == entry.fingerprint]:
+            self._converged = {key: generation for key, generation in self._converged.items() if not affected(key)}
+            for key in [key for key in self._replanned if affected(key)]:
                 del self._replanned[key]
+        return dropped
 
     def database_names(self) -> tuple[str, ...]:
         with self._registry_lock:
@@ -427,9 +365,47 @@ class QueryService:
         engines and ``NE`` encodings never share an entry.
         """
         entry = self.entry(request.database)
-        # ``profile`` joins the key (a profiled response carries an extra
-        # payload); profile-less ad-hoc and prepared requests keep sharing
-        # slots because both spell the flag the same way (False).
+
+        def evaluate() -> QueryResponse:
+            query = self._parse(request.query)
+            return self._evaluate(
+                entry, request, query, lambda profiler: self._approx_answers(entry, request, query, profiler)
+            )
+
+        return self._answer(entry, request, evaluate, "query", f"query.{request.engine}")
+
+    def _execute_bound(
+        self,
+        statement: PreparedStatement,
+        request: QueryRequest,
+        bound: Query,
+        values: Mapping[str, str],
+    ) -> QueryResponse:
+        """A prepared execution: the ad-hoc *request*, minus the parse.
+
+        Answers are byte-identical to that request — the two share
+        answer-cache entries — but the expression-side work is amortized:
+        the template was parsed once at prepare time, and the compiled +
+        optimized *template plan* is rebound by value substitution instead
+        of recompiled (see :meth:`_approx_prepared` for the generic-vs-custom
+        plan choice).
+        """
+        entry = self.entry(statement.database)
+
+        def evaluate() -> QueryResponse:
+            return self._evaluate(
+                entry, request, bound, lambda profiler: self._approx_prepared(entry, statement, request, bound, values)
+            )
+
+        return self._answer(entry, request, evaluate, "execute", f"template.{statement.statement_id}")
+
+    def _answer(self, entry: RegisteredDatabase, request: QueryRequest, evaluate, kind: str, histogram: str) -> QueryResponse:
+        """Serve *request* from the answer cache, or *evaluate* it; account either way.
+
+        ``profile`` joins the key (a profiled response carries an extra
+        payload); prepared executions never profile, so they share slots with
+        the equivalent profile-less ad-hoc request.
+        """
         key = (
             entry.fingerprint,
             request.query,
@@ -438,172 +414,28 @@ class QueryService:
             request.virtual_ne,
             request.profile,
         )
-        response, was_cached = self._answers.get_or_compute(key, lambda: self._evaluate(entry, request))
+        response, was_cached = self._answers.get_or_compute(key, evaluate)
         account = current_account()
         if was_cached:
             # Entries are shared between content-identical snapshots, so the
             # stored name may be another alias — relabel for this request.
             response = replace(response, cached=True, database=entry.name)
-            self.metrics_registry.increment("query.cache_hits")
+            self.metrics_registry.increment(f"{kind}.cache_hits")
             if account is not None:
                 account.note_cache_hit()
         else:
-            self.metrics_registry.observe(f"query.{request.engine}", response.elapsed_seconds)
+            self.metrics_registry.observe(histogram, response.elapsed_seconds)
             if account is not None:
                 account.add_operator_seconds(response.elapsed_seconds)
         if account is not None:
             account.add_emitted(sum(len(rows) for rows in response.answers.values()))
-        self.metrics_registry.increment("query.requests")
+        self.metrics_registry.increment(f"{kind}.requests")
         return response
-
-    def query(
-        self,
-        database: str,
-        query: str,
-        method: str = "approx",
-        engine: str = "algebra",
-        virtual_ne: bool = False,
-    ) -> QueryResponse:
-        """Convenience wrapper building the :class:`QueryRequest` inline."""
-        return self.execute(QueryRequest(database, query, method, engine, virtual_ne))
-
-    def classify(self, query_text: str) -> ClassifyResponse:
-        """Classify a query (parse-cached; needs no registered database)."""
-        return build_classify_response(query_text, classify_query(self._parse(query_text)))
-
-    def info(self, name: str) -> InfoResponse:
-        """Describe one registered snapshot."""
-        entry = self.entry(name)
-        return build_info_response(entry.name, entry.database)
-
-    def batch(self, requests, max_workers: int | None = None):
-        """Deduplicated concurrent evaluation; see :mod:`repro.service.batch`.
-
-        With the default worker count, batches share one long-lived thread
-        pool owned by the service, so a bursty client does not pay pool
-        startup/teardown per batch.  Raises :class:`ServiceClosedError` once
-        the service has been closed.
-        """
-        from repro.service.batch import BatchEvaluator
-
-        if max_workers is None:
-            return BatchEvaluator(self, executor=self._shared_executor()).run(requests)
-        self._check_open()
-        return BatchEvaluator(self, max_workers=max_workers).run(requests)
-
-    # Prepared statements --------------------------------------------------------
-
-    def prepare(
-        self,
-        database: str,
-        template: str,
-        method: str = "approx",
-        engine: str = "algebra",
-        virtual_ne: bool = False,
-    ) -> PreparedStatement:
-        """Parse and register a query template; plan work happens per template.
-
-        The template may mention ``$name`` parameters (it need not: preparing
-        a parameter-free query simply pins its parse).  Preparing the same
-        template twice returns the same statement.  The returned statement's
-        id drives :meth:`execute_prepared` / :meth:`execute_prepared_many`.
-        """
-        entry = self.entry(database)
-        query = self._parse(template)
-        statement, created = self._statements.intern(entry.name, query, method, engine, virtual_ne)
-        if created:
-            with self._registry_lock:
-                self._prepared["templates"] += 1
-        return statement
-
-    def statement(self, statement_id: str) -> PreparedStatement:
-        """Look up a prepared statement (:class:`UnknownStatementError` if absent)."""
-        return self._statements.get(statement_id)
-
-    def deallocate(self, statement_id: str) -> None:
-        """Forget one prepared statement."""
-        self._statements.deallocate(statement_id)
-
-    def execute_prepared(self, statement_id: str, params: Mapping[str, str] | None = None) -> QueryResponse:
-        """Execute a prepared statement under one parameter binding.
-
-        Answers are byte-identical to the ad-hoc request whose query text is
-        the bound template — the two share answer-cache entries — but the
-        expression-side work is amortized: the template was parsed once at
-        prepare time, and the compiled + optimized *template plan* is rebound
-        by value substitution instead of recompiled (see
-        :meth:`_approx_prepared` for the generic-vs-custom plan choice).
-        """
-        statement = self._statements.get(statement_id)
-        values = dict(params or {})
-        bound, rendered = statement.bind(values)
-        entry = self.entry(statement.database)
-        with self._registry_lock:
-            self._prepared["executions"] += 1
-        # The trailing False mirrors QueryRequest.profile's default, keeping
-        # the key shape identical to execute() so prepared executions share
-        # answer-cache slots with the equivalent (unprofiled) ad-hoc request.
-        key = (entry.fingerprint, rendered, statement.method, statement.engine, statement.virtual_ne, False)
-        response, was_cached = self._answers.get_or_compute(
-            key, lambda: self._evaluate_prepared(entry, statement, bound, rendered, values)
-        )
-        account = current_account()
-        if was_cached:
-            response = replace(response, cached=True, database=entry.name)
-            self.metrics_registry.increment("execute.cache_hits")
-            if account is not None:
-                account.note_cache_hit()
-        else:
-            self.metrics_registry.observe(f"template.{statement_id}", response.elapsed_seconds)
-            if account is not None:
-                account.add_operator_seconds(response.elapsed_seconds)
-        if account is not None:
-            account.add_emitted(sum(len(rows) for rows in response.answers.values()))
-        self.metrics_registry.increment("execute.requests")
-        return response
-
-    def execute_prepared_many(self, statement_id, bindings, max_workers: int | None = None):
-        """Execute one statement under many bindings (deduplicated, concurrent).
-
-        The prepared counterpart of :meth:`batch`: equal bindings are
-        evaluated once, the unique ones fan out over the shared thread pool,
-        and ``responses[i]`` always answers ``bindings[i]`` (failed bindings
-        carry an :class:`~repro.service.protocol.ErrorResponse` in their
-        slot).  Returns a :class:`~repro.service.protocol.BatchResponse`.
-        """
-        from repro.service.batch import PreparedBatchEvaluator
-
-        if max_workers is None:
-            evaluator = PreparedBatchEvaluator(self, executor=self._shared_executor())
-        else:
-            self._check_open()
-            evaluator = PreparedBatchEvaluator(self, max_workers=max_workers)
-        return evaluator.run(statement_id, bindings)
-
-    def warm(self, requests) -> WarmupReport:
-        """Replay recorded traffic through the caches (the ``--warm`` path).
-
-        Each request is executed exactly as live traffic would be, so the
-        parse, plan and answer caches all fill; errors are counted, not
-        raised — a stale log line must not keep a server from booting.
-        """
-        return replay_warmup(self.execute, requests)
 
     def stats(self) -> StatsResponse:
         with self._registry_lock:
             feedback = dict(self._feedback)
-            prepared = dict(self._prepared)
-        prepared["statements"] = len(self._statements)
-        return StatsResponse(
-            databases=self.database_names(),
-            answer_cache=self._answers.stats().as_dict(),
-            parse_cache=self._parses.stats().as_dict(),
-            batch=dict(self._batch_counters()),
-            uptime_seconds=time.monotonic() - self._started,
-            plan_cache=self._plans.stats().as_dict(),
-            feedback=feedback,
-            prepared=prepared,
-        )
+        return replace(super().stats(), answer_cache=self._answers.stats().as_dict(), feedback=feedback)
 
     def metrics(self) -> MetricsResponse:
         """A telemetry snapshot for ``GET /metrics``.
@@ -636,42 +468,6 @@ class QueryService:
         )
 
     # Internals -----------------------------------------------------------------
-
-    @property
-    def _executor(self):
-        """The shared batch pool, if one currently exists (for tests/debugging)."""
-        return self._lifecycle.pool("batch")
-
-    def _check_open(self) -> None:
-        self._lifecycle.check_open()
-
-    def _shared_executor(self):
-        from repro.service.batch import DEFAULT_MAX_WORKERS
-
-        return self._lifecycle.executor("batch", DEFAULT_MAX_WORKERS, "repro-batch")
-
-    def close(self) -> None:
-        """Shut down the shared batch thread pool; the service is then terminal.
-
-        Closing twice raises :class:`ServiceClosedError` — the old silent
-        idempotence hid real lifecycle bugs in which a post-close ``batch()``
-        quietly spun up a fresh pool that nothing would ever shut down.
-        """
-        self._lifecycle.close()
-
-    def record_batch(self, executed: int, deduplicated: int) -> None:
-        """Called by the batch evaluator to fold its counters into stats()."""
-        with self._registry_lock:
-            self._batch_executed += executed
-            self._batch_deduplicated += deduplicated
-
-    def _batch_counters(self) -> Mapping[str, int]:
-        with self._registry_lock:
-            return {"executed": self._batch_executed, "deduplicated": self._batch_deduplicated}
-
-    def _parse(self, query_text: str) -> Query:
-        query, __ = self._parses.get_or_compute(query_text, lambda: parse_query(query_text))
-        return query
 
     def _absorb_feedback(self, storage: PhysicalDatabase, recorder: CardinalityRecorder, plan_key: tuple) -> None:
         """Fold one execution's observations in; drop the plan if now stale.
@@ -785,19 +581,18 @@ class QueryService:
     def _approx_answers(
         self,
         entry: RegisteredDatabase,
-        storage: PhysicalDatabase,
-        query_text: str,
+        request: QueryRequest,
         query: Query,
-        engine: str,
-        virtual_ne: bool,
         profiler: PlanProfiler | None = None,
     ) -> frozenset[tuple[str, ...]]:
         """The approximate route: plan cache, feedback markers, auto dispatch."""
+        engine, virtual_ne = request.engine, request.virtual_ne
+        storage = entry.storage(virtual_ne)
         evaluator = ApproximateEvaluator(engine=engine, virtual_ne=virtual_ne)
         # The plan depends on the snapshot content and the NE encoding
         # (ph2 derivation is deterministic in both), never on the method,
         # so content-identical snapshots share plans across aliases.
-        plan_key = (entry.fingerprint, query_text, engine, virtual_ne)
+        plan_key = (entry.fingerprint, request.query, engine, virtual_ne)
 
         def compute_plan():
             generation = statistics_for(storage).generation
@@ -826,8 +621,8 @@ class QueryService:
         self,
         entry: RegisteredDatabase,
         statement: PreparedStatement,
+        request: QueryRequest,
         bound_query: Query,
-        rendered: str,
         values: Mapping[str, str],
     ) -> frozenset[tuple[str, ...]]:
         """Approximate route for a prepared execution: rebind the template plan.
@@ -866,9 +661,7 @@ class QueryService:
 
         plan, __ = self._plan_with_markers(storage, template_key, compute_plan)
         if plan is _AST_ROUTE:
-            return self._approx_answers(
-                entry, storage, rendered, bound_query, statement.engine, statement.virtual_ne
-            )
+            return self._approx_answers(entry, request, bound_query)
         if plan is _TARSKI_ROUTE:
             tarskian = ApproximateEvaluator(engine="tarski", virtual_ne=statement.virtual_ne)
             return self._execute_plan(storage, template_key, None, tarskian, bound_query)
@@ -887,9 +680,7 @@ class QueryService:
                 # like the generic estimate — optimize a plan for *it*.
                 with self._registry_lock:
                     self._prepared["custom_plans"] += 1
-                return self._approx_answers(
-                    entry, storage, rendered, bound_query, statement.engine, statement.virtual_ne
-                )
+                return self._approx_answers(entry, request, bound_query)
         with self._registry_lock:
             self._prepared["generic_plans"] += 1
         return self._execute_plan(storage, template_key, bound_plan, evaluator, bound_query)
@@ -911,56 +702,23 @@ class QueryService:
                 bounded_insert(self._generic_costs, key, cached, self._marker_capacity)
         return cached
 
-    def _evaluate_prepared(
+    def _evaluate(
         self,
         entry: RegisteredDatabase,
-        statement: PreparedStatement,
-        bound_query: Query,
-        rendered: str,
-        values: Mapping[str, str],
+        request: QueryRequest,
+        query: Query,
+        approximate: Callable[[PlanProfiler | None], frozenset[tuple[str, ...]]],
     ) -> QueryResponse:
-        started = time.perf_counter()
-        check_deadline("prepared evaluation")
-        answers: dict[str, tuple[tuple[str, ...], ...]] = {}
-        approx: frozenset[tuple[str, ...]] | None = None
-        exact: frozenset[tuple[str, ...]] | None = None
-        if statement.method in ("approx", "both"):
-            approx = self._approx_prepared(entry, statement, bound_query, rendered, values)
-            answers["approximate"] = tuple(tuple(row) for row in answers_to_wire(approx))
-        if statement.method in ("exact", "both"):
-            check_deadline("exact evaluation")
-            exact = self._exact.certain_answers(entry.database, bound_query)
-            answers["exact"] = tuple(tuple(row) for row in answers_to_wire(exact))
-        complete, missed = self._soundness(approx, exact)
-        return QueryResponse(
-            database=entry.name,
-            fingerprint=entry.fingerprint,
-            query=rendered,
-            method=statement.method,
-            engine=statement.engine,
-            virtual_ne=statement.virtual_ne,
-            arity=statement.arity,
-            answers=answers,
-            complete=complete,
-            missed=missed,
-            cached=False,
-            elapsed_seconds=time.perf_counter() - started,
-        )
-
-    def _evaluate(self, entry: RegisteredDatabase, request: QueryRequest) -> QueryResponse:
+        """Evaluate one uncached request; *approximate* runs its approximate route."""
         started = time.perf_counter()
         check_deadline("query evaluation")
-        query = self._parse(request.query)
         answers: dict[str, tuple[tuple[str, ...], ...]] = {}
         approx: frozenset[tuple[str, ...]] | None = None
         exact: frozenset[tuple[str, ...]] | None = None
         profiler = PlanProfiler() if request.profile else None
         if request.method in ("approx", "both"):
-            storage = entry.storage(request.virtual_ne)
             with span("evaluate approx", engine=request.engine):
-                approx = self._approx_answers(
-                    entry, storage, request.query, query, request.engine, request.virtual_ne, profiler
-                )
+                approx = approximate(profiler)
             answers["approximate"] = tuple(tuple(row) for row in answers_to_wire(approx))
         if request.method in ("exact", "both"):
             # The exact route is exponential by design: refuse to start it

@@ -9,10 +9,9 @@ single ``prepare`` call: the template (a query with ``$name`` parameter
 placeholders) is parsed and planned once, and each ``execute`` only binds
 constants into the finished artifacts.
 
-This module holds the parts shared by the single-process service
-(:class:`~repro.service.engine.QueryService`) and the cluster front-end
-(:class:`~repro.cluster.router.ClusterRouter`): the immutable statement
-record and a thread-safe, deduplicating registry.  Statement ids are
+This module holds the immutable statement record and the thread-safe,
+deduplicating registry that :class:`~repro.service.frontend.Frontend` keeps
+for both the single-process service and the cluster router.  Statement ids are
 *session state* — a restarted server forgets them, and clients re-prepare
 on :class:`~repro.errors.UnknownStatementError`.
 """
@@ -28,21 +27,9 @@ from repro.errors import UnknownStatementError
 from repro.logic.printer import query_to_text
 from repro.logic.queries import Query
 from repro.logic.template import bind_query, query_parameters
+from repro.service.protocol import normalize_options
 
-__all__ = ["PreparedStatement", "StatementRegistry", "normalize_statement_options"]
-
-
-def normalize_statement_options(method: str, engine: str, virtual_ne: bool) -> tuple[str, str, bool]:
-    """Validate and normalize evaluation options.
-
-    Delegates to :func:`repro.service.protocol.normalize_options` — one
-    source of the rule, so a prepared statement and the equivalent ad-hoc
-    request always normalize identically and land on the same answer-cache
-    slot.
-    """
-    from repro.service.protocol import normalize_options
-
-    return normalize_options(method, engine, virtual_ne)
+__all__ = ["PreparedStatement", "StatementRegistry"]
 
 
 @dataclass(frozen=True)
@@ -98,8 +85,12 @@ class StatementRegistry:
         engine: str,
         virtual_ne: bool,
     ) -> tuple[PreparedStatement, bool]:
-        """Register (or find) a statement; returns ``(statement, created)``."""
-        method, engine, virtual_ne = normalize_statement_options(method, engine, virtual_ne)
+        """Register (or find) a statement; returns ``(statement, created)``.
+
+        Options normalize exactly as on an ad-hoc request, so a prepared
+        execution lands on the same answer-cache slot as its bound text.
+        """
+        method, engine, virtual_ne = normalize_options(method, engine, virtual_ne)
         template = query_to_text(query)
         key = (database, template, method, engine, virtual_ne)
         with self._lock:

@@ -87,7 +87,7 @@ from repro.observability.recorder import FlightRecorder
 from repro.resilience import deadlines
 from repro.resilience.admission import AdmissionController
 from repro.service.cursors import CursorStore
-from repro.service.engine import QueryService
+from repro.service.frontend import Frontend
 from repro.service.protocol import (
     BatchRequest,
     ClassifyRequest,
@@ -97,7 +97,6 @@ from repro.service.protocol import (
     ExecuteRequest,
     FetchRequest,
     HealthResponse,
-    MetricsResponse,
     PrepareRequest,
     PrepareResponse,
     QueryRequest,
@@ -112,7 +111,7 @@ MAX_REQUEST_BYTES = 4 * 1024 * 1024
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):
-    """A threading HTTP server bound to one :class:`QueryService`."""
+    """A threading HTTP server bound to one front-end: a service or a cluster router."""
 
     daemon_threads = True
     # The socketserver default backlog of 5 drops (ECONNRESET) bursts of new
@@ -123,7 +122,7 @@ class ServiceHTTPServer(ThreadingHTTPServer):
     def __init__(
         self,
         address: tuple[str, int],
-        service: QueryService,
+        service: Frontend,
         quiet: bool = True,
         max_in_flight: int | None = None,
         max_queue_depth: int | None = None,
@@ -151,9 +150,7 @@ class ServiceHTTPServer(ThreadingHTTPServer):
             kwargs["max_in_flight"] = max_in_flight
         if max_queue_depth is not None:
             kwargs["max_queue_depth"] = max_queue_depth
-        self.admission = AdmissionController(
-            metrics=getattr(service, "metrics_registry", None), **kwargs
-        )
+        self.admission = AdmissionController(metrics=service.metrics_registry, **kwargs)
 
     @property
     def base_url(self) -> str:
@@ -197,8 +194,7 @@ class _Handler(BaseHTTPRequestHandler):
             elif url.path == "/stats":
                 self._send_message(200, self.server.service.stats())
             elif url.path == "/metrics":
-                metrics = getattr(self.server.service, "metrics", None)
-                self._send_message(200, metrics() if callable(metrics) else MetricsResponse())
+                self._send_message(200, self.server.service.metrics())
             elif url.path == "/debug/flightrecorder":
                 # Plain JSON rather than a protocol dataclass: an operator
                 # forensic endpoint, versioned by its own ``schema`` field.
@@ -280,9 +276,7 @@ class _Handler(BaseHTTPRequestHandler):
         response: object,
     ) -> None:
         """Fold one finished POST into aggregate and forensic telemetry."""
-        registry = getattr(self.server.service, "metrics_registry", None)
-        if registry is not None:
-            account.charge_metrics(registry)
+        account.charge_metrics(self.server.service.metrics_registry)
         recorder = self.server.flight_recorder
         duration_ms = (time.perf_counter() - started) * 1000.0
         # Cheap precheck mirroring the recorder's capture predicate: fast
@@ -307,9 +301,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _dispatch_post(self, path: str, message: object):
         """Route one parsed POST message to the engine; returns the response."""
         service = self.server.service
-        registry = getattr(service, "metrics_registry", None)
-        timer = registry.time(f"http.{path}") if registry is not None else contextlib.nullcontext()
-        with timer:
+        with service.metrics_registry.time(f"http.{path}"):
             if path == "/query":
                 request = _expect_type(message, QueryRequest)
                 return service.execute(request)
@@ -396,8 +388,8 @@ class _Handler(BaseHTTPRequestHandler):
             super().log_message(format, *args)
 
 
-def _prepare_response(service, statement) -> PrepareResponse:
-    """Wire form of a registered statement (shared by service and cluster)."""
+def _prepare_response(service: Frontend, statement) -> PrepareResponse:
+    """Wire form of a registered statement."""
     return PrepareResponse(
         statement_id=statement.statement_id,
         database=statement.database,
@@ -431,7 +423,7 @@ def _status_for(error: ReproError) -> int:
 
 
 def make_server(
-    service: QueryService,
+    service: Frontend,
     host: str = "127.0.0.1",
     port: int = 0,
     quiet: bool = True,
@@ -454,7 +446,7 @@ def make_server(
 
 @contextlib.contextmanager
 def running_server(
-    service: QueryService,
+    service: Frontend,
     host: str = "127.0.0.1",
     port: int = 0,
     quiet: bool = True,
@@ -491,7 +483,7 @@ def running_server(
         server.server_close()
 
 
-def serve(service: QueryService, host: str = "127.0.0.1", port: int = 8080, quiet: bool = False) -> None:
+def serve(service: Frontend, host: str = "127.0.0.1", port: int = 8080, quiet: bool = False) -> None:
     """Serve forever in the foreground (the CLI's ``serve`` command)."""
     with make_server(service, host, port, quiet=quiet) as server:
         print(f"repro service listening on {server.base_url}")

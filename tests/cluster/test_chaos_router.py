@@ -313,6 +313,41 @@ class TestDegradedMode:
         finally:
             router.close()
 
+    def test_prepared_executions_are_served_stale_too(self):
+        database = _database()
+        scripted = {}
+
+        def wrap(backend, index):
+            scripted[index] = _Scripted(backend)
+            return scripted[index]
+
+        router = local_router(
+            {"db": database},
+            shards=2,
+            replicas=1,
+            replication_threshold=0,
+            degraded="stale_cache",
+            backend_wrapper=wrap,
+        )
+        try:
+            statement = router.prepare("db", "(x) . R(x, $y)")
+            fresh = router.execute_prepared(statement.statement_id, {"y": "c0"})
+            assert fresh.degraded is False
+            assert fresh.answers["approximate"]
+            for backend in scripted.values():
+                backend.errors = [ServiceUnavailableError("dead", sent_request=False)] * 1000
+            stale = router.execute_prepared(statement.statement_id, {"y": "c0"})
+            assert stale.degraded is True
+            assert stale.cached is True
+            assert stale.answers == fresh.answers
+            # The bound text is the same request ad hoc: one stale entry.
+            adhoc = router.execute(QueryRequest("db", fresh.query, "approx", "algebra", False))
+            assert adhoc.degraded is True
+            assert adhoc.answers == fresh.answers
+            assert router.metrics().counters["router.degraded_served"] == 2
+        finally:
+            router.close()
+
     def test_unknown_degraded_mode_is_rejected(self):
         with pytest.raises(ClusterError, match="unknown degraded mode"):
             local_router({"db": _database()}, shards=2, replicas=1, degraded="guesswork")

@@ -32,6 +32,10 @@ def main() -> None:
     london = jack_the_ripper_database()
     print("database:", london.describe())
     print("constants:", ", ".join(london.constants))
+    # The database stores its uniqueness axioms as the paper's U / NE':
+    # the unknown values, and the inequalities known about them.
+    print("unknown values U:", ", ".join(sorted(london.unknown_constants())))
+    print("NE' (known inequalities involving them):", london.explicit_pairs() or "none")
     print()
 
     innocent = parse_query("(x) . LIVED_IN_LONDON(x) & ~MURDERER(x)")
@@ -57,6 +61,8 @@ def main() -> None:
         .with_unequal("jack_the_ripper", "charles_dickens")
     )
     print("after ruling out Watson and Dickens:")
+    # One unknown pair is left; either of its constants covers it as U.
+    print("  U now:", ", ".join(sorted(narrowed.unknown_constants())), "  NE' now:", narrowed.explicit_pairs())
     exact = certain_answers(narrowed, innocent)
     approx = approximate_answers(narrowed, innocent)
     print("  provably innocent (exact):       ", sorted(exact))
@@ -67,11 +73,11 @@ def main() -> None:
     # The Theorem 3 simulation is only runnable on truly tiny instances (it
     # enumerates every candidate relation for the quantified H and primed
     # predicates), so the cross-check uses a two-suspect extract of the case.
-    tiny = CWDatabase(
+    tiny = CWDatabase.from_unknowns(
         constants=("jack_the_ripper", "benjamin_disraeli"),
         predicates={"MURDERER": 1},
         facts={"MURDERER": [("jack_the_ripper",)]},
-        unequal=[],
+        unknown=["jack_the_ripper"],
     )
     print("Theorem 3 cross-check (second-order simulation over Ph2, two-suspect extract):")
     simulated = evaluate_by_simulation(tiny, parse_query("(x) . MURDERER(x)"))

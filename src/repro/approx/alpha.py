@@ -99,7 +99,7 @@ def disagree(c: Sequence[str], d: Sequence[str], ne_pairs) -> bool:
     """Decide whether tuples *c* and *d* disagree with respect to the theory.
 
     ``ne_pairs`` is anything supporting ``(a, b) in ne_pairs`` — typically the
-    (possibly virtual) ``NE`` relation of ``Ph2(LB)``.  Following Lemma 10,
+    ``NE`` relation of ``Ph2(LB)``.  Following Lemma 10,
     build the graph ``G_{c,d}`` with an edge between ``c_i`` and ``d_i`` for
     every position ``i`` and check whether some two constants in the same
     connected component are a declared-unequal pair.

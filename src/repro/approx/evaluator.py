@@ -58,9 +58,6 @@ class ApproximateEvaluator:
         ``"tarski"`` for the direct semantic evaluator, ``"algebra"`` for the
         compile-to-relational-algebra path, ``"auto"`` for the cost-based
         dispatcher that picks per query (answers are identical either way).
-    virtual_ne:
-        When True, ``Ph2(LB)`` stores the inequality relation virtually via
-        the compact ``U``/``NE'`` encoding instead of materializing it.
     max_relations:
         Cap per second-order quantifier if the query is second order.
     optimize:
@@ -70,7 +67,6 @@ class ApproximateEvaluator:
 
     mode: str = "direct"
     engine: str = "tarski"
-    virtual_ne: bool = False
     max_relations: int = DEFAULT_MAX_RELATIONS
     optimize: bool = True
 
@@ -82,7 +78,7 @@ class ApproximateEvaluator:
 
     def storage(self, database: CWDatabase) -> PhysicalDatabase:
         """The stored representation of the logical database: ``Ph2(LB)``."""
-        return ph2(database, virtual_ne=self.virtual_ne)
+        return ph2(database)
 
     def rewrite(self, query: Query) -> Query:
         """The compiled query ``Q-hat``."""
@@ -100,7 +96,7 @@ class ApproximateEvaluator:
         ``auto`` dispatcher — or a second-order rewrite).  The plan is
         specific to *storage* — compilation consults its constants and
         active domain — so cache it keyed on the storage's content (the
-        serving layer uses the snapshot fingerprint plus the ``NE`` encoding).
+        serving layer uses the snapshot fingerprint).
         """
         rewritten = self.rewrite(query)
         if self.engine == "tarski" or not is_first_order(rewritten.formula):
@@ -178,10 +174,9 @@ def approximate_answers(
     query: Query,
     mode: str = "direct",
     engine: str = "tarski",
-    virtual_ne: bool = False,
 ) -> frozenset[tuple[str, ...]]:
     """Convenience wrapper: ``A(Q, LB)`` with a one-shot evaluator."""
-    evaluator = ApproximateEvaluator(mode=mode, engine=engine, virtual_ne=virtual_ne)
+    evaluator = ApproximateEvaluator(mode=mode, engine=engine)
     return evaluator.answers(database, query)
 
 

@@ -2,8 +2,8 @@
 
 This is the thin "DBA view" of the library: point it at a directory written
 by :func:`repro.physical.csvio.save_cw_database` (``schema.json``, one CSV
-per predicate, ``unequal.csv``) and ask queries in the textual query
-language.  Three evaluation routes are exposed:
+per predicate, ``unknown.csv`` and ``ne_prime.csv``) and ask queries in the
+textual query language.  Three evaluation routes are exposed:
 
 * ``approx`` (default) — the sound polynomial approximation of Section 5;
 * ``exact`` — certain answers via Theorem 1 (exponential; refuses to start
@@ -296,10 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="approximation engine (default algebra)",
     )
     c_prepared.add_argument(
-        "--virtual-ne", action="store_true",
-        help="store the inequality relation virtually (U/NE' encoding)",
-    )
-    c_prepared.add_argument(
         "--json", action="store_true",
         help="print the raw protocol responses instead of text",
     )
@@ -362,11 +358,6 @@ def _add_query_options(parser: argparse.ArgumentParser) -> None:
         help="engine used by the approximation (default: auto — a cost-based dispatcher "
         "picks between the Tarskian evaluator and the relational algebra per query; "
         "answers are identical under every engine)",
-    )
-    parser.add_argument(
-        "--virtual-ne",
-        action="store_true",
-        help="store the inequality relation virtually (U/NE' encoding)",
     )
     parser.add_argument(
         "--param",
@@ -433,9 +424,7 @@ def _command_query(arguments: argparse.Namespace) -> int:
         if is_template and not arguments.analyze:
             # The prepared path: the CLI exercises exactly the session API
             # a server would, so the printed response is byte-compatible.
-            statement = service.prepare(
-                name, arguments.query, arguments.method, arguments.engine, arguments.virtual_ne
-            )
+            statement = service.prepare(name, arguments.query, arguments.method, arguments.engine)
             response = service.execute_prepared(statement.statement_id, params)
         else:
             text = arguments.query
@@ -447,9 +436,7 @@ def _command_query(arguments: argparse.Namespace) -> int:
 
                 text = str(bind_query(parse_query(text), params))
             response = service.execute(
-                QueryRequest(
-                    name, text, arguments.method, arguments.engine, arguments.virtual_ne, arguments.analyze
-                )
+                QueryRequest(name, text, arguments.method, arguments.engine, arguments.analyze)
             )
         print(dump_wire(response, indent=2))
         return 0
@@ -464,7 +451,7 @@ def _command_query(arguments: argparse.Namespace) -> int:
     results: dict[str, frozenset[tuple[str, ...]]] = {}
     profiler: PlanProfiler | None = None
     if arguments.method in ("approx", "both"):
-        evaluator = ApproximateEvaluator(engine=arguments.engine, virtual_ne=arguments.virtual_ne)
+        evaluator = ApproximateEvaluator(engine=arguments.engine)
         if arguments.analyze:
             profiler = PlanProfiler()
             results["approximate"] = evaluator.answers_on_storage(
@@ -834,9 +821,7 @@ def _command_client(arguments: argparse.Namespace) -> int:
                 )
             # Templates go through the session API so the server binds them;
             # an unparameterized query stays on the classic route.
-            handle = client.prepare(
-                arguments.name, arguments.query, arguments.method, arguments.engine, arguments.virtual_ne
-            )
+            handle = client.prepare(arguments.name, arguments.query, arguments.method, arguments.engine)
             response = handle.execute(params)
         else:
             response = client.query(
@@ -844,7 +829,6 @@ def _command_client(arguments: argparse.Namespace) -> int:
                 arguments.query,
                 arguments.method,
                 arguments.engine,
-                arguments.virtual_ne,
                 profile=arguments.analyze,
             )
         if arguments.json:
@@ -868,7 +852,6 @@ def _command_client(arguments: argparse.Namespace) -> int:
             arguments.query,
             arguments.method,
             arguments.engine,
-            arguments.virtual_ne,
             profile=True,
         )
         if arguments.json:
@@ -891,13 +874,7 @@ def _command_client(arguments: argparse.Namespace) -> int:
 
 def _command_client_prepared(client: ServiceClient, arguments: argparse.Namespace) -> int:
     """The ``repro client URL prepared`` mode: prepare once, execute bindings."""
-    handle = client.prepare(
-        arguments.name,
-        arguments.template,
-        arguments.method,
-        arguments.engine,
-        arguments.virtual_ne,
-    )
+    handle = client.prepare(arguments.name, arguments.template, arguments.method, arguments.engine)
     bindings = _parse_bindings(arguments.bind)
     if not arguments.json:
         needed = ", ".join(f"${name}" for name in handle.parameters) or "none"

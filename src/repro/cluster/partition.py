@@ -199,11 +199,9 @@ def partition_database(name: str, database: CWDatabase, scheme: PartitionScheme)
             for row in rows:
                 shard_facts[shard_of(predicate, row, scheme.n_shards)][predicate].add(row)
 
-    constants = database.constants
-    predicates = dict(database.predicates)
-    unequal = database.unequal_pairs()
     shards = tuple(
-        CWDatabase(constants, predicates, facts, unequal) for facts in shard_facts
+        CWDatabase.from_unknowns(database.constants, database.predicates, facts, database.unknown, database.explicit)
+        for facts in shard_facts
     )
     if scheme.n_shards == 1 and shards[0].fingerprint() != database.fingerprint():
         raise ClusterError(

@@ -633,7 +633,6 @@ class ClusterRouter(Frontend):
             query=request.query,
             method=request.method,
             engine=request.engine,
-            virtual_ne=request.virtual_ne,
             arity=query.arity,
             answers={
                 label: tuple(tuple(row) for row in answers_to_wire(rows))

@@ -11,12 +11,15 @@ while the old object sticks around for readers mid-flight.
 Layout::
 
     <root>/
-      manifest.json              # {"v": 1, "snapshots": {name: {...}}}
+      manifest.json              # {"v": 2, "snapshots": {name: {...}}}
       objects/<fingerprint>/     # CSV layout of save_cw_database()
         schema.json
         <predicate>.csv ...
-        unequal.csv
+        unknown.csv, ne_prime.csv  # the U / NE' encoding of the axioms
         statistics.json          # optimizer statistics of the Ph2 storage
+
+Version 2 fingerprints cover the ``U``/``NE'`` encoding (version 1 covered
+the quadratic pair set), so a version 1 store is refused, not misread.
 
 Writes are atomic at every level: objects are staged in a scratch directory
 and published with ``os.replace`` (readers never observe a half-written
@@ -51,7 +54,7 @@ from repro.physical.statistics import MAX_OBSERVATIONS, bounded_insert, statisti
 
 __all__ = ["MANIFEST_VERSION", "SnapshotRecord", "LoadedSnapshot", "SnapshotStore"]
 
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
 _MANIFEST_FILE = "manifest.json"
 _OBJECTS_DIR = "objects"
@@ -138,7 +141,7 @@ class SnapshotStore:
             try:
                 save_cw_database(database, scratch)
                 if with_statistics:
-                    payload = statistics_payload(ph2(database, virtual_ne=False))
+                    payload = statistics_payload(ph2(database))
                     (scratch / _STATISTICS_FILE).write_text(json.dumps(payload, sort_keys=True))
                 try:
                     os.replace(scratch, object_dir)
@@ -154,7 +157,7 @@ class SnapshotStore:
             # The content was first stored without statistics; honour this
             # call's request by backfilling them (derived data, so adding the
             # file never violates content addressing).
-            payload = statistics_payload(ph2(database, virtual_ne=False))
+            payload = statistics_payload(ph2(database))
             staging = object_dir / f"{_STATISTICS_FILE}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp"
             staging.write_text(json.dumps(payload, sort_keys=True))
             os.replace(staging, object_dir / _STATISTICS_FILE)

@@ -48,7 +48,7 @@ from repro.logical.models import (
     is_model,
 )
 from repro.logical.ph import NE_PREDICATE, ph1, ph2
-from repro.logical.unknowns import CompactNEEncoding, VirtualNERelation, compact_ne_encoding
+from repro.logical.unknowns import VirtualNERelation
 
 __all__ = [
     "CWDatabase",
@@ -84,7 +84,5 @@ __all__ = [
     "is_model",
     "enumerate_models",
     "certain_answers_by_model_checking",
-    "CompactNEEncoding",
     "VirtualNERelation",
-    "compact_ne_encoding",
 ]

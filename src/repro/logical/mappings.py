@@ -58,10 +58,12 @@ def respects(mapping: Mapping[str, str], database: CWDatabase) -> bool:
     This is the paper's "h respects T": whenever ``~(c_i = c_j)`` is in the
     theory, ``h(c_i) != h(c_j)``.
     """
-    for pair in database.unequal:
-        left, right = tuple(pair)
-        if mapping[left] == mapping[right]:
+    blocks: dict[str, list[str]] = {}
+    for constant in database.constants:
+        block = blocks.setdefault(mapping[constant], [])
+        if any(database.are_known_distinct(constant, member) for member in block):
             return False
+        block.append(constant)
     return True
 
 

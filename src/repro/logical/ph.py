@@ -10,9 +10,9 @@
   (second-order) simulation of Theorem 3 and the approximation algorithm of
   Section 5.
 
-``ph2`` can materialize ``NE`` explicitly (quadratic in the worst case) or
-store it as a *virtual* relation backed by the compact ``U``/``NE'``
-encoding the paper recommends at the end of Section 5.
+``NE`` is never materialized: it is the
+:class:`~repro.logical.unknowns.VirtualNERelation` over the database's own
+``U``/``NE'`` encoding, as the paper recommends at the end of Section 5.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from repro.logic.vocabulary import NE_PREDICATE
 from repro.physical.database import PhysicalDatabase
 from repro.logical.database import CWDatabase
-from repro.logical.unknowns import VirtualNERelation, compact_ne_encoding
+from repro.logical.unknowns import VirtualNERelation
 
 __all__ = ["ph1", "ph2", "NE_PREDICATE"]
 
@@ -36,29 +36,13 @@ def ph1(database: CWDatabase) -> PhysicalDatabase:
     )
 
 
-def ph2(database: CWDatabase, virtual_ne: bool = False) -> PhysicalDatabase:
-    """Construct ``Ph2(LB)``: ``Ph1(LB)`` plus the inequality relation ``NE``.
-
-    With ``virtual_ne=True`` the ``NE`` relation is not materialized; instead
-    a :class:`~repro.logical.unknowns.VirtualNERelation` answers membership
-    queries from the compact ``U``/``NE'`` encoding (Section 5, final
-    paragraph).  Both representations yield identical query answers —
-    experiment E10 checks that and compares their sizes.
-    """
+def ph2(database: CWDatabase) -> PhysicalDatabase:
+    """Construct ``Ph2(LB)``: ``Ph1(LB)`` plus the inequality relation ``NE``."""
     constants = database.constants
-    vocabulary = database.vocabulary.with_ne()
     relations: dict[str, object] = {predicate: rows for predicate, rows in database.facts.items()}
-    if virtual_ne:
-        relations[NE_PREDICATE] = VirtualNERelation(compact_ne_encoding(database))
-    else:
-        ne_tuples = set()
-        for pair in database.unequal:
-            left, right = sorted(pair)
-            ne_tuples.add((left, right))
-            ne_tuples.add((right, left))
-        relations[NE_PREDICATE] = ne_tuples
+    relations[NE_PREDICATE] = VirtualNERelation(database)
     return PhysicalDatabase(
-        vocabulary=vocabulary,
+        vocabulary=database.vocabulary.with_ne(),
         domain=constants,
         constants={name: name for name in constants},
         relations=relations,

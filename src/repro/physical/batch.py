@@ -44,7 +44,7 @@ vectorize=False)`` runs the tuple executor as the reference.
 
 from __future__ import annotations
 
-from itertools import chain, islice
+from itertools import chain
 from time import perf_counter
 from typing import Iterator, Mapping, Sequence
 
@@ -152,9 +152,9 @@ def columnar_relation(database: PhysicalDatabase, name: str) -> tuple[tuple[tupl
     (sorted by repr, matching ``Relation.__iter__``).  Cached with the same
     ``object.__setattr__`` idiom as the hash indexes — databases are
     immutable, so the columnar image can never go stale.  Only materialized
-    :class:`~repro.physical.relation.Relation` instances are cached; lazy
-    relations are scanned in chunks instead (see ``_BatchContext``) because
-    materializing them defeats their purpose.
+    :class:`~repro.physical.relation.Relation` instances have one: the lazy
+    ``NE`` of ``Ph2`` is never scanned (compiled plans read its complement
+    ``PE``), and materializing it would defeat its purpose.
     """
     cache = database.__dict__.get("_columnar")
     if cache is None:
@@ -385,28 +385,15 @@ class _BatchContext(_ExecutionContext):
     # Access paths -------------------------------------------------------------
 
     def _scan_batches(self, relation_name: str, charge: bool) -> Iterator[ColumnBatch]:
-        """Columnar slices of a stored relation (chunked rows for lazy ones)."""
-        relation = self.database.relation(relation_name)
+        """Columnar slices of a stored relation."""
         account = self.account if charge else None
         size = self.batch_rows
-        if isinstance(relation, Relation):
-            columns, total = columnar_relation(self.database, relation_name)
-            for start in range(0, total, size):
-                stop = min(start + size, total)
-                if account is not None:
-                    account.rows_scanned += stop - start
-                yield ColumnBatch(tuple(column[start:stop] for column in columns), stop - start)
-            return
-        # Lazy relation (the virtual NE encoding): stream row chunks without
-        # caching a columnar image whose materialized size is quadratic.
-        iterator = iter(relation)
-        while True:
-            chunk = [tuple(row) for row in islice(iterator, size)]
-            if not chunk:
-                return
+        columns, total = columnar_relation(self.database, relation_name)
+        for start in range(0, total, size):
+            stop = min(start + size, total)
             if account is not None:
-                account.rows_scanned += len(chunk)
-            yield ColumnBatch(tuple(zip(*chunk)), len(chunk))
+                account.rows_scanned += stop - start
+            yield ColumnBatch(tuple(column[start:stop] for column in columns), stop - start)
 
     def _rows_to_batches(self, rows: Sequence[tuple], width: int) -> Iterator[ColumnBatch]:
         """Chunk already-materialized row tuples (index buckets) into batches."""
@@ -428,7 +415,7 @@ class _BatchContext(_ExecutionContext):
                     self.account.rows_scanned += len(rows)
                 yield from self._rows_to_batches(rows, len(plan.columns))
                 return
-        # No index available (lazy relation) or indexing disabled: filter scan.
+        # Indexing disabled: filter scan.
         if self.profiler is not None:
             self.profiler.note_access(plan, "scan")
         if self.account is not None:

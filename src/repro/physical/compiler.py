@@ -35,6 +35,8 @@ few survivors whose graph ``G_{c,d}`` merges columns (:class:`_MayCoincide`).
 Constant and ``$parameter`` arguments are bindings on ``PE``'s first column,
 so a template compiles once and is rebound by
 :func:`~repro.physical.plan.substitute_plan_parameters` like any other plan.
+A negated equality, rewritten to ``NE(t1, t2)``, is the same idea with no
+stored side: ``universe(vars) |> PE(t1, t2)``, so no plan ever scans ``NE``.
 The per-tuple decision procedure :meth:`repro.approx.alpha.AlphaAtom.holds`
 is the test oracle, not part of this path.
 """
@@ -62,7 +64,7 @@ from repro.logic.formulas import (
 from repro.logic.queries import Query
 from repro.logic.terms import Constant, Parameter, Variable
 from repro.logic.transform import eliminate_implications, standardize_apart
-from repro.logic.vocabulary import PE_PREDICATE
+from repro.logic.vocabulary import NE_PREDICATE, PE_PREDICATE
 from repro.physical.algebra import execute
 from repro.physical.database import PhysicalDatabase
 from repro.physical.optimizer import optimize as optimize_plan
@@ -142,6 +144,8 @@ def _compile(formula: Formula, database: PhysicalDatabase) -> tuple[PlanNode, tu
     if isinstance(formula, ExtensionAtom):
         return _compile_extension_atom(formula, database)
     if isinstance(formula, Atom):
+        if formula.predicate == NE_PREDICATE:
+            return _compile_inequality(formula, database)
         return _compile_atom(formula, database)
     if isinstance(formula, Equals):
         return _compile_equality(formula, database)
@@ -176,6 +180,17 @@ def _compile(formula: Formula, database: PhysicalDatabase) -> tuple[PlanNode, tu
         rewritten = Not(Exists(formula.variables, Not(formula.body)))
         return _compile(rewritten, database)
     raise UnsupportedFormulaError(f"cannot compile formula node {type(formula).__name__}")
+
+
+def _compile_inequality(atom: Atom, database: PhysicalDatabase) -> tuple[PlanNode, tuple[str, ...]]:
+    """``NE(t1, t2)`` — the rewriting of ``~(t1 = t2)`` — as ``universe |> PE(t1, t2)``.
+
+    Over the active domain ``NE`` is exactly the complement of ``PE``, so no
+    plan scans ``NE``; the ``PE`` side is an ordinary atom (constants and
+    parameters become bindings, a repeated variable an equality).
+    """
+    plan, columns = _compile_atom(Atom(PE_PREDICATE, atom.args), database)
+    return AntiJoin(_universe(columns), plan, tuple((c, c) for c in columns)), columns
 
 
 def _compile_atom(atom: Atom, database: PhysicalDatabase) -> tuple[PlanNode, tuple[str, ...]]:

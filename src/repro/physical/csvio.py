@@ -4,15 +4,19 @@ The on-disk layout keeps a database human-editable:
 
 * ``schema.json`` — constants and predicate arities;
 * ``<predicate>.csv`` — one file per predicate, one tuple per row;
-* for logical databases additionally ``unequal.csv`` — one uniqueness axiom
-  (pair of distinct constants) per row.
+* for logical databases additionally the uniqueness axioms in the paper's
+  ``U``/``NE'`` encoding (Section 5, end): ``unknown.csv`` — one unknown
+  value per row — and ``ne_prime.csv`` — one declared inequality touching an
+  unknown value per row.  Every other pair of distinct constants is
+  declared unequal, so the files stay small however many axioms there are.
+  A directory without ``unknown.csv`` is read in the older layout:
+  ``unequal.csv``, one axiom per row (no such file: no axioms).
 
 Values are stored as strings; physical databases loaded from disk therefore
 have string domains, which matches the ``Ph1``/``Ph2`` databases the library
 constructs from logical databases.  A loaded database holds **one** ``str``
 object per value: every CSV cell is mapped through the schema's constant (or
-domain) list, because ``csv.reader`` hands out a fresh string per cell and a
-logical database names each constant in up to ``|C|`` rows of ``unequal.csv``.
+domain) list, because ``csv.reader`` hands out a fresh string per cell.
 """
 
 from __future__ import annotations
@@ -33,7 +37,9 @@ __all__ = [
 ]
 
 _SCHEMA_FILE = "schema.json"
-_UNEQUAL_FILE = "unequal.csv"
+_UNKNOWN_FILE = "unknown.csv"
+_NE_PRIME_FILE = "ne_prime.csv"
+_LEGACY_UNEQUAL_FILE = "unequal.csv"
 
 
 def save_physical_database(database: PhysicalDatabase, directory: str | Path) -> Path:
@@ -89,10 +95,10 @@ def save_cw_database(database, directory: str | Path) -> Path:
             writer = csv.writer(handle)
             for row in sorted(database.facts_for(predicate)):
                 writer.writerow(list(row))
-    with (path / _UNEQUAL_FILE).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        for left, right in sorted(database.unequal_pairs()):
-            writer.writerow([left, right])
+    with (path / _UNKNOWN_FILE).open("w", newline="") as handle:
+        csv.writer(handle).writerows([name] for name in sorted(database.unknown))
+    with (path / _NE_PRIME_FILE).open("w", newline="") as handle:
+        csv.writer(handle).writerows(database.explicit_pairs())
     return path
 
 
@@ -110,12 +116,15 @@ def load_cw_database(directory: str | Path):
     facts = {}
     for predicate in predicates:
         facts[predicate] = set(_read_rows(path / f"{predicate}.csv", values))
-    unequal = set(_read_rows(path / _UNEQUAL_FILE, values))
-    return CWDatabase(
-        constants=tuple(schema["constants"]),
-        predicates=predicates,
-        facts=facts,
-        unequal=unequal,
+    constants = tuple(schema["constants"])
+    if not (path / _UNKNOWN_FILE).exists():
+        return CWDatabase(constants, predicates, facts, _read_rows(path / _LEGACY_UNEQUAL_FILE, values))
+    return CWDatabase.from_unknowns(
+        constants,
+        predicates,
+        facts,
+        unknown=[name for row in _read_rows(path / _UNKNOWN_FILE, values) for name in row],
+        explicit=_read_rows(path / _NE_PRIME_FILE, values),
     )
 
 

@@ -7,8 +7,8 @@ predicate symbol; equality is always interpreted as true equality.
 
 :class:`PhysicalDatabase` is immutable; the ``with_*`` methods produce
 modified copies.  Relations may be ordinary :class:`~repro.physical.relation.Relation`
-objects or lazy relation-like objects (used for the virtual ``NE`` relation
-of Section 5).
+objects or lazy relation-like objects (the ``NE`` relation of ``Ph2``,
+read off the ``U``/``NE'`` encoding of Section 5).
 
 **Immutability contract.**  Instances never change after construction —
 updates return fresh copies — so :meth:`PhysicalDatabase.fingerprint` is a
@@ -204,18 +204,15 @@ class PhysicalDatabase:
         Computed once and cached on the instance — the same immutability
         contract as :meth:`fingerprint`.  The algebra engine consults the
         active domain on every ``ActiveDomain`` plan node and every compile,
-        so recomputing it (which iterates every stored tuple, including lazy
-        relations) used to dominate small-query latency.
+        so recomputing it (which iterates every stored tuple) used to
+        dominate small-query latency.  Lazy relations report their values
+        without enumerating their tuples.
         """
         cached = self.__dict__.get("_active_domain")
         if cached is None:
             values = set(self.constants.values())
             for relation in self.relations.values():
-                if isinstance(relation, Relation):
-                    values |= relation.values()
-                else:
-                    for row in relation:
-                        values |= set(row)
+                values |= relation.values()
             cached = frozenset(values)
             object.__setattr__(self, "_active_domain", cached)
         return cached
@@ -226,14 +223,19 @@ class PhysicalDatabase:
         The complement of ``NE`` (read in both orientations, like Lemma 10's
         disagreement test) over the active domain, reflexive pairs included:
         ``PE(a, b)`` iff the theory does not force ``a != b``.  Compiled
-        ``alpha_P`` plans join against it under the reserved name
-        :data:`~repro.logic.vocabulary.PE_PREDICATE`.  It is derived, not
-        stored: absent from :attr:`vocabulary`, :attr:`relations`,
-        :meth:`fingerprint` and :meth:`total_tuples`, built on first use from
-        membership probes only (so a virtual ``NE`` is never enumerated) and
-        cached on the instance.  Unlike the other instance caches the build
-        takes a lock: it costs a pass over the squared active domain, and
-        the serving layer's threads share one instance.
+        ``alpha_P`` plans and ``~(t1 = t2)`` anti-joins read it under the
+        reserved name :data:`~repro.logic.vocabulary.PE_PREDICATE`.  It is
+        derived, not stored: absent from :attr:`vocabulary`,
+        :attr:`relations`, :meth:`fingerprint` and :meth:`total_tuples`,
+        built on first use and cached on the instance.
+
+        Off the diagonal, ``PE(a, b)`` needs ``a`` or ``b`` in ``NE``'s set
+        ``U`` of unknown values (outside it every distinct pair is unequal),
+        so the build probes ``NE`` membership on ``U x active domain`` only:
+        ``|U|·|C|`` work on ``Ph2``.  An ``NE`` without a ``U`` (a plain
+        relation) is probed on every pair.  Unlike the other instance caches
+        the build takes a lock: the serving layer's threads share one
+        instance.
         """
         cached = self.__dict__.get("_possibly_equal")
         if cached is None:
@@ -241,13 +243,13 @@ class PhysicalDatabase:
                 cached = self.__dict__.get("_possibly_equal")
                 if cached is None:
                     unequal = self.relations.get(NE_PREDICATE, ())
-                    values = sorted(self.active_domain(), key=repr)
-                    pairs = [(value, value) for value in values]
-                    for index, left in enumerate(values):
-                        for right in values[index + 1 :]:
+                    values = self.active_domain()
+                    pairs = {(value, value) for value in values}
+                    for left in getattr(unequal, "unknown", values) & values:
+                        for right in values:
                             if (left, right) not in unequal and (right, left) not in unequal:
-                                pairs.append((left, right))
-                                pairs.append((right, left))
+                                pairs.add((left, right))
+                                pairs.add((right, left))
                     cached = Relation(PE_PREDICATE, 2, pairs)
                     object.__setattr__(self, "_possibly_equal", cached)
         return cached

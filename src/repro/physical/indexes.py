@@ -13,8 +13,8 @@ Indexes are built on demand per ``(relation, column positions)`` request and
 cached on the database instance with the same ``object.__setattr__`` idiom as
 ``PhysicalDatabase.fingerprint`` — databases are immutable, so an index can
 never go stale, and content-addressed cache keys elsewhere (fingerprints)
-remain the sole invalidation mechanism.  Lazy relations (the virtual ``NE``
-encoding) are deliberately *not* indexed: materializing them defeats their
+remain the sole invalidation mechanism.  Lazy relations (the ``NE`` of
+``Ph2``) are deliberately *not* indexed: materializing them defeats their
 purpose, so lookups against them fall back to scanning, exactly as before.
 
 Index construction is thread-safe: the serving layer executes plans against

@@ -5,10 +5,11 @@ implementations share the :class:`RelationLike` interface:
 
 * :class:`Relation` — an ordinary materialized set of tuples;
 * lazy relations (see :class:`repro.logical.unknowns.VirtualNERelation`) that
-  compute membership on demand.  The paper's Section 5 closes by observing
-  that the inequality relation ``NE`` should be *virtual* because its
-  materialized size is quadratic in the number of constants; the lazy
-  interface is what makes that observation implementable.
+  compute membership, length and values on demand.  The paper's Section 5
+  closes by observing that the inequality relation ``NE`` should be
+  *virtual* because its materialized size is quadratic in the number of
+  constants; the lazy interface is what makes that observation
+  implementable.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ class RelationLike(Protocol):
     def __iter__(self) -> Iterator[tuple]: ...
 
     def __len__(self) -> int: ...
+
+    def values(self) -> frozenset: ...
 
 
 @dataclass(frozen=True)

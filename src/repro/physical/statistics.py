@@ -8,8 +8,9 @@ once per database instance, and cached on the instance — sound because
 physical databases are immutable (the same contract ``fingerprint()`` and
 ``active_domain()`` rely on).
 
-Lazy relations (the virtual ``NE`` of Section 5) are *not* iterated to count
-distinct values: their ``len()`` is cheap but enumeration can be quadratic,
+Lazy relations (the ``NE`` of ``Ph2``, read off the ``U``/``NE'`` encoding of
+Section 5) are *not* iterated to count distinct values: their ``len()`` is
+computed from the encoding but enumeration is quadratic,
 so their per-column distinct counts are approximated from the domain size.
 """
 

@@ -4,7 +4,7 @@ The serving layer caches two kinds of derived objects:
 
 * parsed + rewritten queries, keyed on the query text (and rewrite mode);
 * answer sets, keyed on ``(db_fingerprint, query_text, method, engine,
-  virtual_ne)``.
+  profile)``.
 
 Both caches see concurrent access from the batch executor and the HTTP
 front-end, so every operation takes a single lock; the cached values

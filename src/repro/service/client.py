@@ -162,10 +162,9 @@ class ServiceClient:
         query: str,
         method: str = "approx",
         engine: str = "algebra",
-        virtual_ne: bool = False,
         profile: bool = False,
     ) -> QueryResponse:
-        request = QueryRequest(database, query, method, engine, virtual_ne, profile)
+        request = QueryRequest(database, query, method, engine, profile)
         return self._expect(self._post("/query", request), QueryResponse)
 
     def execute(self, request: QueryRequest) -> QueryResponse:
@@ -185,10 +184,9 @@ class ServiceClient:
         template: str,
         method: str = "approx",
         engine: str = "algebra",
-        virtual_ne: bool = False,
     ) -> "PreparedHandle":
         """Register a query template server-side; returns the execution handle."""
-        request = PrepareRequest(database, template, method, engine, virtual_ne)
+        request = PrepareRequest(database, template, method, engine)
         response = self._expect(self._post("/prepare", request), PrepareResponse)
         return PreparedHandle(self, response)
 
@@ -421,7 +419,6 @@ class PreparedHandle:
         self.arity = response.arity
         self.method = response.method
         self.engine = response.engine
-        self.virtual_ne = response.virtual_ne
 
     def execute(self, params: Mapping[str, str] | None = None) -> QueryResponse:
         """One bound execution, answered as a single body."""

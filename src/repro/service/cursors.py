@@ -77,7 +77,6 @@ class CursorStore:
             query=response.query,
             method=response.method,
             engine=response.engine,
-            virtual_ne=response.virtual_ne,
             arity=response.arity,
             label=label,
             total_rows=len(rows),

@@ -6,20 +6,20 @@ database, parse the query, derive ``Ph2(LB)``, evaluate.  A
 clients:
 
 * **snapshot registry** — databases are registered under a name as
-  *immutable* :class:`~repro.logical.database.CWDatabase` snapshots; both
-  ``Ph2`` variants (materialized and virtual ``NE``) are precomputed at
-  registration time and shared, lock-free, by every concurrent query;
+  *immutable* :class:`~repro.logical.database.CWDatabase` snapshots; their
+  ``Ph2`` storage is precomputed at registration time and shared,
+  lock-free, by every concurrent query;
 * **content fingerprints** — each snapshot's
   :meth:`~repro.logical.database.CWDatabase.fingerprint` joins the cache
   key, so re-registering a name with different content can never serve
   stale answers;
 * **result caching** — parsed queries and full responses live in
   thread-safe LRU caches (:mod:`repro.service.cache`); responses are keyed
-  on ``(fingerprint, query_text, method, engine, virtual_ne, profile)``,
+  on ``(fingerprint, query_text, method, engine, profile)``,
   and a prepared execution uses its bound text, so it shares the slot of
   the equivalent ad-hoc request;
 * **plan caching** — compiled + optimized relational-algebra plans are kept
-  per ``(snapshot fingerprint, query_text, engine, NE encoding)``, so a warm
+  per ``(snapshot fingerprint, query_text, engine)``, so a warm
   server answering an uncached request (e.g. after answer-cache eviction, or
   with response caching disabled) still skips parse-rewrite-compile-optimize
   and goes straight to plan execution;
@@ -95,50 +95,29 @@ _AST_ROUTE = "ast-route"
 
 @dataclass(frozen=True)
 class RegisteredDatabase:
-    """One named snapshot with its ``Ph2`` physical representations.
+    """One named snapshot with its ``Ph2`` physical representation.
 
-    Each ``NE``-encoding variant is derived once on first use and then
-    shared; :meth:`QueryService.register` touches the materialized variant
-    eagerly by default so a long-lived server pays the derivation at
-    registration time, while one-shot callers that never evaluate against a
-    variant (e.g. the exact-only CLI path) never build it.  Both variants
-    are immutable once built.
+    The storage is derived once on first use and then shared;
+    :meth:`QueryService.register` touches it eagerly by default so a
+    long-lived server pays the derivation at registration time, while
+    one-shot callers that never evaluate against it (e.g. the exact-only
+    CLI path) never build it.  It is immutable once built.
     """
 
     name: str
     database: CWDatabase
     fingerprint: str
 
-    def storage(self, virtual_ne: bool) -> PhysicalDatabase:
-        """``Ph2(LB)`` for the requested ``NE`` encoding (derived on first use)."""
-        attribute = "_storage_virtual" if virtual_ne else "_storage_materialized"
-        cached = self.__dict__.get(attribute)
+    @property
+    def storage(self) -> PhysicalDatabase:
+        """``Ph2(LB)`` (derived on first use)."""
+        cached = self.__dict__.get("_storage")
         if cached is None:
             # Benign race: concurrent first requests may both derive it; the
             # results are equal immutable objects and last-writer-wins.
-            cached = ph2(self.database, virtual_ne=virtual_ne)
-            payload = self.__dict__.get("_statistics_payload")
-            if payload is not None and virtual_ne:
-                # The persisted relation statistics describe the materialized
-                # storage (different NE encoding); observed cardinalities are
-                # safe to share — a fingerprint either names an NE-touching
-                # subplan (exists in exactly one variant, inert in the other)
-                # or a subplan over relations both variants store identically
-                # (same actual cardinality either way).  Seed just those, so
-                # feedback learned on virtual-NE traffic survives a reboot.
-                preload_statistics(cached, {"observed": payload.get("observed", {})})
-            elif payload is not None:
-                preload_statistics(cached, payload)
-            object.__setattr__(self, attribute, cached)
+            cached = ph2(self.database)
+            object.__setattr__(self, "_storage", cached)
         return cached
-
-    @property
-    def storage_materialized(self) -> PhysicalDatabase:
-        return self.storage(False)
-
-    @property
-    def storage_virtual(self) -> PhysicalDatabase:
-        return self.storage(True)
 
 
 class QueryService(Frontend):
@@ -226,7 +205,7 @@ class QueryService(Frontend):
             fingerprint=database.fingerprint(),
         )
         if precompute:
-            entry.storage(False)
+            entry.storage  # derives and caches Ph2 now
         with self._registry_lock:
             previous = self._registry.get(name)
             if previous is not None and not replace_existing:
@@ -261,25 +240,21 @@ class QueryService(Frontend):
         )
         if snapshot.statistics is not None:
             self.preload_statistics(entry.name, snapshot.statistics)
-            # Stash the payload for the lazily derived virtual-NE variant:
-            # its observed cardinalities are seeded when (if) it is built.
-            object.__setattr__(entry, "_statistics_payload", snapshot.statistics)
         return entry
 
-    def preload_statistics(self, name: str, payload: Mapping[str, object], virtual_ne: bool = False) -> int:
+    def preload_statistics(self, name: str, payload: Mapping[str, object]) -> int:
         """Seed a snapshot's optimizer statistics from a persisted payload.
 
-        Plans cached for that snapshot (same fingerprint *and* ``NE``
-        encoding — statistics live per storage variant) were optimized
+        Plans cached for that snapshot (same fingerprint) were optimized
         without the new information, so exactly those entries are dropped;
         the next arrival of each query re-optimizes against the updated
         statistics.  Returns the number of invalidated plan-cache entries.
         """
         entry = self.entry(name)
-        preload_statistics(entry.storage(virtual_ne), payload)
+        preload_statistics(entry.storage, payload)
 
         def affected(key: tuple) -> bool:
-            return key[0] == entry.fingerprint and key[3] == virtual_ne
+            return key[0] == entry.fingerprint
 
         # New statistics make re-observation worthwhile again.
         dropped = self._forget_plans(affected)
@@ -297,26 +272,18 @@ class QueryService(Frontend):
     def export_feedback(self) -> dict[str, dict[str, int]]:
         """Observed cardinalities per snapshot fingerprint (for persistence).
 
-        Only storage variants that were actually built and observed something
-        appear.  The cluster worker merges this into the snapshot store on
-        shutdown, which is how feedback learned under live traffic reaches
-        the next boot — and, via the store, every other worker.
+        Only storage that was actually built and observed something appears.
+        The cluster worker merges this into the snapshot store on shutdown,
+        which is how feedback learned under live traffic reaches the next
+        boot — and, via the store, every other worker.
         """
         learned: dict[str, dict[str, int]] = {}
         with self._registry_lock:
             entries = list(self._registry.values())
         for entry in entries:
-            for attribute in ("_storage_materialized", "_storage_virtual"):
-                storage = entry.__dict__.get(attribute)
-                if storage is None:
-                    continue
-                statistics = storage.__dict__.get("_statistics")
-                if statistics is None or not statistics.has_observations():
-                    continue
-                # One flat map per snapshot holds both variants safely: a
-                # fingerprint shared by both names a subplan over relations
-                # the variants store identically (same cardinality), and an
-                # NE-touching fingerprint exists in only one of them.
+            storage = entry.__dict__.get("_storage")
+            statistics = None if storage is None else storage.__dict__.get("_statistics")
+            if statistics is not None and statistics.has_observations():
                 learned.setdefault(entry.fingerprint, {}).update(statistics.observed)
         return learned
 
@@ -361,8 +328,8 @@ class QueryService(Frontend):
         """Evaluate one request, serving repeats from the response cache.
 
         The cache key pairs the snapshot's content fingerprint with every
-        request field that can change the answer, so distinct methods,
-        engines and ``NE`` encodings never share an entry.
+        request field that can change the answer, so distinct methods and
+        engines never share an entry.
         """
         entry = self.entry(request.database)
 
@@ -411,7 +378,6 @@ class QueryService(Frontend):
             request.query,
             request.method,
             request.engine,
-            request.virtual_ne,
             request.profile,
         )
         response, was_cached = self._answers.get_or_compute(key, evaluate)
@@ -586,13 +552,13 @@ class QueryService(Frontend):
         profiler: PlanProfiler | None = None,
     ) -> frozenset[tuple[str, ...]]:
         """The approximate route: plan cache, feedback markers, auto dispatch."""
-        engine, virtual_ne = request.engine, request.virtual_ne
-        storage = entry.storage(virtual_ne)
-        evaluator = ApproximateEvaluator(engine=engine, virtual_ne=virtual_ne)
-        # The plan depends on the snapshot content and the NE encoding
-        # (ph2 derivation is deterministic in both), never on the method,
-        # so content-identical snapshots share plans across aliases.
-        plan_key = (entry.fingerprint, request.query, engine, virtual_ne)
+        engine = request.engine
+        storage = entry.storage
+        evaluator = ApproximateEvaluator(engine=engine)
+        # The plan depends on the snapshot content (ph2 derivation is
+        # deterministic), never on the method, so content-identical
+        # snapshots share plans across aliases.
+        plan_key = (entry.fingerprint, request.query, engine)
 
         def compute_plan():
             generation = statistics_for(storage).generation
@@ -603,7 +569,7 @@ class QueryService(Frontend):
 
         plan, __ = self._plan_with_markers(storage, plan_key, compute_plan)
         if plan is _TARSKI_ROUTE:
-            evaluator = ApproximateEvaluator(engine="tarski", virtual_ne=virtual_ne)
+            evaluator = ApproximateEvaluator(engine="tarski")
             plan = None
         return self._execute_plan(storage, plan_key, plan, evaluator, query, profiler)
 
@@ -628,7 +594,7 @@ class QueryService(Frontend):
         """Approximate route for a prepared execution: rebind the template plan.
 
         The plan cache holds one *template-keyed* entry per (snapshot,
-        template, engine, NE encoding): the compiled + optimized plan with
+        template, engine): the compiled + optimized plan with
         :class:`~repro.logic.terms.Parameter` placeholders still inside.
         Each execution substitutes the bound values into that plan — a pure
         tree rebuild — unless
@@ -648,9 +614,9 @@ class QueryService(Frontend):
         template entry, so the *template* is re-optimized on its next
         execution.
         """
-        storage = entry.storage(statement.virtual_ne)
-        evaluator = ApproximateEvaluator(engine=statement.engine, virtual_ne=statement.virtual_ne)
-        template_key = (entry.fingerprint, statement.template, statement.engine, statement.virtual_ne)
+        storage = entry.storage
+        evaluator = ApproximateEvaluator(engine=statement.engine)
+        template_key = (entry.fingerprint, statement.template, statement.engine)
 
         def compute_plan():
             generation = statistics_for(storage).generation
@@ -663,7 +629,7 @@ class QueryService(Frontend):
         if plan is _AST_ROUTE:
             return self._approx_answers(entry, request, bound_query)
         if plan is _TARSKI_ROUTE:
-            tarskian = ApproximateEvaluator(engine="tarski", virtual_ne=statement.virtual_ne)
+            tarskian = ApproximateEvaluator(engine="tarski")
             return self._execute_plan(storage, template_key, None, tarskian, bound_query)
         # Resolving through constant_value makes a binding to an unknown
         # constant fail exactly like the equivalent ad-hoc request.
@@ -734,7 +700,6 @@ class QueryService(Frontend):
             query=request.query,
             method=request.method,
             engine=request.engine,
-            virtual_ne=request.virtual_ne,
             arity=query.arity,
             answers=answers,
             complete=complete,

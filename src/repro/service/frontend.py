@@ -129,10 +129,9 @@ class Frontend(abc.ABC):
         query: str,
         method: str = "approx",
         engine: str = "algebra",
-        virtual_ne: bool = False,
     ) -> QueryResponse:
         """Convenience wrapper building the :class:`QueryRequest` inline."""
-        return self.execute(QueryRequest(database, query, method, engine, virtual_ne))
+        return self.execute(QueryRequest(database, query, method, engine))
 
     def classify(self, query_text: str) -> ClassifyResponse:
         """Classify a query: pure syntax, parse-cached, no database involved."""
@@ -187,7 +186,6 @@ class Frontend(abc.ABC):
         template: str,
         method: str = "approx",
         engine: str = "algebra",
-        virtual_ne: bool = False,
     ) -> PreparedStatement:
         """Parse and register a query template.
 
@@ -198,7 +196,7 @@ class Frontend(abc.ABC):
         """
         entry = self.entry(database)
         query = self._parse(template)
-        statement, created = self._statements.intern(entry.name, query, method, engine, virtual_ne)
+        statement, created = self._statements.intern(entry.name, query, method, engine)
         if created:
             with self._registry_lock:
                 self._prepared["templates"] += 1
@@ -223,7 +221,7 @@ class Frontend(abc.ABC):
         statement = self._statements.get(statement_id)
         values = dict(params or {})
         bound, rendered = statement.bind(values)
-        request = QueryRequest(statement.database, rendered, statement.method, statement.engine, statement.virtual_ne)
+        request = QueryRequest(statement.database, rendered, statement.method, statement.engine)
         with self._registry_lock:
             self._prepared["executions"] += 1
         return self._execute_bound(statement, request, bound, values)

@@ -48,7 +48,6 @@ class PreparedStatement:
     query: Query
     method: str
     engine: str
-    virtual_ne: bool
     parameters: tuple[str, ...]
     arity: int
 
@@ -59,7 +58,7 @@ class PreparedStatement:
 
     def dedup_key(self) -> tuple:
         """Statements with equal keys are interchangeable (one registry slot)."""
-        return (self.database, self.template, self.method, self.engine, self.virtual_ne)
+        return (self.database, self.template, self.method, self.engine)
 
 
 class StatementRegistry:
@@ -83,16 +82,15 @@ class StatementRegistry:
         query: Query,
         method: str,
         engine: str,
-        virtual_ne: bool,
     ) -> tuple[PreparedStatement, bool]:
         """Register (or find) a statement; returns ``(statement, created)``.
 
         Options normalize exactly as on an ad-hoc request, so a prepared
         execution lands on the same answer-cache slot as its bound text.
         """
-        method, engine, virtual_ne = normalize_options(method, engine, virtual_ne)
+        method, engine = normalize_options(method, engine)
         template = query_to_text(query)
-        key = (database, template, method, engine, virtual_ne)
+        key = (database, template, method, engine)
         with self._lock:
             existing = self._by_key.get(key)
             if existing is not None:
@@ -104,7 +102,6 @@ class StatementRegistry:
                 query=query,
                 method=method,
                 engine=engine,
-                virtual_ne=virtual_ne,
                 parameters=query_parameters(query),
                 arity=query.arity,
             )

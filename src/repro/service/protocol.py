@@ -78,24 +78,24 @@ METHODS = ("approx", "exact", "both")
 ENGINES = ("tarski", "algebra", "auto")
 
 
-def normalize_options(method: str, engine: str, virtual_ne: bool) -> tuple[str, str, bool]:
+def normalize_options(method: str, engine: str) -> tuple[str, str]:
     """Validate evaluation options and normalize the exact route.
 
     The single source of this rule — :class:`QueryRequest`,
     :class:`PrepareRequest` and the statement registry all delegate here, so
     an ad-hoc request and a prepared statement can never normalize
     differently (they must share answer-cache slots).  The exact route never
-    consults the approximation engine or the ``NE`` encoding, so those
-    fields collapse to canonical values and all equivalent exact requests
-    compare equal (one cache slot, batch dedup hit).
+    consults the approximation engine, so that field collapses to a
+    canonical value and all equivalent exact requests compare equal (one
+    cache slot, batch dedup hit).
     """
     if method not in METHODS:
         raise ServiceError(f"unknown method {method!r}; expected one of {METHODS}")
     if engine not in ENGINES:
         raise ServiceError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     if method == "exact":
-        return method, "algebra", False
-    return method, engine, bool(virtual_ne)
+        return method, "algebra"
+    return method, engine
 
 
 def answers_to_wire(answers: Iterable[Sequence[str]]) -> list[list[str]]:
@@ -116,20 +116,20 @@ class QueryRequest:
     exactly when they would produce the same answer on the same snapshot.
     ``profile=True`` asks for an EXPLAIN ANALYZE payload alongside the
     answers; it joins the cache key so a profiled request never collides
-    with a profile-less cached response (and vice versa).
+    with a profile-less cached response (and vice versa).  Unknown wire keys
+    are dropped by :func:`parse_wire`, so the ``NE``-encoding flag older
+    clients still send changes nothing: ``NE`` has one encoding.
     """
 
     database: str
     query: str
     method: str = "approx"
     engine: str = "algebra"
-    virtual_ne: bool = False
     profile: bool = False
 
     def __post_init__(self) -> None:
-        __, engine, virtual_ne = normalize_options(self.method, self.engine, self.virtual_ne)
+        __, engine = normalize_options(self.method, self.engine)
         object.__setattr__(self, "engine", engine)
-        object.__setattr__(self, "virtual_ne", virtual_ne)
         object.__setattr__(self, "profile", bool(self.profile))
 
 
@@ -166,7 +166,6 @@ class QueryResponse:
     query: str
     method: str
     engine: str
-    virtual_ne: bool
     arity: int
     answers: Mapping[str, tuple[tuple[str, ...], ...]]
     complete: bool | None = None
@@ -349,12 +348,10 @@ class PrepareRequest:
     template: str
     method: str = "approx"
     engine: str = "algebra"
-    virtual_ne: bool = False
 
     def __post_init__(self) -> None:
-        __, engine, virtual_ne = normalize_options(self.method, self.engine, self.virtual_ne)
+        __, engine = normalize_options(self.method, self.engine)
         object.__setattr__(self, "engine", engine)
-        object.__setattr__(self, "virtual_ne", virtual_ne)
 
 
 @dataclass(frozen=True)
@@ -374,7 +371,6 @@ class PrepareResponse:
     arity: int
     method: str
     engine: str
-    virtual_ne: bool
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parameters", tuple(self.parameters))
@@ -440,7 +436,6 @@ class CursorResponse:
     query: str
     method: str
     engine: str
-    virtual_ne: bool
     arity: int
     label: str
     total_rows: int
@@ -620,7 +615,7 @@ def build_info_response(name: str, database: CWDatabase) -> InfoResponse:
             predicate: {"arity": arity, "facts": len(database.facts_for(predicate))}
             for predicate, arity in sorted(database.predicates.items())
         },
-        uniqueness_axioms=len(database.unequal),
+        uniqueness_axioms=database.uniqueness_axiom_count(),
         unknown_constants=tuple(sorted(database.unknown_constants())),
         fully_specified=database.is_fully_specified,
         description=database.describe(),

@@ -318,7 +318,6 @@ class _Handler(BaseHTTPRequestHandler):
                     request.template,
                     request.method,
                     request.engine,
-                    request.virtual_ne,
                 )
                 return _prepare_response(service, statement)
             if path == "/execute":
@@ -399,7 +398,6 @@ def _prepare_response(service: Frontend, statement) -> PrepareResponse:
         arity=statement.arity,
         method=statement.method,
         engine=statement.engine,
-        virtual_ne=statement.virtual_ne,
     )
 
 

@@ -396,7 +396,7 @@ def skewed_star_database(
         facts["FACT_B"].add((tail, targets[index % n_targets]))
 
     constants = tuple(entities + links + targets + tags)
-    return CWDatabase(constants, dict(SKEWED_PREDICATES), facts, ()).fully_specified()
+    return CWDatabase.from_unknowns(constants, dict(SKEWED_PREDICATES), facts)
 
 
 def skewed_adaptive_workload() -> list[tuple[str, Query]]:
@@ -521,10 +521,5 @@ def employee_database(
 
     # Known constants are pairwise distinct; null managers have no uniqueness
     # axioms at all (their identity could coincide with any employee or with
-    # each other).
-    unequal = []
-    for i, left in enumerate(known_constants):
-        for right in known_constants[i + 1:]:
-            unequal.append((left, right))
-
-    return CWDatabase(constants, dict(EMPLOYEE_PREDICATES), facts, unequal)
+    # each other): they are the unknown values U, with an empty NE'.
+    return CWDatabase.from_unknowns(constants, dict(EMPLOYEE_PREDICATES), facts, unknown=null_managers)

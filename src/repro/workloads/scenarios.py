@@ -55,8 +55,7 @@ def socrates_database() -> CWDatabase:
             ("aristotle", "alexander"),
         ]
     }
-    database = CWDatabase(constants, {"TEACHES": 2}, facts, ())
-    return database.fully_specified()
+    return CWDatabase.from_unknowns(constants, {"TEACHES": 2}, facts)
 
 
 def jack_the_ripper_database() -> CWDatabase:

@@ -73,7 +73,6 @@ class TrafficProfile:
     hot_fraction: float = 0.8
     exact_fraction: float = 0.1
     tarski_fraction: float = 0.25
-    virtual_ne_fraction: float = 0.2
 
 
 def default_scenarios() -> tuple[Scenario, ...]:
@@ -122,8 +121,7 @@ def traffic_stream(
         else:
             method = "approx"
         engine = "tarski" if rng.random() < profile.tarski_fraction else "algebra"
-        virtual_ne = rng.random() < profile.virtual_ne_fraction
-        stream.append(QueryRequest(database, query_text, method, engine, virtual_ne))
+        stream.append(QueryRequest(database, query_text, method, engine))
     return stream
 
 

@@ -17,10 +17,10 @@ class TestConfiguration:
         storage = ApproximateEvaluator().storage(ripper_cw)
         assert storage.has_relation("NE")
 
-    def test_virtual_ne_storage(self, ripper_cw):
+    def test_ne_is_read_off_the_encoding(self, ripper_cw):
         from repro.logical.unknowns import VirtualNERelation
 
-        storage = ApproximateEvaluator(virtual_ne=True).storage(ripper_cw)
+        storage = ApproximateEvaluator().storage(ripper_cw)
         assert isinstance(storage.relation("NE"), VirtualNERelation)
 
 
@@ -40,7 +40,7 @@ class TestAgreementAcrossConfigurations:
         assert approximate_answers(ripper_cw, query, mode="formula", engine="tarski") == reference
         assert approximate_answers(ripper_cw, query, mode="direct", engine="algebra") == reference
         assert approximate_answers(ripper_cw, query, mode="formula", engine="algebra") == reference
-        assert approximate_answers(ripper_cw, query, mode="direct", virtual_ne=True) == reference
+        assert approximate_answers(ripper_cw, query, mode="direct", engine="auto") == reference
 
     @pytest.mark.parametrize("text", QUERIES)
     def test_soundness_on_the_ripper_database(self, ripper_cw, text):

@@ -55,7 +55,7 @@ class TestLayoutContents:
     def test_every_shard_keeps_all_constants_and_uniqueness_axioms(self, layout, employee):
         for shard in layout.shards:
             assert shard.constants == employee.constants
-            assert shard.unequal == employee.unequal
+            assert (shard.unknown, shard.explicit) == (employee.unknown, employee.explicit)
 
     def test_replicated_relations_are_complete_on_every_shard(self, layout, employee):
         for shard in layout.shards:

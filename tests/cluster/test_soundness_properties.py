@@ -78,8 +78,7 @@ def _requests(database, seed: int) -> list[QueryRequest]:
             "{d}", f"'{rng.choice(constants)}'"
         )
         engine = rng.choice(("algebra", "tarski"))
-        virtual_ne = rng.random() < 0.3
-        requests.append(QueryRequest("db", text, "both", engine, virtual_ne))
+        requests.append(QueryRequest("db", text, "both", engine))
     return requests
 
 
@@ -113,7 +112,7 @@ def test_replication_threshold_never_changes_answers(seed):
     """The same stream answers identically under every partitioning choice."""
     database = _instance(seed)
     requests = [
-        QueryRequest(request.database, request.query, "approx", request.engine, request.virtual_ne)
+        QueryRequest(request.database, request.query, "approx", request.engine)
         for request in _requests(database, seed)
     ]
     reference = None

@@ -31,7 +31,7 @@ class TestRoundTrip:
         snapshot = store.load("emp")
         assert snapshot.database.fingerprint() == employee.fingerprint()
         assert snapshot.database.facts == employee.facts
-        assert snapshot.database.unequal == employee.unequal
+        assert snapshot.database == employee
 
     def test_names_and_records(self, store, employee, ripper_cw):
         store.put("emp", employee, metadata={"kind": "full"})
@@ -99,6 +99,18 @@ class TestCorruptionDetection:
         with pytest.raises(SnapshotStoreError, match="missing object"):
             store.load("emp")
 
+    def test_a_version_1_store_is_refused_not_misread(self, store, employee):
+        # Version 1 objects were fingerprinted over the uniqueness pairs;
+        # their names must not silently resolve to different content.
+        store.put("emp", employee)
+        manifest_path = store.root / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["v"] == 2
+        manifest["v"] = 1
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(SnapshotStoreError, match="unsupported manifest version 1"):
+            SnapshotStore(store.root).load("emp")
+
     def test_unsupported_manifest_version_is_rejected(self, store, employee, tmp_path):
         store.put("emp", employee)
         manifest_path = store.root / "manifest.json"
@@ -114,33 +126,33 @@ class TestStatisticsPersistence:
         store.put("emp", employee)
         snapshot = store.load("emp")
         assert snapshot.statistics is not None
-        assert snapshot.statistics == statistics_payload(ph2(employee, virtual_ne=False))
+        assert snapshot.statistics == statistics_payload(ph2(employee))
 
     def test_preload_seeds_without_rescanning(self, store, employee):
         store.put("emp", employee)
         snapshot = store.load("emp")
-        storage = ph2(snapshot.database, virtual_ne=False)
+        storage = ph2(snapshot.database)
         statistics = preload_statistics(storage, snapshot.statistics)
         # Seeded summaries are served from the cache, not recomputed...
         assert set(statistics._relations) == set(storage.vocabulary.predicates)
         # ...and they agree exactly with what a cold scan would measure.
-        cold = statistics_for(ph2(employee, virtual_ne=False))
+        cold = statistics_for(ph2(employee))
         for name in storage.vocabulary.predicates:
             assert statistics.relation(name) == cold.relation(name)
 
     def test_preload_on_a_fresh_instance_skips_the_active_domain_scan(self, store, employee):
         store.put("emp", employee)
         snapshot = store.load("emp")
-        storage = ph2(snapshot.database, virtual_ne=False)
+        storage = ph2(snapshot.database)
         assert "_statistics" not in storage.__dict__
         statistics = preload_statistics(storage, snapshot.statistics)
         # The size came from the payload, not from iterating every tuple...
         assert statistics.active_domain_size == snapshot.statistics["active_domain_size"]
         # ...and it matches what the scan would have measured.
-        assert statistics.active_domain_size == len(ph2(employee, virtual_ne=False).active_domain())
+        assert statistics.active_domain_size == len(ph2(employee).active_domain())
 
     def test_preload_ignores_stale_or_malformed_entries(self, employee):
-        storage = ph2(employee, virtual_ne=False)
+        storage = ph2(employee)
         statistics = preload_statistics(
             storage,
             {
@@ -161,8 +173,8 @@ class TestStatisticsPersistence:
         store.put("emp", employee)
         service = QueryService()
         entry = service.register_from_store(store, "emp")
-        seeded = statistics_for(entry.storage(False))
-        assert set(seeded._relations) == set(entry.storage(False).vocabulary.predicates)
+        seeded = statistics_for(entry.storage)
+        assert set(seeded._relations) == set(entry.storage.vocabulary.predicates)
         # The seeded service answers exactly like a cold one.
         cold = QueryService()
         cold.register("emp", employee)
@@ -182,7 +194,7 @@ class TestStatisticsPersistence:
         # Same content, but this caller wants statistics: the existing
         # object must gain them rather than silently staying cold.
         store.put("alias", employee)
-        assert store.load("alias").statistics == statistics_payload(ph2(employee, virtual_ne=False))
+        assert store.load("alias").statistics == statistics_payload(ph2(employee))
         assert store.load("emp").statistics is not None  # shared object
 
 
@@ -268,14 +280,14 @@ class TestWorkerFeedbackPersistence:
         record = store.put("emp", employee)
         service = QueryService()
         entry = service.register_from_store(store, "emp")
-        statistics = statistics_for(entry.storage(False))
+        statistics = statistics_for(entry.storage)
         statistics.record_observed("learned", 42)
         assert persist_feedback(service, store) == 1
         assert store.load("emp").statistics["observed"]["learned"] == 42
         # A second worker booting from the store plans with the observation.
         warm = QueryService()
         warm_entry = warm.register_from_store(store, "emp", as_name="emp2")
-        assert statistics_for(warm_entry.storage(False)).observed_rows("learned") == 42
+        assert statistics_for(warm_entry.storage).observed_rows("learned") == 42
 
     def test_persist_feedback_with_nothing_learned_is_a_no_op(self, store, employee):
         from repro.cluster.worker import persist_feedback
@@ -305,26 +317,24 @@ class TestWorkerFeedbackPersistence:
         service = QueryService()
         first = service.register_from_store(store, "emp")
         second = service.register_from_store(store, "other")
-        statistics_for(first.storage(False)).record_observed("a", 1)
-        statistics_for(second.storage(False)).record_observed("b", 2)
+        statistics_for(first.storage).record_observed("a", 1)
+        statistics_for(second.storage).record_observed("b", 2)
         # Murder one object behind the store's back (a concurrent gc).
         _shutil.rmtree(store.root / "objects" / first.fingerprint)
         assert persist_feedback(service, store) == 1
         assert store.load("other").statistics["observed"]["b"] == 2
 
-    def test_virtual_variant_feedback_survives_a_reboot(self, store, employee):
+    def test_feedback_survives_a_reboot(self, store, employee):
         from repro.cluster.worker import persist_feedback
 
         store.put("emp", employee)
         service = QueryService()
         entry = service.register_from_store(store, "emp")
-        statistics_for(entry.storage(True)).record_observed("virtual-plan", 11)
+        statistics_for(entry.storage).record_observed("learned-plan", 11)
         assert persist_feedback(service, store) == 1
         warm = QueryService()
         warm_entry = warm.register_from_store(store, "emp", as_name="emp2")
-        # The virtual variant is derived lazily; its first build must seed
-        # the persisted observations.
-        assert statistics_for(warm_entry.storage(True)).observed_rows("virtual-plan") == 11
+        assert statistics_for(warm_entry.storage).observed_rows("learned-plan") == 11
 
     def test_concurrent_merges_lose_nothing(self, store, employee):
         import threading

@@ -30,7 +30,7 @@ class TestColoringReductionSize:
 
     def test_uniqueness_axioms_are_constantly_three(self):
         for n in (3, 5, 9):
-            assert len(coloring_database(cycle_graph(n)).unequal) == 3
+            assert coloring_database(cycle_graph(n)).uniqueness_axiom_count() == 3
 
     def test_query_is_literally_the_same_object_shape(self):
         assert coloring_query() == coloring_query()
@@ -42,7 +42,7 @@ class TestQBFReductionSize:
         small = reduce_qbf(random_qbf(2, 2, 2, seed=0))
         many_clauses = reduce_qbf(random_qbf(2, 2, 8, seed=0))
         assert small.database.constants == many_clauses.database.constants
-        assert small.database.unequal == many_clauses.database.unequal
+        assert small.database.unequal_pairs() == many_clauses.database.unequal_pairs()
 
     def test_query_size_linear_in_the_matrix(self):
         small = reduce_qbf(random_qbf(2, 2, 2, seed=1))
@@ -53,7 +53,7 @@ class TestQBFReductionSize:
 
     def test_single_uniqueness_axiom(self):
         reduction = reduce_qbf(random_qbf(3, 2, 3, seed=2))
-        assert len(reduction.database.unequal) == 1
+        assert reduction.database.uniqueness_axiom_count() == 1
 
 
 class TestSOReductionSize:

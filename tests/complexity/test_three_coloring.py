@@ -71,7 +71,7 @@ class TestReductionConstruction:
         assert database.facts_for("M") == frozenset({("1",), ("2",), ("3",)})
         assert len(database.facts_for("R")) == 3
         # Only the three color constants are pairwise distinct.
-        assert len(database.unequal) == 3
+        assert database.uniqueness_axiom_count() == 3
 
     def test_query_is_fixed_and_boolean(self):
         query = coloring_query()

@@ -40,10 +40,10 @@ class TestStorageAndEngines:
         configurations = [
             ApproximateEvaluator(mode="direct", engine="tarski"),
             ApproximateEvaluator(mode="direct", engine="algebra"),
-            ApproximateEvaluator(mode="direct", engine="tarski", virtual_ne=True),
+            ApproximateEvaluator(mode="direct", engine="auto"),
         ]
         for query in queries:
-            answers = {config.engine + config.mode + str(config.virtual_ne): config.answers(database, query)
+            answers = {config.engine + config.mode: config.answers(database, query)
                        for config in configurations}
             assert len(set(map(frozenset, answers.values()))) == 1, answers
 

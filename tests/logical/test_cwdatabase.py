@@ -51,9 +51,8 @@ class TestStructure:
         assert not ripper_cw.are_known_distinct("jack", "jack")
 
     def test_unknown_constants(self, ripper_cw):
-        # jack has no uniqueness axioms, so he and everyone he might equal are unknown.
-        assert "jack" in ripper_cw.unknown_constants()
-        assert ripper_cw.unknown_constants() == frozenset({"disraeli", "dickens", "jack"})
+        # jack has no uniqueness axioms; he alone covers every missing pair.
+        assert ripper_cw.unknown_constants() == frozenset({"jack"})
 
     def test_unknown_constants_empty_when_fully_specified(self, teaches_cw):
         assert teaches_cw.unknown_constants() == frozenset()
@@ -113,5 +112,38 @@ class TestFunctionalUpdates:
 
     def test_without_uniqueness_removes_all_pairs(self, teaches_cw):
         stripped = teaches_cw.without_uniqueness()
-        assert len(stripped.unequal) == 0
+        assert stripped.uniqueness_axiom_count() == 0
         assert stripped.facts == teaches_cw.facts
+
+
+class TestOneEncodingPerTheory:
+    """Equal axioms give equal databases however they were written down."""
+
+    def test_pairs_encoding_and_larger_cover_agree(self):
+        from repro.workloads.generators import employee_database
+
+        encoded = employee_database(60, seed=3)
+        as_pairs = CWDatabase(encoded.constants, encoded.predicates, encoded.facts, encoded.unequal_pairs())
+        wide = CWDatabase.from_unknowns(
+            encoded.constants,
+            encoded.predicates,
+            encoded.facts,
+            unknown=encoded.constants[:10] + tuple(encoded.unknown),
+            explicit=[pair for pair in encoded.unequal_pairs() if set(pair) & set(encoded.constants[:10])],
+        )
+        for other in (as_pairs, wide):
+            assert other == encoded
+            assert hash(other) == hash(encoded)
+            assert other.fingerprint() == encoded.fingerprint()
+            assert (other.unknown, other.explicit) == (encoded.unknown, encoded.explicit)
+
+    def test_different_axioms_differ(self, ripper_cw):
+        stripped = ripper_cw.without_uniqueness()
+        assert stripped != ripper_cw
+        assert stripped.fingerprint() != ripper_cw.fingerprint()
+
+    def test_explicit_pairs_must_name_constants(self):
+        with pytest.raises(DatabaseError, match="unknown constants"):
+            CWDatabase.from_unknowns(("a", "b"), {"P": 1}, unknown=["a"], explicit=[("a", "zzz")])
+        with pytest.raises(DatabaseError, match="itself"):
+            CWDatabase.from_unknowns(("a", "b"), {"P": 1}, unknown=["a"], explicit=[("a", "a")])

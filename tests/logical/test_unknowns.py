@@ -1,39 +1,40 @@
-"""Unit tests for the compact U / NE' representation of the inequality relation."""
+"""Unit tests for the U / NE' encoding of the uniqueness axioms."""
 
 import random
+import time
 
-from repro.logical.database import CWDatabase
-from repro.logical.unknowns import (
-    CompactNEEncoding,
-    VirtualNERelation,
-    _greedy_vertex_cover,
-    compact_ne_encoding,
-)
+from repro.logical.database import CWDatabase, _greedy_vertex_cover
+from repro.logical.unknowns import VirtualNERelation
 from repro.workloads.generators import employee_database
 
 
-class TestCompactEncoding:
+def _cover(edges):
+    adjacency = {}
+    for left, right in edges:
+        adjacency.setdefault(left, set()).add(right)
+        adjacency.setdefault(right, set()).add(left)
+    return _greedy_vertex_cover(adjacency)
+
+
+class TestEncoding:
     def test_fully_specified_database_has_empty_u_and_ne_prime(self, teaches_cw):
-        encoding = compact_ne_encoding(teaches_cw)
-        assert encoding.unknown == frozenset()
-        assert encoding.explicit == frozenset()
-        assert encoding.stored_size == 0
+        assert teaches_cw.unknown == frozenset()
+        assert teaches_cw.explicit == frozenset()
+        assert VirtualNERelation(teaches_cw).stored_size == 0
 
     def test_u_is_a_vertex_cover_of_the_missing_pairs(self, ripper_cw):
-        encoding = compact_ne_encoding(ripper_cw)
         # jack alone covers every missing uniqueness pair, so U = {jack}.
-        assert encoding.unknown == frozenset({"jack"})
+        assert ripper_cw.unknown == frozenset({"jack"})
         for left, right in ripper_cw.missing_uniqueness_pairs():
-            assert left in encoding.unknown or right in encoding.unknown
+            assert left in ripper_cw.unknown or right in ripper_cw.unknown
 
-    def test_holds_matches_the_definition(self, ripper_cw):
-        encoding = compact_ne_encoding(ripper_cw)
-        # declared unequal (and both unknown because of jack): stored in NE'.
-        assert encoding.holds("disraeli", "dickens")
+    def test_membership_matches_the_definition(self, ripper_cw):
+        # declared unequal, neither unknown: implied, not stored in NE'.
+        assert ripper_cw.are_known_distinct("disraeli", "dickens")
         # no axiom between jack and dickens.
-        assert not encoding.holds("jack", "dickens")
+        assert not ripper_cw.are_known_distinct("jack", "dickens")
         # never unequal to itself.
-        assert not encoding.holds("jack", "jack")
+        assert not ripper_cw.are_known_distinct("jack", "jack")
 
     def test_known_pairs_are_implicitly_unequal(self):
         db = CWDatabase(
@@ -43,55 +44,61 @@ class TestCompactEncoding:
             # a, b known and distinct from everything; u1, u2 unknown.
             unequal=[("a", "b"), ("a", "u1"), ("a", "u2"), ("b", "u1"), ("b", "u2")],
         )
-        encoding = compact_ne_encoding(db)
         # A single unknown constant suffices to cover the one missing pair (u1, u2).
-        assert len(encoding.unknown) == 1
-        assert encoding.unknown <= frozenset({"u1", "u2"})
-        assert encoding.holds("a", "b")            # implicit: both known
-        assert encoding.holds("a", "u1")           # declared
-        assert encoding.holds("a", "u2")           # declared
-        assert not encoding.holds("u1", "u2")      # unknown pair, no axiom
+        assert db.unknown == frozenset({"u1"})
+        assert db.explicit_pairs() == [("a", "u1"), ("b", "u1")]
+        assert db.are_known_distinct("a", "b")            # implicit: both known
+        assert db.are_known_distinct("a", "u1")           # declared, in NE'
+        assert db.are_known_distinct("a", "u2")           # implicit: u2 is not in U
+        assert not db.are_known_distinct("u1", "u2")      # unknown pair, no axiom
 
-    def test_stored_size_smaller_than_materialized_for_mostly_known_data(self):
+    def test_stored_size_smaller_than_the_pairs_for_mostly_known_data(self):
         constants = tuple(f"k{i}" for i in range(20)) + ("u1",)
         known = constants[:-1]
         unequal = [
             (left, right) for i, left in enumerate(known) for right in known[i + 1:]
         ]
         db = CWDatabase(constants, {"P": 1}, {"P": [("k0",)]}, unequal)
-        encoding = compact_ne_encoding(db)
-        assert encoding.stored_size < encoding.materialized_size
-        assert encoding.materialized_size == 20 * 19  # ordered pairs among known values
+        relation = VirtualNERelation(db)
+        assert relation.stored_size == 1
+        assert len(relation) == 20 * 19  # ordered pairs among known values
 
-    def test_pairs_iteration_matches_holds(self, ripper_cw):
-        encoding = compact_ne_encoding(ripper_cw)
-        for left, right in encoding.pairs():
-            assert encoding.holds(left, right)
-
-    def test_holds_is_exactly_the_declared_uniqueness_axioms(self):
+    def test_membership_is_exactly_the_declared_uniqueness_axioms(self):
         db = CWDatabase(
             ("a", "b", "c", "u1", "u2"),
             {"P": 1},
             {"P": [("a",)]},
             unequal=[("a", "b"), ("a", "c"), ("b", "c"), ("a", "u1"), ("b", "u2"), ("u1", "u2")],
         )
-        encoding = compact_ne_encoding(db)
+        declared = {frozenset(pair) for pair in db.unequal_pairs()}
+        assert declared == {
+            frozenset(pair)
+            for pair in [("a", "b"), ("a", "c"), ("b", "c"), ("a", "u1"), ("b", "u2"), ("u1", "u2")]
+        }
         for left in db.constants:
             for right in db.constants:
-                assert encoding.holds(left, right) == db.are_known_distinct(left, right)
+                assert db.are_known_distinct(left, right) == (frozenset((left, right)) in declared)
+
+    def test_employee_database_is_fifteen_entries(self):
+        db = employee_database(300, seed=21)
+        assert len(db.constants) == 378
+        assert (len(db.unknown), len(db.explicit)) == (15, 0)
+        assert db.uniqueness_axiom_count() == 65_703
+        assert len(VirtualNERelation(db)) == 131_406
 
 
 class TestUnknownConstants:
-    """``CWDatabase.unknown_constants`` is every endpoint, not the encoding's ``U``."""
+    """``CWDatabase.unknown_constants`` is the encoding's ``U``, not every endpoint."""
 
-    def test_one_unconstrained_null_puts_every_constant_in_the_endpoints(self):
+    def test_one_unconstrained_null_is_the_only_unknown(self):
         known = ("a", "b", "c")
         unequal = [(left, right) for i, left in enumerate(known) for right in known[i + 1:]]
         db = CWDatabase(known + ("null",), {"P": 1}, {"P": [("a",)]}, unequal)
-        assert db.unknown_constants() == frozenset(db.constants)
-        assert compact_ne_encoding(db).unknown == frozenset({"null"})
+        endpoints = {constant for pair in db.missing_uniqueness_pairs() for constant in pair}
+        assert endpoints == frozenset(db.constants)
+        assert db.unknown_constants() == frozenset({"null"})
 
-    def test_endpoints_are_exactly_the_constants_of_missing_pairs(self):
+    def test_unknowns_cover_every_missing_pair(self):
         db = CWDatabase(
             ("a", "b", "u1", "u2"),
             {"P": 1},
@@ -99,30 +106,39 @@ class TestUnknownConstants:
             unequal=[("a", "b"), ("a", "u1"), ("a", "u2"), ("b", "u1"), ("b", "u2")],
         )
         endpoints = {constant for pair in db.missing_uniqueness_pairs() for constant in pair}
-        assert db.unknown_constants() == frozenset(endpoints) == frozenset({"u1", "u2"})
-        assert compact_ne_encoding(db).unknown < db.unknown_constants()
+        assert endpoints == frozenset({"u1", "u2"})
+        assert db.unknown_constants() < endpoints
 
-    def test_employee_database_endpoints_dwarf_the_compact_u(self):
+    def test_employee_database_reports_its_fifteen_nulls(self):
         db = employee_database(300, seed=21)
-        encoding = compact_ne_encoding(db)
-        assert len(db.constants) == 378
-        assert len(db.unknown_constants()) == 378
-        assert len(encoding.unknown) == 15
-        assert encoding.unknown <= db.unknown_constants()
+        nulls = {name for name in db.constants if name.startswith("mgr_null")}
+        assert db.unknown_constants() == nulls
+        assert len(nulls) == 15
+        assert "15 unknown constants" in db.describe()
+
+    def test_info_response_lists_u_and_counts_the_axioms(self):
+        from repro.service.protocol import build_info_response
+
+        db = employee_database(300, seed=21)
+        info = build_info_response("emp", db)
+        assert info.unknown_constants == tuple(sorted(db.unknown))
+        assert len(info.unknown_constants) == 15
+        assert info.uniqueness_axioms == 378 * 377 // 2 - len(db.missing_uniqueness_pairs()) == 65_703
+        assert not info.fully_specified
 
 
 class TestGreedyVertexCover:
     def test_no_edges_needs_no_cover(self):
-        assert _greedy_vertex_cover(frozenset()) == set()
+        assert _cover(frozenset()) == set()
 
     def test_star_is_covered_by_its_centre(self):
         edges = frozenset(("hub", leaf) for leaf in ("a", "b", "c", "d"))
-        assert _greedy_vertex_cover(edges) == {"hub"}
+        assert _cover(edges) == {"hub"}
 
     def test_ties_break_deterministically(self):
         edges = frozenset({("x", "y")})
-        assert _greedy_vertex_cover(edges) == {"x"}
-        assert _greedy_vertex_cover(frozenset({("y", "x")})) == {"x"}
+        assert _cover(edges) == {"x"}
+        assert _cover(frozenset({("y", "x")})) == {"x"}
 
     def test_every_edge_of_a_random_graph_is_covered(self):
         rng = random.Random(5)
@@ -131,41 +147,65 @@ class TestGreedyVertexCover:
             edges = frozenset(
                 tuple(rng.sample(vertices, 2)) for __ in range(rng.randint(1, 30))
             )
-            cover = _greedy_vertex_cover(edges)
+            cover = _cover(edges)
             assert all(left in cover or right in cover for left, right in edges)
             assert cover <= {vertex for edge in edges for vertex in edge}
 
-    def test_any_vertex_cover_gives_the_same_virtual_relation(self, ripper_cw):
-        # Soundness needs only *a* cover: the greedy U and the full endpoint
-        # set describe the same NE.
-        greedy = compact_ne_encoding(ripper_cw)
-        everything = frozenset(ripper_cw.unknown_constants())
-        explicit = frozenset(
-            ordered
-            for pair in ripper_cw.unequal_pairs()
-            for ordered in (pair, pair[::-1])
-            if pair[0] in everything or pair[1] in everything
+    def test_degrees_update_as_edges_are_covered(self):
+        # "a" has the highest degree first; after it goes, "d" (still two
+        # uncovered edges) beats the leaves.  Recomputing every degree from
+        # scratch picks the same vertices.
+        edges = {("a", "b"), ("a", "c"), ("a", "d"), ("d", "e"), ("d", "f")}
+        assert _cover(edges) == {"a", "d"}
+
+    def test_input_is_not_consumed(self):
+        adjacency = {"x": {"y"}, "y": {"x"}}
+        _greedy_vertex_cover(adjacency)
+        assert adjacency == {"x": {"y"}, "y": {"x"}}
+
+    def test_no_uniqueness_on_the_benchmark_database_constructs_quickly(self):
+        db = employee_database(300, seed=21)
+        started = time.perf_counter()
+        stripped = db.without_uniqueness()
+        assert time.perf_counter() - started < 1.0
+        assert len(stripped.unknown) == 377  # a complete graph needs all but one
+        assert stripped.uniqueness_axiom_count() == 0
+        for left, right in stripped.missing_uniqueness_pairs():
+            assert left in stripped.unknown or right in stripped.unknown
+
+    def test_a_larger_cover_gives_the_same_database(self, ripper_cw):
+        # Soundness needs only *a* cover; construction re-derives U, so the
+        # full endpoint set describes the same database.
+        endpoints = {constant for pair in ripper_cw.missing_uniqueness_pairs() for constant in pair}
+        wide = CWDatabase.from_unknowns(
+            ripper_cw.constants,
+            ripper_cw.predicates,
+            ripper_cw.facts,
+            unknown=endpoints,
+            explicit=[pair for pair in ripper_cw.unequal_pairs() if set(pair) & endpoints],
         )
-        wide = CompactNEEncoding(ripper_cw.constants, everything, explicit)
-        assert greedy.unknown < wide.unknown
-        assert set(greedy.pairs()) == set(wide.pairs())
+        assert ripper_cw.unknown < endpoints
+        assert wide == ripper_cw
+        assert set(VirtualNERelation(wide)) == set(VirtualNERelation(ripper_cw))
 
 
 class TestVirtualRelation:
     def test_contains_and_iteration_agree(self, ripper_cw):
-        relation = VirtualNERelation(compact_ne_encoding(ripper_cw))
+        relation = VirtualNERelation(ripper_cw)
         materialized = set(relation)
         for pair in materialized:
             assert pair in relation
         assert len(relation) == len(materialized)
+        assert relation.values() == {value for pair in materialized for value in pair}
 
     def test_ill_shaped_members_are_rejected(self, ripper_cw):
-        relation = VirtualNERelation(compact_ne_encoding(ripper_cw))
+        relation = VirtualNERelation(ripper_cw)
         assert ("a",) not in relation
         assert "ab" not in relation
 
     def test_relation_protocol_fields(self, ripper_cw):
-        relation = VirtualNERelation(compact_ne_encoding(ripper_cw))
+        relation = VirtualNERelation(ripper_cw)
         assert relation.name == "NE"
         assert relation.arity == 2
-        assert relation.stored_size == relation.encoding.stored_size
+        assert relation.stored_size == len(ripper_cw.unknown) + len(ripper_cw.explicit)
+        assert relation.unknown == ripper_cw.unknown

@@ -313,43 +313,6 @@ class TestConfiguration:
         assert profiler.tree(node_label)["batches"] == 1
 
 
-class TestLazyRelations:
-    """Virtual (lazy) NE relations are never indexed or columnar-cached;
-    the vectorized executor must fall back to scanning them, like the
-    tuple executor does."""
-
-    @pytest.fixture
-    def virtual_storage(self):
-        from repro.approx.evaluator import ApproximateEvaluator
-        from repro.logical.database import CWDatabase
-
-        database = CWDatabase(
-            ("a", "b", "c"),
-            {"P": 1, "R": 2},
-            {"P": {("a",), ("b",)}, "R": {("a", "b"), ("b", "c")}},
-            [("a", "b"), ("b", "c")],
-        )
-        evaluator = ApproximateEvaluator(engine="algebra", virtual_ne=True)
-        return evaluator, evaluator.storage(database)
-
-    def test_ne_scan_parity(self, virtual_storage):
-        __, storage = virtual_storage
-        ne_columns = ("left", "right")
-        plan = ScanRelation("NE", ne_columns)
-        expected = execute(plan, storage, vectorize=False)
-        for batch_rows in BATCH_SIZES:
-            assert execute_batched(plan, storage, batch_rows=batch_rows) == expected
-
-    def test_ne_join_parity(self, virtual_storage):
-        __, storage = virtual_storage
-        plan = NaturalJoin(
-            RenameColumns(ScanRelation("P", ("v",)), (("v", "left"),)),
-            ScanRelation("NE", ("left", "right")),
-        )
-        expected = execute(plan, storage, vectorize=False)
-        assert execute_batched(plan, storage) == expected
-
-
 class TestSkewedStarParity:
     """The acceptance check on the skewed-star workload: EXPLAIN row counts,
     feedback observations and account totals identical between executors."""

@@ -158,11 +158,22 @@ class TestPossiblyEqual:
     def test_without_ne_every_pair_is_possibly_equal(self, database):
         assert len(database.possibly_equal()) == len(database.active_domain()) ** 2
 
-    def test_virtual_and_materialized_ne_derive_the_same_relation(self, storage):
-        from repro.logical.ph import ph2
+    def test_the_encoding_and_a_materialized_ne_derive_the_same_relation(self, storage):
+        from tests.property.strategies import materialized_ph2
 
         database, physical = storage
-        assert ph2(database, virtual_ne=True).possibly_equal() == physical.possibly_equal()
+        assert materialized_ph2(database).possibly_equal() == physical.possibly_equal()
+
+    def test_built_from_u_without_enumerating_ne(self, storage, monkeypatch):
+        from repro.logical.ph import ph2
+        from repro.logical.unknowns import VirtualNERelation
+        from repro.workloads.generators import employee_database
+
+        def refuse(*args):
+            raise AssertionError("NE was enumerated")
+
+        monkeypatch.setattr(VirtualNERelation, "__iter__", refuse)
+        assert len(ph2(employee_database(300, seed=21)).possibly_equal()) == 11_478
 
     def test_served_under_the_reserved_name_only(self, storage):
         from repro.logic.vocabulary import PE_PREDICATE

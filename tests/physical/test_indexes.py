@@ -44,7 +44,7 @@ class TestDatabaseIndexes:
 
     def test_lazy_relations_not_indexed(self):
         logical = random_cw_database(5, {"P": 1}, 2, unknown_fraction=0.5, seed=3)
-        storage = ph2(logical, virtual_ne=True)
+        storage = ph2(logical)
         assert indexes_for(storage).prefix("NE", (0,)) is None
         assert indexes_for(storage).lookup("NE", (0,), ("c0",)) is None
 

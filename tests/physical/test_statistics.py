@@ -4,7 +4,7 @@ import pytest
 
 from repro.logic.vocabulary import Vocabulary
 from repro.logical.ph import ph2
-from repro.logical.unknowns import VirtualNERelation, compact_ne_encoding
+from repro.logical.unknowns import VirtualNERelation
 from repro.physical.database import PhysicalDatabase
 from repro.physical.statistics import Statistics, statistics_for
 from repro.workloads.generators import random_cw_database
@@ -19,6 +19,10 @@ def database():
         constants={"a": "a"},
         relations={"P": {("a", "b"), ("a", "c"), ("b", "c")}, "Q": {("a",)}},
     )
+
+
+def _refuse(*args):
+    raise AssertionError("NE was enumerated")
 
 
 class TestStatistics:
@@ -45,10 +49,11 @@ class TestStatistics:
     def test_instance_cached(self, database):
         assert statistics_for(database) is statistics_for(database)
 
-    def test_lazy_relation_estimated_not_enumerated(self):
+    def test_lazy_relation_estimated_not_enumerated(self, monkeypatch):
         logical = random_cw_database(6, {"P": 1}, 3, unknown_fraction=0.5, seed=1)
-        storage = ph2(logical, virtual_ne=True)
+        storage = ph2(logical)
         assert isinstance(storage.relation("NE"), VirtualNERelation)
+        monkeypatch.setattr(VirtualNERelation, "__iter__", _refuse)
         summary = statistics_for(storage).relation("NE")
         assert summary.estimated
         assert summary.rows == len(storage.relation("NE"))

@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 from repro.logic.formulas import And, Atom, Equals, Exists, Forall, Formula, Not, Or
 from repro.logic.queries import Query
 from repro.logic.terms import Constant, Variable
+from repro.logic.vocabulary import NE_PREDICATE
 from repro.logical.database import CWDatabase
+from repro.physical.database import PhysicalDatabase
 
 #: Fixed schema used by every generated database and formula.
 SCHEMA = {"P": 1, "R": 2}
@@ -50,6 +52,20 @@ def cw_databases(draw, max_constants: int = 4, max_facts: int = 6) -> CWDatabase
     ]
     unequal = [pair for pair in pairs if draw(st.booleans())]
     return CWDatabase(constants, dict(SCHEMA), facts, unequal)
+
+
+def materialized_ph2(database: CWDatabase) -> PhysicalDatabase:
+    """The reference ``Ph2(LB)``: ``NE`` as the quadratic set of ordered pairs.
+
+    Built from :meth:`~repro.logical.database.CWDatabase.unequal_pairs`
+    alone, so it shares nothing with the ``U``/``NE'`` encoding that
+    :func:`repro.logical.ph.ph2` reads ``NE`` from — the oracle the property
+    tests compare the one library ``Ph2`` against.
+    """
+    relations: dict[str, object] = dict(database.facts)
+    relations[NE_PREDICATE] = {ordered for pair in database.unequal_pairs() for ordered in (pair, pair[::-1])}
+    constants = database.constants
+    return PhysicalDatabase(database.vocabulary.with_ne(), constants, {name: name for name in constants}, relations)
 
 
 @st.composite

@@ -67,7 +67,7 @@ class TestConcurrentSoundness:
             query = parse_query(request.query)
             row = {}
             if request.method in ("approx", "both"):
-                evaluator = ApproximateEvaluator(engine=request.engine, virtual_ne=request.virtual_ne)
+                evaluator = ApproximateEvaluator(engine=request.engine)
                 row["approximate"] = evaluator.answers(databases[request.database], query)
             if request.method in ("exact", "both"):
                 row["exact"] = certain_answers(databases[request.database], query)

@@ -26,22 +26,18 @@ class TestRegistry:
         assert entry.fingerprint == ripper_cw.fingerprint()
         assert service.database_names() == ("ripper",)
 
-    def test_register_precomputes_default_storage_and_derives_virtual_lazily(self, service):
+    def test_register_precomputes_the_storage(self, service):
         entry = service.entry("ripper")
-        assert "_storage_materialized" in entry.__dict__  # precomputed at register time
-        assert entry.storage(False) is entry.storage_materialized
-        assert "_storage_virtual" not in entry.__dict__  # not built until asked for
-        first = entry.storage(True)
-        assert first is entry.storage_virtual  # derived once, then shared
-        assert entry.storage_materialized is not first
+        assert "_storage" in entry.__dict__  # precomputed at register time
+        assert entry.storage is entry.storage  # derived once, then shared
 
     def test_register_without_precompute_defers_storage(self, ripper_cw):
         service = QueryService()
         entry = service.register("ripper", ripper_cw, precompute=False)
-        assert "_storage_materialized" not in entry.__dict__
+        assert "_storage" not in entry.__dict__
         # Evaluation still works; the storage is derived on first use.
         assert service.query("ripper", "(x) . MURDERER(x)").answer_set("approximate")
-        assert "_storage_materialized" in entry.__dict__
+        assert "_storage" in entry.__dict__
 
     def test_duplicate_name_rejected(self, service, ripper_cw):
         with pytest.raises(ServiceError, match="already registered"):
@@ -117,7 +113,7 @@ class TestCacheKeys:
         [
             dict(method="exact"),
             dict(engine="tarski"),
-            dict(virtual_ne=True),
+            dict(engine="auto"),
             dict(method="both"),
         ],
     )

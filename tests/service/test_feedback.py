@@ -2,7 +2,7 @@
 
 The invalidation contract under test (the PR 4 satellite): a statistics
 update — whether feedback-driven or an explicit ``preload_statistics`` —
-invalidates exactly the affected ``(fingerprint, query, engine, virtual_ne)``
+invalidates exactly the affected ``(fingerprint, query, engine)``
 plan-cache entries, and every re-optimized plan stays byte-identical to
 naive evaluation.
 """
@@ -98,27 +98,27 @@ class TestFeedbackLoop:
 
 
 class TestPreloadInvalidation:
-    def test_preload_invalidates_exactly_the_matching_variant(self):
+    def test_preload_invalidates_exactly_the_matching_snapshot(self):
         database = employee_database(12, seed=4)
         service = QueryService(answer_cache_capacity=0, feedback_threshold=None)
         entry = service.register("emp", database)
         other = service.register("other", employee_database(14, seed=5))
         text = "(x1, x2) . exists y. EMP_DEPT(x1, y) & DEPT_MGR(y, x2)"
-        service.query("emp", text, virtual_ne=False)
-        service.query("emp", text, virtual_ne=True)
-        service.query("other", text, virtual_ne=False)
+        service.query("emp", text)
+        service.query("emp", text, engine="auto")
+        service.query("other", text)
         assert service.stats().plan_cache["size"] == 3
 
         payload = {"observed": {"feedbeef": 1}}
-        dropped = service.preload_statistics("emp", payload, virtual_ne=False)
-        assert dropped == 1  # exactly the (emp fingerprint, virtual_ne=False) entry
+        dropped = service.preload_statistics("emp", payload)
+        assert dropped == 2  # exactly the entries of the emp fingerprint
         remaining = set(service._plans.keys())
-        assert (entry.fingerprint, text, "algebra", False) not in remaining
-        assert (entry.fingerprint, text, "algebra", True) in remaining
-        assert (other.fingerprint, text, "algebra", False) in remaining
-        # Statistics were actually seeded onto the storage variant.
-        assert statistics_for(entry.storage(False)).observed_rows("feedbeef") == 1
-        assert statistics_for(entry.storage(True)).observed_rows("feedbeef") is None
+        assert (entry.fingerprint, text, "algebra") not in remaining
+        assert (entry.fingerprint, text, "auto") not in remaining
+        assert (other.fingerprint, text, "algebra") in remaining
+        # Statistics were actually seeded onto the storage.
+        assert statistics_for(entry.storage).observed_rows("feedbeef") == 1
+        assert statistics_for(other.storage).observed_rows("feedbeef") is None
 
     def test_preload_counts_as_invalidation(self):
         database = employee_database(12, seed=4)

@@ -36,10 +36,12 @@ class TestPlanCache:
         third = service.query("emp", QUERY, engine="algebra")
         assert first.answers == second.answers == third.answers
 
-    def test_plan_cache_keyed_per_engine_and_encoding(self):
+    def test_plan_cache_keyed_per_engine(self):
         service = _service(answer_cache_capacity=0)
-        service.query("emp", QUERY, engine="algebra", virtual_ne=False)
-        service.query("emp", QUERY, engine="algebra", virtual_ne=True)
+        service.query("emp", QUERY, engine="algebra")
+        service.query("emp", QUERY, engine="algebra", method="both")
+        assert service.stats().plan_cache["size"] == 1
+        service.query("emp", QUERY, engine="auto")
         assert service.stats().plan_cache["size"] == 2
 
     def test_unregister_drops_plans(self):

@@ -53,9 +53,9 @@ class TestPrepare:
 
     def test_exact_statements_normalize_engine(self, service):
         statement = service.prepare(
-            "emp", "(x) . EMP_DEPT($k, x)", method="exact", engine="tarski", virtual_ne=True
+            "emp", "(x) . EMP_DEPT($k, x)", method="exact", engine="tarski"
         )
-        assert (statement.engine, statement.virtual_ne) == ("algebra", False)
+        assert statement.engine == "algebra"
 
     def test_parameter_free_queries_can_be_prepared(self, service):
         statement = service.prepare("emp", "(x) . EMP_DEPT('ada', x)")
@@ -110,11 +110,11 @@ class TestExecute:
         finally:
             service.close()
 
-    @pytest.mark.parametrize("virtual_ne", [False, True])
-    def test_negated_template_runs_on_one_generic_plan(self, virtual_ne):
+    def test_negated_template_runs_on_one_generic_plan(self):
         """E21's ``neg_members`` shape, over every employee and null manager."""
         from repro.approx.evaluator import ApproximateEvaluator
         from repro.logic.parser import parse_query
+        from tests.property.strategies import materialized_ph2
 
         database = employee_database(40, seed=21)
         employees = sorted({row[0] for row in database.facts_for("EMP_DEPT")})
@@ -122,15 +122,13 @@ class TestExecute:
         assert nulls
         service = QueryService(answer_cache_capacity=0)
         service.register("emp", database)
-        oracle = ApproximateEvaluator(engine="tarski", virtual_ne=virtual_ne)
+        oracle = ApproximateEvaluator(engine="tarski")
         try:
-            statement = service.prepare(
-                "emp", "(x) . exists d. EMP_DEPT(x, d) & ~DEPT_MGR(d, $k)", virtual_ne=virtual_ne
-            )
-            storage = service.entry("emp").storage(virtual_ne)
+            statement = service.prepare("emp", "(x) . exists d. EMP_DEPT(x, d) & ~DEPT_MGR(d, $k)")
+            storage = materialized_ph2(database)
             for key in employees + nulls:
                 prepared = service.execute_prepared(statement.statement_id, {"k": key})
-                adhoc = service.execute(QueryRequest("emp", prepared.query, virtual_ne=virtual_ne))
+                adhoc = service.execute(QueryRequest("emp", prepared.query))
                 assert prepared.answers == adhoc.answers, key
                 truth = oracle.answers_on_storage(storage, parse_query(prepared.query))
                 assert prepared.answer_set("approximate") == truth, key
@@ -252,7 +250,7 @@ class TestCountersAndPlanChoice:
             service.execute_prepared(statement.statement_id, {"e": employee})
             assert service.stats().prepared["generic_plans"] == 1
 
-            storage = service.entry("emp").storage(False)
+            storage = service.entry("emp").storage
             evaluator = ApproximateEvaluator(engine="algebra")
             bound = bind_query(parse_query(template), {"e": employee})
             bound_plan = evaluator.plan_on_storage(storage, bound)

@@ -34,7 +34,6 @@ def _query_response(**overrides) -> QueryResponse:
         query="(x) . P(x)",
         method="approx",
         engine="algebra",
-        virtual_ne=False,
         arity=1,
         answers={"approximate": (("a",), ("b",))},
     )
@@ -66,9 +65,9 @@ class TestValidation:
             QueryRequest("db", "(x) . P(x)", engine="quantum")
 
     def test_exact_requests_normalize_irrelevant_fields(self):
-        # engine/virtual_ne cannot change an exact answer, so equivalent
-        # exact requests compare equal (one cache slot, batch dedup hit).
-        a = QueryRequest("db", "(x) . P(x)", method="exact", engine="tarski", virtual_ne=True)
+        # engine cannot change an exact answer, so equivalent exact
+        # requests compare equal (one cache slot, batch dedup hit).
+        a = QueryRequest("db", "(x) . P(x)", method="exact", engine="tarski")
         b = QueryRequest("db", "(x) . P(x)", method="exact")
         assert a == b
         # "both" evaluates the approximation too, so the fields stay.
@@ -80,7 +79,7 @@ class TestWireRoundTrips:
     @pytest.mark.parametrize(
         "message",
         [
-            QueryRequest("db", "(x) . P(x)", "both", "tarski", True),
+            QueryRequest("db", "(x) . P(x)", "both", "tarski"),
             ClassifyRequest("(x) . P(x)"),
             ErrorResponse("boom", "ParseError"),
             HealthResponse("ok", "1.0.0"),
@@ -163,7 +162,8 @@ class TestBuilders:
         assert info.fingerprint == ripper_cw.fingerprint()
         assert info.constants == 3
         assert info.predicates["MURDERER"] == {"arity": 1, "facts": 1}
-        assert info.unknown_constants == ("dickens", "disraeli", "jack")
+        assert info.unknown_constants == ("jack",)
+        assert info.uniqueness_axioms == 1
         assert not info.fully_specified
         assert parse_wire(dump_wire(info)) == info
 

@@ -41,14 +41,13 @@ QUERY_RESPONSE = QueryResponse(
     query="(x) . P($k, x)",
     method="approx",
     engine="algebra",
-    virtual_ne=False,
     arity=1,
     answers={"approximate": (("a",), ("b",))},
 )
 
 #: One representative instance per message type.
 MESSAGES = [
-    QueryRequest("db", "(x) . P(x)", "both", "tarski", True),
+    QueryRequest("db", "(x) . P(x)", "both", "tarski"),
     QUERY_RESPONSE,
     ClassifyRequest("(x) . P(x)"),
     ClassifyResponse("(x) . P(x)", True, "Sigma_1", True, "PTIME", "PSPACE", "summary"),
@@ -69,8 +68,8 @@ MESSAGES = [
     BatchRequest((QueryRequest("db", "(x) . P(x)"),)),
     BatchResponse((QUERY_RESPONSE, ErrorResponse("boom", "ParseError", "parse")), 2, 2, 0),
     ErrorResponse("boom", "CapacityError", "capacity"),
-    PrepareRequest("db", "(x) . P($k, x)", "approx", "auto", True),
-    PrepareResponse("stmt-1", "db", "f" * 64, "(x) . P($k, x)", ("k",), 1, "approx", "auto", True),
+    PrepareRequest("db", "(x) . P($k, x)", "approx", "auto"),
+    PrepareResponse("stmt-1", "db", "f" * 64, "(x) . P($k, x)", ("k",), 1, "approx", "auto"),
     ExecuteRequest("stmt-1", {"k": "v"}, stream=True, page_size=16),
     ExecuteManyRequest("stmt-1", ({"k": "a"}, {"k": "b"})),
     CursorResponse(
@@ -80,7 +79,6 @@ MESSAGES = [
         query="(x) . P('a', x)",
         method="approx",
         engine="algebra",
-        virtual_ne=False,
         arity=1,
         label="approximate",
         total_rows=3,
@@ -172,7 +170,6 @@ def query_requests(draw):
         query=draw(name),
         method=draw(st.sampled_from(("approx", "both"))),
         engine=draw(st.sampled_from(("tarski", "algebra", "auto"))),
-        virtual_ne=draw(st.booleans()),
     )
 
 
@@ -229,7 +226,6 @@ class TestFuzzedRoundTrips:
             query="(x) . P(x)",
             method="both",
             engine="algebra",
-            virtual_ne=False,
             arity=1,
             answers=answers,
         )

@@ -101,6 +101,46 @@ class TestRoundTrips:
         assert client.query("jack-the-ripper", text).cached
 
 
+def _post(server, path: str, payload: dict) -> dict:
+    request = urllib.request.Request(
+        server.base_url + path, data=json.dumps(payload).encode(), method="POST",
+        headers={"Content-Type": "application/json"},
+    )  # fmt: skip
+    with urllib.request.urlopen(request) as response:
+        return json.loads(response.read())
+
+
+class TestRetiredEncodingFlag:
+    """``NE`` has one encoding; an older client's ``"virtual_ne"`` key changes nothing."""
+
+    TEXT = "(x, y) . LIVED_IN_LONDON(x) & LIVED_IN_LONDON(y) & ~(x = y) & ~MURDERER(x)"
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_query_answers_as_without_the_flag(self, served, flag):
+        __, server, client = served
+        body = {"type": "query_request", "v": 2, "database": "jack-the-ripper", "query": self.TEXT,
+                "method": "both", "engine": "algebra", "virtual_ne": flag}  # fmt: skip
+        response = _post(server, "/query", body)
+        assert "virtual_ne" not in response
+        plain = client.query("jack-the-ripper", self.TEXT, method="both", engine="algebra")
+        assert response["answers"] == {label: [list(row) for row in rows] for label, rows in plain.answers.items()}
+
+    def test_prepare_answers_as_without_the_flag(self, served):
+        __, server, client = served
+        template = "(y) . LIVED_IN_LONDON(y) & ~(y = $k)"
+        body = {"type": "prepare_request", "v": 2, "database": "jack-the-ripper", "template": template,
+                "method": "approx", "engine": "auto", "virtual_ne": True}  # fmt: skip
+        prepared = _post(server, "/prepare", body)
+        assert "virtual_ne" not in prepared
+        execute = {"type": "execute_request", "v": 2, "statement_id": prepared["statement_id"],
+                   "params": {"k": "jack_the_ripper"}}  # fmt: skip
+        response = _post(server, "/execute", execute)
+        handle = client.prepare("jack-the-ripper", template, "approx", "auto")
+        assert handle.statement_id == prepared["statement_id"]  # one registry slot
+        plain = handle.execute({"k": "jack_the_ripper"})
+        assert response["answers"] == {label: [list(row) for row in rows] for label, rows in plain.answers.items()}
+
+
 class TestErrors:
     def test_unknown_database_raises_service_error(self, served):
         __, __, client = served

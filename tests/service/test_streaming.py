@@ -20,7 +20,6 @@ def _response(n_rows: int) -> QueryResponse:
         query="(x) . P(x)",
         method="approx",
         engine="algebra",
-        virtual_ne=False,
         arity=1,
         answers={"approximate": rows},
     )

@@ -83,10 +83,8 @@ class TestQuery:
         out = capsys.readouterr().out
         assert "<true>" in out
 
-    def test_virtual_ne_and_tarski_engine_options(self, stored_database, capsys):
-        code = main(
-            ["query", str(stored_database), "(x) . ~LONDONER(x)", "--engine", "tarski", "--virtual-ne"]
-        )
+    def test_tarski_engine_option(self, stored_database, capsys):
+        code = main(["query", str(stored_database), "(x) . ~LONDONER(x)", "--engine", "tarski"])
         assert code == 0
 
     def test_bad_query_text_is_a_clean_error(self, stored_database, capsys):

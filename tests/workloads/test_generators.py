@@ -18,7 +18,7 @@ class TestRandomCWDatabase:
         again = random_cw_database(5, {"P": 1, "R": 2}, 8, unknown_fraction=0.3, seed=11)
         assert db.constants == again.constants
         assert db.facts == again.facts
-        assert db.unequal == again.unequal
+        assert db.unequal_pairs() == again.unequal_pairs()
         assert len(db.constants) == 5
 
     def test_unknown_fraction_zero_gives_fully_specified(self):
@@ -27,7 +27,7 @@ class TestRandomCWDatabase:
 
     def test_unknown_fraction_one_gives_no_axioms(self):
         db = random_cw_database(6, {"P": 1}, 4, unknown_fraction=1.0, seed=1)
-        assert len(db.unequal) == 0
+        assert db.uniqueness_axiom_count() == 0
 
     def test_fact_count_is_bounded_by_request(self):
         db = random_cw_database(4, {"P": 1}, 10, seed=2)

@@ -87,10 +87,9 @@ class TestStream:
         stream = traffic_stream(400, profile=profile, seed=13)
         assert {(r.database, r.query) for r in stream} == set(scenario_pool(default_scenarios()))
 
-    def test_engine_and_encoding_mix(self):
-        stream = traffic_stream(300, profile=TrafficProfile(tarski_fraction=0.5, virtual_ne_fraction=0.5), seed=11)
+    def test_engine_mix(self):
+        stream = traffic_stream(300, profile=TrafficProfile(tarski_fraction=0.5), seed=11)
         assert {r.engine for r in stream} == {"tarski", "algebra"}
-        assert {r.virtual_ne for r in stream} == {True, False}
 
 
 class TestBursts:

@@ -131,7 +131,6 @@ class ApproximateEvaluator:
         storage: PhysicalDatabase,
         query: Query,
         plan: PlanNode | None = None,
-        recorder=None,
         profiler=None,
     ) -> frozenset[tuple[str, ...]]:
         """Evaluate the rewritten query against an already-built ``Ph2(LB)``.
@@ -140,14 +139,12 @@ class ApproximateEvaluator:
         the (one-off) storage cost separately from the per-query cost.  Pass
         a *plan* from :meth:`plan_on_storage` (for the same storage!) to skip
         the rewrite + compile + optimize work entirely — the warm path of the
-        serving layer's plan cache.  *recorder* is forwarded to the algebra
-        executor to collect actual subplan cardinalities (the feedback loop's
-        input); *profiler* (EXPLAIN ANALYZE) meters per-node rows and wall
-        time.  The Tarskian path has no plan intermediates to observe, so
-        both are silently inert there.
+        serving layer's plan cache.  *profiler* (EXPLAIN ANALYZE) meters
+        per-node rows and wall time; the Tarskian path has no plan
+        intermediates to observe, so it is silently inert there.
         """
         if plan is not None:
-            return execute(plan, storage, recorder=recorder, profiler=profiler).rows
+            return execute(plan, storage, profiler=profiler).rows
         check_bound(query)
         rewritten = self.rewrite(query)
         if is_first_order(rewritten.formula):
@@ -159,7 +156,7 @@ class ApproximateEvaluator:
             compiled = self._plan_for(storage, rewritten)
             if compiled is None:  # auto: the dispatcher chose enumeration
                 return evaluate_query(storage, rewritten)
-            return execute(compiled, storage, recorder=recorder, profiler=profiler).rows
+            return execute(compiled, storage, profiler=profiler).rows
         if self.engine == "algebra":
             raise UnsupportedFormulaError("the algebra engine cannot evaluate second-order queries")
         return evaluate_query_so(storage, rewritten, self.max_relations)

@@ -767,8 +767,6 @@ def _command_client(arguments: argparse.Namespace) -> int:
         for label, counters in (("answer cache", stats.answer_cache), ("parse cache", stats.parse_cache)):
             print(f"{label}: " + ", ".join(f"{key}={value}" for key, value in sorted(counters.items())))
         print("batch: " + ", ".join(f"{key}={value}" for key, value in sorted(stats.batch.items())))
-        if stats.feedback:
-            print("feedback: " + ", ".join(f"{key}={value}" for key, value in sorted(stats.feedback.items())))
         if stats.prepared:
             print("prepared: " + ", ".join(f"{key}={value}" for key, value in sorted(stats.prepared.items())))
         return 0

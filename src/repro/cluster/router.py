@@ -41,13 +41,14 @@ template **once** at prepare time and, per execution, merely substitutes
 the binding into the per-shard request texts — the expensive expression-side
 work is amortized across the whole parameter sweep.  Workers advertise
 their protocol versions in health checks, and the router aggregates the
-session counters (templates, executions, generic/custom plan choices)
+session counters (templates, executions, template-plan executions)
 cluster-wide in ``stats().prepared``.
 """
 
 from __future__ import annotations
 
 import time
+from concurrent.futures import FIRST_EXCEPTION, wait
 from dataclasses import replace
 from typing import Mapping, Sequence
 
@@ -416,7 +417,7 @@ class ClusterRouter(Frontend):
             summary["databases"] = (
                 [str(name) for name in databases] if isinstance(databases, (list, tuple)) else []
             )
-            for section in ("answer_cache", "plan_cache", "feedback", "prepared"):
+            for section in ("answer_cache", "plan_cache", "prepared"):
                 value = getattr(remote, section, None)
                 summary[section] = dict(value) if isinstance(value, Mapping) else {}
             # getattr: backends are duck-typed; one without version
@@ -432,16 +433,11 @@ class ClusterRouter(Frontend):
 
         summaries = self._probe_workers(probe)
         workers = {str(state.index): summary for state, summary in zip(self._workers, summaries)}
-        # Aggregate the adaptive-execution and prepared-statement counters
-        # across live workers so an operator sees cluster-wide activity
-        # without per-shard math; the per-worker breakdown stays available
-        # under "workers".
-        feedback_total: dict[str, int] = {}
+        # Aggregate the prepared-statement counters across live workers so an
+        # operator sees cluster-wide activity without per-shard math; the
+        # per-worker breakdown stays available under "workers".
         prepared_total: dict[str, int] = {}
         for summary in summaries:
-            for counter, value in summary.get("feedback", {}).items():
-                if isinstance(value, int):
-                    feedback_total[counter] = feedback_total.get(counter, 0) + value
             for counter, value in summary.get("prepared", {}).items():
                 if isinstance(value, int):
                     prepared_total[counter] = prepared_total.get(counter, 0) + value
@@ -456,7 +452,6 @@ class ClusterRouter(Frontend):
             failovers = self._failovers
         return replace(
             own,
-            feedback=feedback_total,
             prepared=prepared_total,
             cluster={
                 "workers": workers,
@@ -583,7 +578,18 @@ class ClusterRouter(Frontend):
                             f"shard {shard} of {layout.name!r}",
                         )
 
-        parts = list(self._fanout().map(on_shard, range(layout.n_shards)))
+        pool = self._fanout()
+        futures = [pool.submit(on_shard, shard) for shard in range(layout.n_shards)]
+        # On the first failure, drop the shards that have not started and let
+        # the running ones settle before the failure propagates: a failed
+        # request must not leave a shard retrying (and emitting events) after
+        # the router has answered.  A shard is only ever cancelled because
+        # another one raised, so the list below raises before it completes.
+        wait(futures, return_when=FIRST_EXCEPTION)
+        for future in futures:
+            future.cancel()  # a no-op on a shard that has started
+        wait(futures)
+        parts = [future.result() for future in futures if not future.cancelled()]
         merged = {
             label: frozenset().union(*(part.answer_set(label) for part in parts))
             for label in parts[0].answers

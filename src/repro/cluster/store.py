@@ -32,7 +32,6 @@ every relation at startup.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import shutil
@@ -41,16 +40,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-try:  # POSIX advisory locking; absent on some platforms (best-effort there)
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None  # type: ignore[assignment]
-
 from repro.errors import ReproError, SnapshotStoreError
 from repro.logical.database import CWDatabase
 from repro.logical.ph import ph2
 from repro.physical.csvio import load_cw_database, save_cw_database
-from repro.physical.statistics import MAX_OBSERVATIONS, bounded_insert, statistics_payload
+from repro.physical.statistics import statistics_payload
 
 __all__ = ["MANIFEST_VERSION", "SnapshotRecord", "LoadedSnapshot", "SnapshotStore"]
 
@@ -60,23 +54,6 @@ _MANIFEST_FILE = "manifest.json"
 _OBJECTS_DIR = "objects"
 _SCRATCH_DIR = "scratch"
 _STATISTICS_FILE = "statistics.json"
-
-
-@contextlib.contextmanager
-def _file_lock(path: Path):
-    """Exclusive advisory lock on *path* (held for the with-block).
-
-    Serializes the one multi-writer operation the store has
-    (:meth:`SnapshotStore.merge_observed`); everything else keeps the
-    single-writer contract and never takes it.
-    """
-    handle = open(path, "w")
-    try:
-        if fcntl is not None:
-            fcntl.flock(handle, fcntl.LOCK_EX)
-        yield
-    finally:
-        handle.close()  # closing releases the flock
 
 
 @dataclass(frozen=True)
@@ -104,9 +81,6 @@ class SnapshotStore:
     The store is safe for any number of concurrent *readers* against one
     *writer* (atomic replaces); concurrent writers are not coordinated —
     the cluster has exactly one (the deployer), which is the intended use.
-    The sole exception is :meth:`merge_observed`, which every worker may
-    call at shutdown and which therefore serializes itself with a per-object
-    file lock.
     """
 
     def __init__(self, directory: str | Path) -> None:
@@ -199,72 +173,16 @@ class SnapshotStore:
                 shutil.rmtree(object_dir, ignore_errors=True)
                 deleted.append(object_dir.name)
                 continue
-            # Statistics writers stage next to the object; a crash between
-            # write and publish strands the staging file inside a referenced
-            # (hence never-deleted) directory.  Take the same per-object lock
-            # merge_observed holds, so a live worker mid-merge cannot have
-            # its staging file swept out from under its os.replace.
-            with _file_lock(object_dir / f"{_STATISTICS_FILE}.lock"):
-                for staging in object_dir.glob(f"{_STATISTICS_FILE}.*.tmp"):
-                    staging.unlink(missing_ok=True)
+            # A statistics backfill stages next to the object; a crash
+            # between write and publish strands the staging file inside a
+            # referenced (hence never-deleted) directory.
+            for staging in object_dir.glob(f"{_STATISTICS_FILE}.*.tmp"):
+                staging.unlink(missing_ok=True)
         scratch_dir = self.root / _SCRATCH_DIR
         if scratch_dir.exists():
             for leftover in scratch_dir.iterdir():
                 shutil.rmtree(leftover, ignore_errors=True)
         return tuple(deleted)
-
-    def merge_observed(self, fingerprint: str, observed: Mapping[str, int]) -> int:
-        """Fold observed subplan cardinalities into a stored object's statistics.
-
-        This is how runtime feedback learned by one worker reaches every
-        future boot (and thereby every other worker): the worker exports its
-        ``Statistics.observed`` map on shutdown and the next
-        ``register_from_store`` preloads it.  Existing statistics files are
-        merged key-by-key (newer observations win); an object stored without
-        statistics gains a minimal payload carrying only the observations.
-        Returns the number of observations now persisted for the object.
-
-        Unlike every other store write, this one has *many* writers by
-        design: with replication, several workers share an object and may
-        shut down together (an orchestrator stopping the whole cluster), so
-        the read-merge-replace is serialized through an advisory ``flock``
-        on a per-object lock file — a plain last-writer-wins replace would
-        silently drop one worker's observations.
-        """
-        object_dir = self._object_dir(fingerprint)
-        if not object_dir.exists():
-            raise SnapshotStoreError(
-                f"no stored object {fingerprint[:12]}... to merge statistics into"
-            )
-        clean = {
-            key: int(rows)
-            for key, rows in observed.items()
-            if isinstance(key, str) and isinstance(rows, int) and rows >= 0
-        }
-        statistics_path = object_dir / _STATISTICS_FILE
-        with _file_lock(object_dir / f"{_STATISTICS_FILE}.lock"):
-            payload: dict = {}
-            if statistics_path.exists():
-                try:
-                    loaded = json.loads(statistics_path.read_text())
-                except json.JSONDecodeError:
-                    loaded = None  # corrupt derived data: rebuild the file
-                if isinstance(loaded, dict):
-                    payload = loaded
-            merged = payload.get("observed")
-            if not isinstance(merged, dict):
-                merged = {}
-            # bounded_insert keeps this merge's observations last in line for
-            # eviction, so a worker's just-learned feedback always survives
-            # the very merge that adds it; the persisted file cannot creep
-            # past the cap across deploy cycles.
-            for key, rows in clean.items():
-                bounded_insert(merged, key, rows, MAX_OBSERVATIONS)
-            payload["observed"] = merged
-            staging = object_dir / f"{_STATISTICS_FILE}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp"
-            staging.write_text(json.dumps(payload, sort_keys=True))
-            os.replace(staging, statistics_path)
-        return len(merged)
 
     # Reading ------------------------------------------------------------------
 

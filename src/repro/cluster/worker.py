@@ -41,7 +41,6 @@ __all__ = [
     "WorkerSpec",
     "WorkerHandle",
     "worker_main",
-    "persist_feedback",
 ]
 
 START_METHOD_ENV = "REPRO_CLUSTER_START_METHOD"
@@ -83,31 +82,6 @@ class WorkerSpec:
         return kwargs
 
 
-def persist_feedback(service, store) -> int:
-    """Merge a service's observed cardinalities into the snapshot store.
-
-    Returns how many snapshots were updated.  Best-effort by design: a store
-    directory that vanished (the deployer's temporary-store cleanup) must
-    not turn a clean worker shutdown into a crash.
-    """
-    from repro.errors import ReproError
-
-    updated = 0
-    try:
-        learned = service.export_feedback()
-    except (ReproError, OSError):
-        return updated
-    for fingerprint, observed in learned.items():
-        # Per-snapshot best effort: one gc'ed object or failed disk write
-        # must not drop the feedback of the remaining healthy snapshots.
-        try:
-            store.merge_observed(fingerprint, observed)
-        except (ReproError, OSError):
-            continue
-        updated += 1
-    return updated
-
-
 def worker_main(spec: WorkerSpec, channel) -> None:
     """Child-process entry point: load snapshots, bind, report, serve forever.
 
@@ -115,10 +89,8 @@ def worker_main(spec: WorkerSpec, channel) -> None:
     child (which re-imports this module) pays them once, and so the parent's
     import of :mod:`repro.cluster` stays light.
 
-    SIGTERM (the deployer's ``stop()``) triggers a graceful exit so the
-    worker can persist what its feedback loop learned: observed subplan
-    cardinalities go back into the store, and the next worker to boot from
-    those snapshots plans with them from its very first query.
+    SIGTERM (the deployer's ``stop()``) triggers a graceful exit: in-flight
+    requests drain before the socket closes.
     """
     import signal
     import threading
@@ -159,7 +131,6 @@ def worker_main(spec: WorkerSpec, channel) -> None:
         # restart under load finishes admitted work instead of surfacing
         # spurious transport errors to the router.
         server.drain()
-        persist_feedback(service, store)
         server.server_close()
 
 
@@ -227,7 +198,7 @@ class WorkerHandle:
         return self.process is not None and self.process.is_alive()
 
     def stop(self, timeout: float = 5.0) -> None:
-        """Terminate gracefully (SIGTERM: drain, persist feedback; idempotent).
+        """Terminate gracefully (SIGTERM: drain, then exit; idempotent).
 
         Escalates to SIGKILL if the graceful path wedges.
         """
@@ -245,8 +216,8 @@ class WorkerHandle:
     def kill(self, timeout: float = 5.0) -> None:
         """Hard-kill (SIGKILL): simulates a crash — nothing persists, by design.
 
-        Failover drills use this; a graceful SIGTERM would persist feedback
-        and drain connections, which is precisely what a crash never does.
+        Failover drills use this; a graceful SIGTERM would drain connections,
+        which is precisely what a crash never does.
         """
         process = self.process
         if process is None:

@@ -8,7 +8,7 @@ monotonically increasing sequence number, a wall-clock timestamp, a level
 and a kind, plus free-form attributes.  Decision points that were
 previously only counters — admission sheds, breaker trips and heals,
 retry rounds, failovers, degraded serves, deadline expiries, plan-cache
-invalidations and re-optimizations, cursor evictions, warm-up skips —
+invalidations, cursor evictions, warm-up skips —
 emit one event each, so a chaos run leaves a correlatable, durable record
 of what the resilience layer actually did.
 

@@ -1,8 +1,7 @@
 """Operator-level EXPLAIN ANALYZE for the streaming algebra executor.
 
-A :class:`PlanProfiler` is handed to :func:`repro.physical.algebra.execute`
-(next to the PR-4 :class:`~repro.physical.statistics.CardinalityRecorder`,
-which shares its hook points).  The tuple executor wraps each plan node's
+A :class:`PlanProfiler` is handed to :func:`repro.physical.algebra.execute`.
+The tuple executor wraps each plan node's
 row iterator (``wrap``); the vectorized executor reports once per column
 batch instead (``observe_start``/``observe_batch``/``observe_tail``), which
 is both cheaper and exact.  Either way the profiler observes, per node:

@@ -24,8 +24,7 @@ benchmarks' naive configuration); answers are identical either way.
 This tuple-at-a-time executor is the *reference* path: by default
 :func:`execute` dispatches to the vectorized column-batch executor of
 :mod:`repro.physical.batch`, which mirrors every semantic detail of this
-module (memo, recorder, profiler and account hook points, index access
-paths) while moving data in column batches instead of one tuple at a time.
+module (memo, profiler and account hook points, index access paths) while moving data in column batches instead of one tuple at a time.
 Pass ``vectorize=False`` to run the executor below; answers are identical
 either way.
 """
@@ -72,41 +71,29 @@ def execute(
     database: PhysicalDatabase,
     *,
     use_indexes: bool = True,
-    recorder=None,
     profiler=None,
     vectorize: bool = True,
 ) -> Table:
     """Execute *plan* against *database* and return the result table.
 
-    *recorder* (any object with ``record(node, rows)``, e.g. a
-    :class:`~repro.physical.statistics.CardinalityRecorder`) receives the
-    actual row counts of every materialization point — the root, memoized
-    shared subplans, join build sides and difference/anti-join filters — the
-    raw material of feedback-driven re-optimization.  Recording costs one
-    call per *materialized* intermediate, so the streaming hot path is
-    untouched.
-
     *profiler* (any object with the
     :class:`~repro.observability.explain.PlanProfiler` hooks: ``set_root``,
     ``wrap``, ``memo_hit``, ``note_access``) meters every node's row count
-    and wall time for EXPLAIN ANALYZE.  Unlike the recorder it wraps the
-    *streaming* iterators too, so profiled executions pay two clock reads
-    per row — profiling is opt-in per request, and the disabled path costs
+    and wall time for EXPLAIN ANALYZE.  It wraps the *streaming* iterators
+    too, so profiled executions pay two clock reads per row — profiling is opt-in per request, and the disabled path costs
     one ``is None`` check per node.
 
     *vectorize* selects the executor: the column-batch path (default) or,
-    with ``False``, the tuple-at-a-time reference.  Answers, recorder
-    observations, profiler row counts and account totals are identical
+    with ``False``, the tuple-at-a-time reference.  Answers, profiler row
+    counts and account totals are identical
     either way — the batch executor exists purely to cut per-tuple
     interpreter overhead.
     """
     if vectorize:
         from repro.physical.batch import execute_batched
 
-        return execute_batched(
-            plan, database, use_indexes=use_indexes, recorder=recorder, profiler=profiler
-        )
-    context = _ExecutionContext(database, use_indexes, recorder, profiler)
+        return execute_batched(plan, database, use_indexes=use_indexes, profiler=profiler)
+    context = _ExecutionContext(database, use_indexes, profiler)
     context.mark_shared_subplans(plan)
     if profiler is not None:
         profiler.set_root(plan)
@@ -121,10 +108,9 @@ def output_columns(plan: PlanNode, database: PhysicalDatabase) -> tuple[str, ...
 class _ExecutionContext:
     """Per-execution state: column resolution, shared-subplan memo, indexes."""
 
-    def __init__(self, database: PhysicalDatabase, use_indexes: bool, recorder=None, profiler=None) -> None:
+    def __init__(self, database: PhysicalDatabase, use_indexes: bool, profiler=None) -> None:
         self.database = database
         self.use_indexes = use_indexes
-        self.recorder = recorder
         self.profiler = profiler
         # Column resolution is structural per (database, plan) — the arity
         # checks depend on the database's vocabulary — so the cache lives on
@@ -271,8 +257,6 @@ class _ExecutionContext:
             cached = Table.trusted(self.columns(plan), frozenset(iterator))
             if plan in self._shared:
                 self._memo[plan] = cached
-            if self.recorder is not None:
-                self.recorder.record(plan, len(cached.rows))
         elif self.profiler is not None:
             self.profiler.memo_hit(plan)
         return cached
@@ -342,8 +326,6 @@ class _ExecutionContext:
         if isinstance(plan, Difference):
             columns = self.columns(plan)
             excluded = set(self._aligned_rows(plan.right, columns))
-            if self.recorder is not None:
-                self.recorder.record(plan.right, len(excluded))
             for row in self.rows(plan.left):
                 if row not in excluded:
                     yield row
@@ -427,12 +409,8 @@ class _ExecutionContext:
         if self.deadline is not None:
             self.deadline.check("join build")
         buckets: dict[tuple, list[tuple]] = {}
-        total = 0
         for row in self.rows(build):
             buckets.setdefault(tuple(row[i] for i in key_positions), []).append(row)
-            total += 1
-        if self.recorder is not None:
-            self.recorder.record(build, total)
         return buckets
 
     def _filter_keys(self, plan: SemiJoin | AntiJoin) -> set[tuple]:
@@ -441,13 +419,7 @@ class _ExecutionContext:
             self.deadline.check("filter build")
         filter_columns = self.columns(plan.filter)
         positions = [filter_columns.index(column) for __, column in plan.pairs]
-        keys = {tuple(row[i] for i in positions) for row in self.rows(plan.filter)}
-        if self.recorder is not None and {column for __, column in plan.pairs} == set(filter_columns):
-            # Only when the pairs cover every filter column is the distinct
-            # key count the node's true cardinality; a partial key (pairs
-            # split across join sides) would record a misleading undercount.
-            self.recorder.record(plan.filter, len(keys))
-        return keys
+        return {tuple(row[i] for i in positions) for row in self.rows(plan.filter)}
 
     def _iterate_semi_join(self, plan: SemiJoin) -> Iterator[tuple]:
         source_columns = self.columns(plan.source)

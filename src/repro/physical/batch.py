@@ -34,7 +34,6 @@ through the same operator tree.
 
 Every observable side channel is kept **bit-identical** to the tuple
 executor: answers (set semantics make emission deterministic),
-:class:`~repro.physical.statistics.CardinalityRecorder` observations,
 :class:`~repro.observability.explain.PlanProfiler` per-node row counts
 (streamed rows, duplicates included, now counted once per batch), resource
 ``account`` totals (charged once per batch, one ``is None`` check per
@@ -177,18 +176,17 @@ def execute_batched(
     database: PhysicalDatabase,
     *,
     use_indexes: bool = True,
-    recorder=None,
     profiler=None,
     batch_rows: int = DEFAULT_BATCH_SIZE,
 ) -> Table:
     """Execute *plan* on column batches; the vectorized twin of ``execute``.
 
     Same contract as :func:`repro.physical.algebra.execute` — same answers,
-    same recorder/profiler/account observations, same access-path decisions.
+    same profiler/account observations, same access-path decisions.
     *batch_rows* overrides the scan batch size (tests and the batch-size
     sweep use it).
     """
-    context = _BatchContext(database, use_indexes, recorder, profiler, batch_rows)
+    context = _BatchContext(database, use_indexes, profiler, batch_rows)
     context.mark_shared_subplans(plan)
     if profiler is not None:
         profiler.set_root(plan)
@@ -206,14 +204,13 @@ class _BatchContext(_ExecutionContext):
         self,
         database: PhysicalDatabase,
         use_indexes: bool,
-        recorder=None,
         profiler=None,
         batch_rows: int = DEFAULT_BATCH_SIZE,
     ) -> None:
-        super().__init__(database, use_indexes, recorder, profiler)
+        super().__init__(database, use_indexes, profiler)
         self.batch_rows = max(1, batch_rows)
         #: Shared subplans memoized directly as one columnar batch (only
-        #: used when no profiler/recorder observes the materialization).
+        #: used when no profiler observes the materialization).
         self._batch_memo: dict[PlanNode, ColumnBatch] = {}
 
     # Materialization ----------------------------------------------------------
@@ -240,8 +237,6 @@ class _BatchContext(_ExecutionContext):
             )
             if plan in self._shared:
                 self._memo[plan] = cached
-            if self.recorder is not None:
-                self.recorder.record(plan, len(cached.rows))
         elif self.profiler is not None:
             self.profiler.memo_hit(plan)
         return cached
@@ -249,12 +244,11 @@ class _BatchContext(_ExecutionContext):
     def batches(self, plan: PlanNode) -> Iterator[ColumnBatch]:
         """Stream *plan*'s batches; shared subplans are served from the memo."""
         if plan in self._shared:
-            if self.profiler is None and self.recorder is None:
-                # Unobserved executions memoize shared subplans in columnar
+            if self.profiler is None:
+                # Unprofiled executions memoize shared subplans in columnar
                 # form directly: same set-semantics dedup, but no Table ->
                 # rows -> columns round trip per consumer.  A profiler needs
-                # the Table memo (memo hits are part of EXPLAIN); a recorder
-                # observes the materialized cardinality there.
+                # the Table memo (memo hits are part of EXPLAIN).
                 batch = self._batch_memo.get(plan)
                 if batch is None:
                     if self.deadline is not None:
@@ -494,8 +488,6 @@ class _BatchContext(_ExecutionContext):
         excluded: set[tuple] = set()
         for batch in self._aligned_batches(plan.right, columns):
             excluded.update(batch.row_tuples())
-        if self.recorder is not None:
-            self.recorder.record(plan.right, len(excluded))
         for batch in self.batches(plan.left):
             rows = batch.row_tuples()
             sel = [
@@ -511,7 +503,7 @@ class _BatchContext(_ExecutionContext):
         """``(buckets, build_cols, scalar, unique)`` hash table for a build side.
 
         Same contract as the tuple executor's ``_join_buckets`` — identical
-        access decision, recorder observation and deadline check — in the
+        access decision and deadline check — in the
         one bucket layout the batch probe wants: ``build_cols`` holds the
         build side transposed (one sequence per column) and ``buckets``
         maps each key to **row indices** into those columns — a bare
@@ -532,15 +524,14 @@ class _BatchContext(_ExecutionContext):
             if (
                 not isinstance(node, ScanRelation)
                 and self.profiler is None
-                and self.recorder is None
                 and self.account is None
             ):
                 # With observability off nothing can distinguish a fresh
                 # build over a pure rename from a stored-index lookup —
                 # renames change column *names* only, never positions or
-                # values — so look through them to the scan.  Any active
-                # profiler/recorder/account keeps the fresh build so access
-                # decisions, feedback and charges match the tuple executor.
+                # values — so look through them to the scan.  An active
+                # profiler/account keeps the fresh build so access decisions
+                # and charges match the tuple executor.
                 while isinstance(node, RenameColumns):
                     node = node.source
             if isinstance(node, ScanRelation):
@@ -602,8 +593,6 @@ class _BatchContext(_ExecutionContext):
                     buckets[key] = [offset]
                 else:
                     bucket.append(offset)
-        if self.recorder is not None:
-            self.recorder.record(build, total)
         if build_cols is None:
             # No batches at all (empty build side): keep the output width.
             build_cols = tuple(() for __ in self.columns(build))
@@ -629,13 +618,12 @@ class _BatchContext(_ExecutionContext):
         if (
             not buckets
             and self.profiler is None
-            and self.recorder is None
             and self.account is None
         ):
             # An empty hash table matches nothing: with observability off the
             # probe side never executes at all.  Any attached observer keeps
-            # the scan so probe-side row counts, feedback observations and
-            # scan charges match the tuple executor.
+            # the scan so probe-side row counts and scan charges match the
+            # tuple executor.
             return
         get = buckets.get
         for batch in self.batches(probe):
@@ -787,7 +775,6 @@ class _BatchContext(_ExecutionContext):
             scalar
             and self.use_indexes
             and self.profiler is None
-            and self.recorder is None
             and self.account is None
         ):
             # With observability off, a filter side that is a pure stored
@@ -807,11 +794,6 @@ class _BatchContext(_ExecutionContext):
                 keys.update(column if sel is None else map(column.__getitem__, sel))
             else:
                 keys.update(batch.key_tuples(positions))
-        if self.recorder is not None and {column for __, column in plan.pairs} == set(filter_columns):
-            # Only when the pairs cover every filter column is the distinct
-            # key count the node's true cardinality (same rule as the tuple
-            # executor's _filter_keys).
-            self.recorder.record(plan.filter, len(keys))
         return keys, scalar
 
     def _scan_column(self, plan: PlanNode, position: int) -> tuple[str, int] | None:

@@ -15,9 +15,8 @@ candidate-set size — the full domain when no sound restriction exists — and
 each connective adds the cost of its operands.  An ``alpha_P`` extension atom
 is not a lookup: one check runs Lemma 10's disagreement test against every
 stored tuple of ``P``, so it is priced at ``|I(P)| * arity``.  The algebra model is
-:func:`repro.physical.optimizer.plan_cost` over the *optimized* plan, so
-observed cardinalities recorded by the feedback loop sharpen the dispatch
-decision exactly as they sharpen join ordering.
+:func:`repro.physical.optimizer.plan_cost` over the *optimized* plan, so the
+dispatch decision and join ordering read the same cardinality model.
 """
 
 from __future__ import annotations
@@ -53,8 +52,8 @@ __all__ = ["tarskian_cost", "prefer_tarskian", "choose_engine"]
 
 #: The Tarskian route must look at least this much cheaper (cost below
 #: ``plan_cost * margin``) before "auto" leaves the algebra engine — near-
-#: ties stay with the default, so a feedback update that nudges one cost
-#: model slightly cannot flap the dispatch decision back and forth.
+#: ties stay with the default, so a small shift in either cost model (a
+#: statistics preload, say) cannot flap the dispatch decision back and forth.
 _ALGEBRA_MARGIN = 0.75
 
 

@@ -35,12 +35,6 @@ This module rewrites a compiled plan into an equivalent cheaper one:
   columns of a compiled ``alpha_P`` atom (an anti-join over active-domain
   columns) are restricted by their siblings' keys.
 
-The estimator also consults **observed cardinalities**: actual subplan row
-counts recorded by previous executions (:class:`~repro.physical.statistics.CardinalityRecorder`,
-folded in through :func:`apply_feedback`).  When an observation contradicts
-the model badly enough the serving layer re-optimizes the query — the
-feedback loop that turns the plan-once compiler into an adaptive runtime.
-
 Every rewrite preserves the result *exactly* — same columns in the same
 order, same row set — so a naive plan (:func:`~repro.physical.compiler.compile_query`
 without this module) or ``optimize(..., sip=False)`` is a valid reference
@@ -48,8 +42,6 @@ for the optimized one.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.physical.algebra import _ExecutionContext
 from repro.physical.database import PhysicalDatabase
@@ -69,16 +61,12 @@ from repro.physical.plan import (
     Selection,
     SemiJoin,
     UnionAll,
-    plan_fingerprint,
 )
 from repro.logic.terms import Parameter
-from repro.physical.statistics import CardinalityRecorder, Statistics, statistics_for
+from repro.physical.statistics import Statistics, statistics_for
 
 __all__ = [
-    "DEFAULT_FEEDBACK_THRESHOLD",
-    "FeedbackOutcome",
     "optimize",
-    "apply_feedback",
     "plan_cost",
 ]
 
@@ -89,10 +77,6 @@ _SELECTIVITY_OPAQUE = 1.0 / 3.0
 _SIP_RATIO = 4.0
 #: ...and estimated at least this many rows (tiny inputs are never worth it).
 _SIP_MIN_ROWS = 64.0
-
-#: An observation must contradict the model by at least this factor (either
-#: direction) before it is recorded and the cached plan declared stale.
-DEFAULT_FEEDBACK_THRESHOLD = 8.0
 
 
 def optimize(
@@ -126,15 +110,9 @@ class _Rewriter:
         self.database = database
         self.statistics = statistics
         self._resolver = _ExecutionContext(database, use_indexes=False)
-        self._fingerprints: dict[PlanNode, str | None] = {}
 
     def cols(self, plan: PlanNode) -> tuple[str, ...]:
         return self._resolver.columns(plan)
-
-    def fingerprint(self, plan: PlanNode) -> str | None:
-        if plan not in self._fingerprints:
-            self._fingerprints[plan] = plan_fingerprint(plan)
-        return self._fingerprints[plan]
 
     # Constant folding ---------------------------------------------------------
 
@@ -423,15 +401,7 @@ class _Rewriter:
     # Cardinality estimation ---------------------------------------------------
 
     def estimate(self, plan: PlanNode) -> "_Estimate":
-        """Estimated output size; actual observed cardinalities trump the model."""
-        estimate = self._model_estimate(plan)
-        if self.statistics.has_observations():
-            observed = self.statistics.observed_rows(self.fingerprint(plan))
-            if observed is not None:
-                estimate = _Estimate(float(observed), dict(estimate.distinct)).clamped()
-        return estimate
-
-    def _model_estimate(self, plan: PlanNode) -> "_Estimate":
+        """Estimated output size under the statistics' cardinality model."""
         columns = self.cols(plan)
         if isinstance(plan, ScanRelation):
             summary = self.statistics.relation(plan.relation)
@@ -959,62 +929,6 @@ def _rebuild(plan: PlanNode, node_type, **replacements) -> PlanNode:
         return plan
     fields.update(replacements)
     return node_type(**fields)
-
-
-# Runtime cardinality feedback --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FeedbackOutcome:
-    """What one execution's observations did to the database's statistics."""
-
-    #: observations newly recorded into the statistics (fingerprintable nodes
-    #: whose actual cardinality contradicted the model beyond the threshold).
-    recorded: int
-    #: observations examined (fingerprintable materialization points).
-    examined: int
-
-    @property
-    def diverged(self) -> bool:
-        """Whether the plan that produced these observations is now stale."""
-        return self.recorded > 0
-
-
-def apply_feedback(
-    database: PhysicalDatabase,
-    recorder: CardinalityRecorder,
-    threshold: float = DEFAULT_FEEDBACK_THRESHOLD,
-    statistics: Statistics | None = None,
-) -> FeedbackOutcome:
-    """Fold one execution's actual cardinalities into *database*'s statistics.
-
-    Every materialization point the executor recorded is compared against the
-    model's estimate; an actual that is off by at least *threshold* (in
-    either direction) is stored under the subplan's content fingerprint, so
-    the next optimization of any plan containing that subtree estimates it
-    correctly.  Already-recorded fingerprints are refreshed silently and
-    never re-reported — re-optimizing on every execution would thrash, and
-    skipping known observations makes the feedback loop converge (each
-    re-optimization can only add new fingerprints).
-    """
-    statistics = statistics or statistics_for(database)
-    rewriter = _Rewriter(database, statistics)
-    recorded = examined = 0
-    for node, actual in recorder.observations.items():
-        fingerprint = rewriter.fingerprint(node)
-        if fingerprint is None:
-            continue
-        examined += 1
-        if statistics.observed_rows(fingerprint) is not None:
-            statistics.record_observed(fingerprint, actual)
-            continue
-        estimated = rewriter._model_estimate(node).rows
-        larger = max(float(actual), estimated, 1.0)
-        smaller = max(min(float(actual), estimated), 1.0)
-        if larger / smaller >= threshold:
-            statistics.record_observed(fingerprint, actual)
-            recorded += 1
-    return FeedbackOutcome(recorded=recorded, examined=examined)
 
 
 def plan_cost(plan: PlanNode, database: PhysicalDatabase, statistics: Statistics | None = None) -> float:

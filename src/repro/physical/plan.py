@@ -328,8 +328,7 @@ def _install_cached_hashes() -> None:
     """Replace each node class's generated ``__hash__`` with a caching wrapper.
 
     Plan nodes are immutable trees used as dict keys everywhere — the
-    executor's memo and column cache, the optimizer's rewrites, the service
-    plan cache, cardinality feedback.  The dataclass-generated ``__hash__``
+    executor's memo and column cache, the optimizer's rewrites.  The dataclass-generated ``__hash__``
     recursively re-hashes the whole subtree on *every* lookup, which makes
     per-node bookkeeping O(tree size); caching the value on first use (the
     ``object.__setattr__`` idiom used for ``PhysicalDatabase`` caches) makes
@@ -371,10 +370,7 @@ def plan_fingerprint(plan: PlanNode) -> str | None:
     """A stable content key for a plan subtree, or ``None`` if it has none.
 
     Two structurally equal plans — in any process, at any time — get the same
-    fingerprint, which is what lets observed cardinalities recorded by one
-    execution (:mod:`repro.physical.statistics`) be found again by a later
-    re-optimization, and survive a JSON round trip through the snapshot
-    store.  Plans containing an opaque ``Selection.condition`` callable are
+    fingerprint, unlike ``hash()``, which varies between processes.  Plans containing an opaque ``Selection.condition`` callable are
     unfingerprintable (``None``): a function cannot be keyed by content.
     """
     parts: list[str] = []
@@ -452,7 +448,7 @@ def plan_parameters(plan: PlanNode) -> tuple[str, ...]:
 
 
 def substitute_plan_parameters(plan: PlanNode, values: Mapping[str, object]) -> PlanNode:
-    """Rebind a compiled template plan to concrete values — the prepared fast path.
+    """Rebind a compiled template plan to concrete values — how a cached shape plan runs.
 
     Structurally identical to re-compiling the bound query, but a pure tree
     rebuild: no parse, no rewrite, no optimization.  *values* maps parameter

@@ -23,38 +23,12 @@ from repro.physical.database import PhysicalDatabase
 from repro.physical.relation import Relation
 
 __all__ = [
-    "MAX_OBSERVATIONS",
     "RelationStatistics",
     "Statistics",
-    "CardinalityRecorder",
-    "bounded_insert",
     "statistics_for",
     "statistics_payload",
     "preload_statistics",
 ]
-
-
-def bounded_insert(mapping: dict, key, value, capacity: int) -> None:
-    """Insert into a bounded dict: newest entries last, evict from the head.
-
-    The one bounded-map idiom every feedback-adjacent store shares (observed
-    cardinalities, the service's convergence markers, the snapshot store's
-    persisted merge) so the eviction semantics cannot drift between them.
-    Head-first eviction is oldest-first only as far as the dict's order
-    encodes age — a map rebuilt from a sorted JSON file starts alphabetical,
-    so eviction there is approximate; the entries being inserted *now* are
-    always the last to go.
-    """
-    mapping.pop(key, None)
-    while len(mapping) >= capacity:
-        del mapping[next(iter(mapping))]
-    mapping[key] = value
-
-#: Cap on stored observed-cardinality fingerprints per database instance (and
-#: per persisted payload): a high-diversity query stream keeps learning new
-#: subplans forever, and an unbounded map would creep across deploy cycles.
-#: Oldest-first eviction; a dropped observation costs one re-learning round.
-MAX_OBSERVATIONS = 4096
 
 
 @dataclass(frozen=True)
@@ -81,13 +55,6 @@ class Statistics:
     def __init__(self, database: PhysicalDatabase, active_domain_size: int | None = None) -> None:
         self._database = database
         self._relations: dict[str, RelationStatistics] = {}
-        #: observed subplan cardinalities keyed by plan fingerprint — runtime
-        #: feedback recorded by the executor, consulted by the optimizer's
-        #: estimator, and round-tripped through the persisted payload.
-        self._observed: dict[str, int] = {}
-        #: bumped on every new observation; lets callers order "was this plan
-        #: optimized before or after that feedback?" without comparing plans.
-        self.generation = 0
         self.domain_size = len(database.domain)
         if active_domain_size is None:
             active_domain_size = len(database.active_domain())
@@ -111,34 +78,6 @@ class Statistics:
             raise IndexError(f"column {position} out of range for {name!r} (arity {summary.arity})")
         return summary.distinct[position]
 
-    # Runtime feedback ----------------------------------------------------------
-
-    def has_observations(self) -> bool:
-        return bool(self._observed)
-
-    def observed_rows(self, fingerprint: str | None) -> int | None:
-        """The recorded actual row count of a subplan, if one was observed."""
-        if fingerprint is None:
-            return None
-        return self._observed.get(fingerprint)
-
-    def record_observed(self, fingerprint: str, rows: int) -> None:
-        """Remember a subplan's actual cardinality for future optimizations.
-
-        The generation only moves when an observation actually changes —
-        refreshing a known fingerprint with the same value must not expire
-        anyone's convergence marker, or steady state would never arrive.
-        """
-        rows = int(rows)
-        if self._observed.get(fingerprint) != rows:
-            bounded_insert(self._observed, fingerprint, rows, MAX_OBSERVATIONS)
-            self.generation += 1
-
-    @property
-    def observed(self) -> Mapping[str, int]:
-        """Read-only view of every recorded observation (for persistence)."""
-        return dict(self._observed)
-
     def _summarize(self, name: str) -> RelationStatistics:
         relation = self._database.relation(name)
         arity = relation.arity
@@ -161,28 +100,6 @@ class Statistics:
                 for name, summary in sorted(self._relations.items())
             },
         }
-
-
-class CardinalityRecorder:
-    """Collects actual subplan row counts during one plan execution.
-
-    The executor calls :meth:`record` at every materialization point (see
-    :func:`repro.physical.algebra.execute`).  The same node can be recorded
-    more than once with different granularities (a build side counts raw
-    streamed rows, the memo counts distinct ones); the larger value wins —
-    overestimating an intermediate is the conservative direction for the
-    optimizer that will consume it.
-    """
-
-    __slots__ = ("observations",)
-
-    def __init__(self) -> None:
-        self.observations: dict[object, int] = {}
-
-    def record(self, node: object, rows: int) -> None:
-        previous = self.observations.get(node)
-        if previous is None or rows > previous:
-            self.observations[node] = rows
 
 
 def statistics_for(database: PhysicalDatabase) -> Statistics:
@@ -223,14 +140,11 @@ def statistics_payload(database: PhysicalDatabase) -> dict:
             "distinct": list(summary.distinct),
             "estimated": summary.estimated,
         }
-    payload: dict = {
+    return {
         "domain_size": statistics.domain_size,
         "active_domain_size": statistics.active_domain_size,
         "relations": relations,
     }
-    if statistics._observed:
-        payload["observed"] = dict(statistics._observed)
-    return payload
 
 
 def preload_statistics(database: PhysicalDatabase, payload: Mapping[str, object]) -> Statistics:
@@ -246,7 +160,8 @@ def preload_statistics(database: PhysicalDatabase, payload: Mapping[str, object]
 
     When no statistics exist on the instance yet, the payload's
     ``active_domain_size`` seeds the summary directly, sparing the boot-time
-    every-tuple scan that computing it fresh would cost.
+    every-tuple scan that computing it fresh would cost.  Any other section
+    (such as the ``"observed"`` cardinalities older stores carry) is ignored.
     """
     statistics = database.__dict__.get("_statistics")
     if statistics is None:
@@ -256,15 +171,6 @@ def preload_statistics(database: PhysicalDatabase, payload: Mapping[str, object]
             active_domain_size=persisted_size if isinstance(persisted_size, int) else None,
         )
         object.__setattr__(database, "_statistics", statistics)
-    observed = payload.get("observed", {})
-    if isinstance(observed, Mapping):
-        for fingerprint, rows in observed.items():
-            if len(statistics._observed) >= MAX_OBSERVATIONS:
-                break
-            if isinstance(fingerprint, str) and isinstance(rows, int) and rows >= 0:
-                # Locally learned observations win over persisted ones: they
-                # were measured on this very instance.
-                statistics._observed.setdefault(fingerprint, rows)
     relations = payload.get("relations", {})
     if not isinstance(relations, Mapping):
         return statistics

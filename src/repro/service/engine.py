@@ -18,19 +18,16 @@ clients:
   on ``(fingerprint, query_text, method, engine, profile)``,
   and a prepared execution uses its bound text, so it shares the slot of
   the equivalent ad-hoc request;
-* **plan caching** — compiled + optimized relational-algebra plans are kept
-  per ``(snapshot fingerprint, query_text, engine)``, so a warm
-  server answering an uncached request (e.g. after answer-cache eviction, or
-  with response caching disabled) still skips parse-rewrite-compile-optimize
-  and goes straight to plan execution;
-* **adaptive re-optimization** — every plan execution records actual subplan
-  cardinalities (:class:`~repro.physical.statistics.CardinalityRecorder`);
-  observations that contradict the optimizer's model beyond a threshold are
-  folded into the snapshot's statistics and the stale plan-cache entry is
-  dropped, so the query is re-optimized — with the corrected cardinalities,
-  and a possibly different engine under ``"auto"`` — on its next arrival.
-  The loop converges: only *new* divergent observations invalidate, and each
-  re-optimization can only add observations.
+* **one plan per query shape** — an ad-hoc query's constants are lifted
+  into parameters after parse (:func:`~repro.logic.template.lift_constants`),
+  and the compiled + optimized plan of that *template* is cached per
+  ``(snapshot fingerprint, canonical template text, engine)``.  Requests
+  that differ only in constants share one entry, exactly as the executions
+  of one prepared template do: each substitutes its values into the cached
+  plan (:func:`~repro.physical.plan.substitute_plan_parameters`), so a warm
+  server answering an uncached request skips rewrite-compile-optimize and
+  goes straight to plan execution.  Plans are costed once, on static
+  statistics; nothing re-optimizes them per binding.
 
 The session surface — prepared statements, batches, warm-up, the terminal
 ``close()`` — is :class:`~repro.service.frontend.Frontend`'s, shared with
@@ -48,6 +45,7 @@ from typing import Callable, Mapping
 from repro.approx.evaluator import ApproximateEvaluator
 from repro.errors import ServiceError, UnknownDatabaseError
 from repro.logic.queries import Query
+from repro.logic.template import lift_constants, lifted_text
 from repro.logical.database import CWDatabase
 from repro.logical.exact import CertainAnswerEvaluator
 from repro.logical.mappings import DEFAULT_MAX_MAPPINGS
@@ -59,14 +57,8 @@ from repro.observability.tracing import span
 from repro.physical.algebra import node_label
 from repro.resilience.deadlines import check_deadline
 from repro.physical.database import PhysicalDatabase
-from repro.physical.optimizer import DEFAULT_FEEDBACK_THRESHOLD, apply_feedback, plan_cost
 from repro.physical.plan import substitute_plan_parameters
-from repro.physical.statistics import (
-    CardinalityRecorder,
-    bounded_insert,
-    preload_statistics,
-    statistics_for,
-)
+from repro.physical.statistics import preload_statistics
 from repro.service.cache import LRUCache
 from repro.service.frontend import DEFAULT_PARSE_CACHE_CAPACITY, DEFAULT_PLAN_CACHE_CAPACITY, Frontend
 from repro.service.prepared import PreparedStatement
@@ -87,9 +79,8 @@ DEFAULT_ANSWER_CACHE_CAPACITY = 4096
 #: the compile + optimize + cost-model work the dispatcher needed to decide.
 _TARSKI_ROUTE = "tarski-route"
 
-#: Plan-cache value meaning "this template has no generic plan" (second order,
-#: an explicitly Tarskian statement): prepared executions bind at the AST
-#: level and take the ad-hoc per-binding plan path.
+#: Plan-cache value meaning "this shape has no plan" (second order, or an
+#: explicit ``engine="tarski"``): each execution evaluates its bound query.
 _AST_ROUTE = "ast-route"
 
 
@@ -135,11 +126,6 @@ class QueryService(Frontend):
         caching (every uncached request recompiles).
     max_mappings:
         Safety cap forwarded to exact certain-answer evaluation.
-    feedback_threshold:
-        How far (as a factor, either direction) an observed subplan
-        cardinality must diverge from the optimizer's estimate before the
-        statistics learn it and the cached plan is re-optimized.  ``None``
-        or ``0`` disables the adaptive feedback loop entirely.
     """
 
     def __init__(
@@ -148,30 +134,12 @@ class QueryService(Frontend):
         parse_cache_capacity: int = DEFAULT_PARSE_CACHE_CAPACITY,
         plan_cache_capacity: int = DEFAULT_PLAN_CACHE_CAPACITY,
         max_mappings: int = DEFAULT_MAX_MAPPINGS,
-        feedback_threshold: float | None = DEFAULT_FEEDBACK_THRESHOLD,
     ) -> None:
         super().__init__(parse_cache_capacity, plan_cache_capacity)
         self._registry: dict[str, RegisteredDatabase] = {}
         self._answers = LRUCache(answer_cache_capacity)
         self._exact = CertainAnswerEvaluator(max_mappings=max_mappings)
-        self._feedback_threshold = feedback_threshold or None
-        self._feedback = {"observations": 0, "invalidations": 0, "reoptimizations": 0}
-        self._prepared.update(generic_plans=0, custom_plans=0)
-        #: (template plan key, statistics generation) → cached generic cost;
-        #: bounded like the feedback marker maps.
-        self._generic_costs: dict[tuple, float] = {}
-        #: plan keys dropped by feedback, awaiting re-optimization — mapped to
-        #: the statistics generation a replacement plan must have seen.
-        self._replanned: dict[tuple, int] = {}
-        #: plan keys whose observations all matched the model — mapped to the
-        #: statistics generation that was current then, so convergence expires
-        #: (and observation resumes) whenever the statistics drift; until
-        #: then their executions skip the recorder entirely.
-        self._converged: dict[tuple, int] = {}
-        #: both marker maps are bounded (a high-diversity query stream must
-        #: not grow them forever); overflowing drops the oldest entries, whose
-        #: only cost is one extra observation or invalidation round.
-        self._marker_capacity = max(plan_cache_capacity, DEFAULT_PLAN_CACHE_CAPACITY)
+        self._prepared.update(generic_plans=0)
 
     # Registry ------------------------------------------------------------------
 
@@ -226,10 +194,9 @@ class QueryService(Frontend):
         """Register a snapshot loaded from a :class:`~repro.cluster.store.SnapshotStore`.
 
         This is the warm-boot path of cluster workers: the snapshot's
-        persisted optimizer statistics — including observed cardinalities
-        learned by other workers' feedback loops — are seeded onto the
-        precomputed ``Ph2`` storage, so the very first plans run with real
-        cardinalities instead of triggering cold rescans.
+        persisted optimizer statistics are seeded onto the precomputed
+        ``Ph2`` storage, so the very first plans run with real cardinalities
+        instead of triggering cold rescans.
         """
         snapshot = store.load(snapshot_name)
         entry = self.register(
@@ -252,15 +219,8 @@ class QueryService(Frontend):
         """
         entry = self.entry(name)
         preload_statistics(entry.storage, payload)
-
-        def affected(key: tuple) -> bool:
-            return key[0] == entry.fingerprint
-
-        # New statistics make re-observation worthwhile again.
-        dropped = self._forget_plans(affected)
+        dropped = self._plans.invalidate(lambda key: key[0] == entry.fingerprint)
         if dropped:
-            with self._registry_lock:
-                self._feedback["invalidations"] += dropped
             events.emit(
                 "plan.invalidated",
                 database=entry.name,
@@ -269,24 +229,6 @@ class QueryService(Frontend):
             )
         return dropped
 
-    def export_feedback(self) -> dict[str, dict[str, int]]:
-        """Observed cardinalities per snapshot fingerprint (for persistence).
-
-        Only storage that was actually built and observed something appears.
-        The cluster worker merges this into the snapshot store on shutdown,
-        which is how feedback learned under live traffic reaches the next
-        boot — and, via the store, every other worker.
-        """
-        learned: dict[str, dict[str, int]] = {}
-        with self._registry_lock:
-            entries = list(self._registry.values())
-        for entry in entries:
-            storage = entry.__dict__.get("_storage")
-            statistics = None if storage is None else storage.__dict__.get("_statistics")
-            if statistics is not None and statistics.has_observations():
-                learned.setdefault(entry.fingerprint, {}).update(statistics.observed)
-        return learned
-
     def unregister(self, name: str) -> None:
         """Drop a snapshot and every cached response computed from it."""
         with self._registry_lock:
@@ -294,21 +236,8 @@ class QueryService(Frontend):
         if entry is None:
             raise UnknownDatabaseError(f"unknown database {name!r}")
         self._answers.invalidate(lambda key: key[0] == entry.fingerprint)
-        self._forget_plans(lambda key: key[0] == entry.fingerprint)
+        self._plans.invalidate(lambda key: key[0] == entry.fingerprint)
         self._statements.drop_database(name)
-
-    def _forget_plans(self, affected) -> int:
-        """Drop the plan-cache entries *affected* selects, and their feedback markers.
-
-        A pending marker would refer to a plan that no longer exists.
-        Returns the number of dropped plan-cache entries.
-        """
-        dropped = self._plans.invalidate(affected)
-        with self._registry_lock:
-            self._converged = {key: generation for key, generation in self._converged.items() if not affected(key)}
-            for key in [key for key in self._replanned if affected(key)]:
-                del self._replanned[key]
-        return dropped
 
     def database_names(self) -> tuple[str, ...]:
         with self._registry_lock:
@@ -329,15 +258,22 @@ class QueryService(Frontend):
 
         The cache key pairs the snapshot's content fingerprint with every
         request field that can change the answer, so distinct methods and
-        engines never share an entry.
+        engines never share an entry.  An uncached approximate request runs
+        on the plan of its shape: the constants are lifted out of the parsed
+        query and substituted back into the shape's cached plan.
         """
         entry = self.entry(request.database)
 
         def evaluate() -> QueryResponse:
             query = self._parse(request.query)
-            return self._evaluate(
-                entry, request, query, lambda profiler: self._approx_answers(entry, request, query, profiler)
-            )
+
+            def approximate(profiler: PlanProfiler | None) -> frozenset[tuple[str, ...]]:
+                shape, values = lifted_text(query)
+                return self._approximate(
+                    entry, request.engine, shape, lambda: lift_constants(query)[0], values, query, profiler
+                )
+
+            return self._evaluate(entry, request, query, approximate)
 
         return self._answer(entry, request, evaluate, "query", f"query.{request.engine}")
 
@@ -348,21 +284,22 @@ class QueryService(Frontend):
         bound: Query,
         values: Mapping[str, str],
     ) -> QueryResponse:
-        """A prepared execution: the ad-hoc *request*, minus the parse.
+        """A prepared execution: the ad-hoc *request*, minus the parse and the lift.
 
         Answers are byte-identical to that request — the two share
-        answer-cache entries — but the expression-side work is amortized:
-        the template was parsed once at prepare time, and the compiled +
-        optimized *template plan* is rebound by value substitution instead
-        of recompiled (see :meth:`_approx_prepared` for the generic-vs-custom
-        plan choice).
+        answer-cache entries — and so is the route: the statement's template
+        is the shape, and its values are the binding.
         """
         entry = self.entry(statement.database)
 
-        def evaluate() -> QueryResponse:
-            return self._evaluate(
-                entry, request, bound, lambda profiler: self._approx_prepared(entry, statement, request, bound, values)
+        def approximate(profiler: PlanProfiler | None) -> frozenset[tuple[str, ...]]:
+            return self._approximate(
+                entry, statement.engine, statement.template, lambda: statement.query,
+                values, bound, profiler, prepared=True,
             )
+
+        def evaluate() -> QueryResponse:
+            return self._evaluate(entry, request, bound, approximate)
 
         return self._answer(entry, request, evaluate, "execute", f"template.{statement.statement_id}")
 
@@ -399,9 +336,7 @@ class QueryService(Frontend):
         return response
 
     def stats(self) -> StatsResponse:
-        with self._registry_lock:
-            feedback = dict(self._feedback)
-        return replace(super().stats(), answer_cache=self._answers.stats().as_dict(), feedback=feedback)
+        return replace(super().stats(), answer_cache=self._answers.stats().as_dict())
 
     def metrics(self) -> MetricsResponse:
         """A telemetry snapshot for ``GET /metrics``.
@@ -435,143 +370,54 @@ class QueryService(Frontend):
 
     # Internals -----------------------------------------------------------------
 
-    def _absorb_feedback(self, storage: PhysicalDatabase, recorder: CardinalityRecorder, plan_key: tuple) -> None:
-        """Fold one execution's observations in; drop the plan if now stale.
-
-        The *answer* that execution produced stays valid (every plan is
-        exact), so the response cache is untouched — only the plan entry is
-        invalidated so the next uncached arrival re-optimizes with the
-        corrected statistics.  An execution that teaches nothing new marks
-        the key *converged*: later executions skip the recorder entirely, so
-        the steady-state hot path pays no feedback bookkeeping.
-        """
-        statistics = statistics_for(storage)
-        outcome = apply_feedback(storage, recorder, self._feedback_threshold, statistics)
-        if outcome.diverged:
-            dropped = self._plans.invalidate(lambda key: key == plan_key)
-            with self._registry_lock:
-                self._feedback["observations"] += outcome.recorded
-                self._converged.pop(plan_key, None)
-                if dropped:
-                    self._feedback["invalidations"] += dropped
-                    bounded_insert(self._replanned, plan_key, statistics.generation, self._marker_capacity)
-            if dropped:
-                events.emit(
-                    "plan.invalidated",
-                    query=plan_key[1],
-                    dropped=dropped,
-                    reason="feedback_divergence",
-                )
-            return
-        # Nothing fingerprintable, or every observation matches what the
-        # statistics already know — either way there is nothing left to learn
-        # from re-observing this exact plan.  A key with a pending
-        # re-optimization is left alone: this execution ran the doomed plan
-        # (a concurrent observer got there first), and the *replacement*
-        # still deserves observation.
-        with self._registry_lock:
-            if plan_key not in self._replanned:
-                bounded_insert(self._converged, plan_key, statistics.generation, self._marker_capacity)
-
-    def _plan_with_markers(self, storage: PhysicalDatabase, plan_key: tuple, compute_plan):
-        """Fetch a cached plan, honouring the feedback loop's staleness markers.
-
-        ``compute_plan`` returns ``(plan, statistics generation)``; the
-        generation is captured *before* optimizing, so a plan tagged >= N
-        provably saw every observation up to N.
-        """
-        plan, generation = self._plans.get_or_compute(plan_key, compute_plan)[0]
-        with self._registry_lock:
-            required = self._replanned.get(plan_key)
-            converged_at = self._converged.get(plan_key)
-        if required is not None:
-            if generation < required:
-                # The cached plan predates the feedback that doomed it (a
-                # compute racing the invalidation can re-cache the stale
-                # plan): drop it and recompile with the learned statistics.
-                self._plans.invalidate(lambda key: key == plan_key)
-                plan, generation = self._plans.get_or_compute(plan_key, compute_plan)[0]
-            if generation >= required:
-                with self._registry_lock:
-                    reoptimized = self._replanned.pop(plan_key, None) is not None
-                    if reoptimized:
-                        self._feedback["reoptimizations"] += 1
-                if reoptimized:
-                    events.emit(
-                        "plan.reoptimized",
-                        query=plan_key[1],
-                        generation=generation,
-                    )
-        elif converged_at is not None and generation < converged_at:
-            # A stalled pre-feedback compute can publish its stale plan
-            # *after* the replacement already converged (marker long
-            # consumed); the generation tag exposes the resurrection.
-            # The convergence verdict belonged to the replaced plan, so
-            # it goes too — the recompiled plan must be observed afresh.
-            self._plans.invalidate(lambda key: key == plan_key)
-            with self._registry_lock:
-                self._converged.pop(plan_key, None)
-            plan, generation = self._plans.get_or_compute(plan_key, compute_plan)[0]
-        if plan is _TARSKI_ROUTE and generation < statistics_for(storage).generation:
-            # The enumeration-vs-algebra decision was costed under older
-            # statistics; corrections learned since (possibly from other
-            # queries sharing subplans) may flip it — re-decide.
-            self._plans.invalidate(lambda key: key == plan_key)
-            plan, generation = self._plans.get_or_compute(plan_key, compute_plan)[0]
-        return plan, generation
-
-    def _execute_plan(
-        self,
-        storage: PhysicalDatabase,
-        plan_key: tuple,
-        plan,
-        evaluator: ApproximateEvaluator,
-        query: Query,
-        profiler: PlanProfiler | None = None,
-    ) -> frozenset[tuple[str, ...]]:
-        """Run one plan (or the Tarskian route), observing per feedback rules."""
-        if self._feedback_threshold and plan is not None:
-            current_generation = statistics_for(storage).generation
-            with self._registry_lock:
-                observe = self._converged.get(plan_key) != current_generation
-        else:
-            observe = False
-        recorder = CardinalityRecorder() if observe else None
-        approx = evaluator.answers_on_storage(
-            storage, query, plan=plan, recorder=recorder, profiler=profiler
-        )
-        if recorder is not None:
-            self._absorb_feedback(storage, recorder, plan_key)
-        return approx
-
-    def _approx_answers(
+    def _approximate(
         self,
         entry: RegisteredDatabase,
-        request: QueryRequest,
-        query: Query,
+        engine: str,
+        shape: str,
+        template: Callable[[], Query],
+        values: Mapping[str, str],
+        bound: Query,
         profiler: PlanProfiler | None = None,
+        prepared: bool = False,
     ) -> frozenset[tuple[str, ...]]:
-        """The approximate route: plan cache, feedback markers, auto dispatch."""
-        engine = request.engine
+        """The approximate route of every request: the plan of its shape.
+
+        *shape* is the canonical text of the query ``template()`` builds (on
+        a plan-cache miss only), and *bound* is that query under *values*.
+        The plan cache holds one entry per ``(snapshot, shape, engine)`` —
+        the compiled + optimized plan with
+        :class:`~repro.logic.terms.Parameter` placeholders still inside — and
+        each execution substitutes its values into it, a pure tree rebuild.
+        Two routes have no plan and evaluate *bound* directly: the ``auto``
+        dispatcher costed the shape onto Tarskian enumeration, or the shape
+        is second order or asks for ``engine="tarski"``.  The plan depends on
+        the snapshot content, never on the method, so content-identical
+        snapshots share plans across aliases.
+        """
         storage = entry.storage
         evaluator = ApproximateEvaluator(engine=engine)
-        # The plan depends on the snapshot content (ph2 derivation is
-        # deterministic), never on the method, so content-identical
-        # snapshots share plans across aliases.
-        plan_key = (entry.fingerprint, request.query, engine)
 
         def compute_plan():
-            generation = statistics_for(storage).generation
-            plan = evaluator.plan_on_storage(storage, query)
-            if plan is None and engine == "auto":
-                plan = _TARSKI_ROUTE
-            return (plan, generation)
+            plan = evaluator.plan_on_storage(storage, template())
+            if plan is None:
+                return _TARSKI_ROUTE if engine == "auto" else _AST_ROUTE
+            return plan
 
-        plan, __ = self._plan_with_markers(storage, plan_key, compute_plan)
+        plan, __ = self._plans.get_or_compute((entry.fingerprint, shape, engine), compute_plan)
         if plan is _TARSKI_ROUTE:
-            evaluator = ApproximateEvaluator(engine="tarski")
-            plan = None
-        return self._execute_plan(storage, plan_key, plan, evaluator, query, profiler)
+            return ApproximateEvaluator(engine="tarski").answers_on_storage(storage, bound)
+        if plan is _AST_ROUTE:
+            return evaluator.answers_on_storage(storage, bound)
+        # Resolving through constant_value makes an unknown constant fail
+        # exactly as compiling it into the plan did.
+        resolved = {name: storage.constant_value(value) for name, value in values.items()}
+        if prepared:
+            with self._registry_lock:
+                self._prepared["generic_plans"] += 1
+        return evaluator.answers_on_storage(
+            storage, bound, plan=substitute_plan_parameters(plan, resolved), profiler=profiler
+        )
 
     @staticmethod
     def _soundness(approx, exact) -> tuple[bool | None, int | None]:
@@ -582,91 +428,6 @@ class QueryService(Frontend):
                 "soundness violated: the approximation returned a non-certain answer — please report this as a bug"
             )
         return approx == exact, len(exact - approx)
-
-    def _approx_prepared(
-        self,
-        entry: RegisteredDatabase,
-        statement: PreparedStatement,
-        request: QueryRequest,
-        bound_query: Query,
-        values: Mapping[str, str],
-    ) -> frozenset[tuple[str, ...]]:
-        """Approximate route for a prepared execution: rebind the template plan.
-
-        The plan cache holds one *template-keyed* entry per (snapshot,
-        template, engine): the compiled + optimized plan with
-        :class:`~repro.logic.terms.Parameter` placeholders still inside.
-        Each execution substitutes the bound values into that plan — a pure
-        tree rebuild — unless
-
-        * no generic plan exists (second order, an explicitly Tarskian
-          statement): fall back to the ad-hoc plan path on the bound query
-          (still parse-free);
-        * the ``auto`` dispatcher costed the template onto the Tarskian
-          route: enumerate the bound query directly;
-        * the bound plan's cost under *observed* statistics diverges from
-          the generic estimate by the feedback threshold: this binding's
-          selectivity is provably unlike the template's average, so compile
-          a **custom plan** for it (cached under the bound text, exactly as
-          an ad-hoc request would be).
-
-        Feedback stays template-keyed: divergent observations invalidate the
-        template entry, so the *template* is re-optimized on its next
-        execution.
-        """
-        storage = entry.storage
-        evaluator = ApproximateEvaluator(engine=statement.engine)
-        template_key = (entry.fingerprint, statement.template, statement.engine)
-
-        def compute_plan():
-            generation = statistics_for(storage).generation
-            plan = evaluator.plan_on_storage(storage, statement.query)
-            if plan is None:
-                plan = _TARSKI_ROUTE if statement.engine == "auto" else _AST_ROUTE
-            return (plan, generation)
-
-        plan, __ = self._plan_with_markers(storage, template_key, compute_plan)
-        if plan is _AST_ROUTE:
-            return self._approx_answers(entry, request, bound_query)
-        if plan is _TARSKI_ROUTE:
-            tarskian = ApproximateEvaluator(engine="tarski")
-            return self._execute_plan(storage, template_key, None, tarskian, bound_query)
-        # Resolving through constant_value makes a binding to an unknown
-        # constant fail exactly like the equivalent ad-hoc request.
-        resolved = {name: storage.constant_value(value) for name, value in values.items()}
-        bound_plan = substitute_plan_parameters(plan, resolved)
-        statistics = statistics_for(storage)
-        if self._feedback_threshold and statistics.has_observations():
-            generic_cost = self._generic_cost(template_key, plan, storage, statistics)
-            bound_cost = plan_cost(bound_plan, storage, statistics)
-            larger = max(generic_cost, bound_cost, 1.0)
-            smaller = max(min(generic_cost, bound_cost), 1.0)
-            if larger / smaller >= self._feedback_threshold:
-                # Observed cardinalities say this binding behaves nothing
-                # like the generic estimate — optimize a plan for *it*.
-                with self._registry_lock:
-                    self._prepared["custom_plans"] += 1
-                return self._approx_answers(entry, request, bound_query)
-        with self._registry_lock:
-            self._prepared["generic_plans"] += 1
-        return self._execute_plan(storage, template_key, bound_plan, evaluator, bound_query)
-
-    def _generic_cost(self, template_key: tuple, plan, storage: PhysicalDatabase, statistics) -> float:
-        """The template plan's estimated cost, cached per statistics generation.
-
-        Binding-independent by construction (the estimator never looks at
-        binding values), so the hot sweep path pays the plan-tree walk once
-        per (template, statistics state) instead of once per execution; a
-        new observation bumps the generation and naturally invalidates it.
-        """
-        key = (template_key, statistics.generation)
-        with self._registry_lock:
-            cached = self._generic_costs.get(key)
-        if cached is None:
-            cached = plan_cost(plan, storage, statistics)
-            with self._registry_lock:
-                bounded_insert(self._generic_costs, key, cached, self._marker_capacity)
-        return cached
 
     def _evaluate(
         self,

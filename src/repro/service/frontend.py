@@ -9,7 +9,10 @@ shard workers, so :class:`Frontend` owns it once — statement registry, parse
 and plan caches, batches, warm-up, the shared ``stats()`` fields, metrics
 registry, thread pools and the terminal ``close()`` — and a subclass says
 only how a request is evaluated: ``execute`` for an ad-hoc request and
-:meth:`Frontend._execute_bound` for one bound prepared statement.
+:meth:`Frontend._execute_bound` for one bound prepared statement.  In the
+single-process service both end on one route: an ad-hoc request is lifted
+to its shape (its constants become parameters), so it runs on the same
+cached template plan as a prepared execution of that shape would.
 """
 
 from __future__ import annotations
@@ -66,8 +69,8 @@ class Frontend(abc.ABC):
     """Session state and the request surface common to every front-end.
 
     The capacities size the parse cache and the plan cache, which holds what
-    a subclass derives from a query text: compiled algebra plans locally,
-    route decompositions in a cluster.
+    a subclass derives from a query: compiled algebra plans per query shape
+    locally, route decompositions per query text in a cluster.
     """
 
     def __init__(

@@ -248,17 +248,15 @@ class DatabasesResponse:
 class StatsResponse:
     """Service-level counters: registered snapshots and cache behaviour.
 
-    ``plan_cache`` reports the compiled-plan LRU (hits mean a query skipped
-    parse-rewrite-compile-optimize).  ``feedback`` reports the adaptive
-    execution loop: cardinality observations recorded, plan-cache entries
-    invalidated by divergent observations, and queries re-optimized on their
-    next arrival.  ``cluster`` is filled by the sharded router front-end
-    (:mod:`repro.cluster.router`): per-plan-kind routing counters, failovers,
-    and one stats summary per worker.  ``prepared`` reports the session API:
-    templates registered, statements held, executions, and how often an
-    execution ran the generic template plan versus a binding-specific custom
-    plan.  All four default to empty mappings so messages from servers
-    predating them still parse.
+    ``plan_cache`` reports the LRU of plans, one per query shape (hits mean
+    a query skipped rewrite-compile-optimize).  ``cluster`` is filled by the
+    sharded router front-end (:mod:`repro.cluster.router`): per-plan-kind
+    routing counters, failovers, and one stats summary per worker.
+    ``prepared`` reports the session API: templates registered, statements
+    held, executions, and how many executions ran the template plan.  All
+    three default to empty mappings so messages from servers predating them
+    still parse (and unknown fields, such as the ``feedback`` section older
+    servers send, are dropped).
     """
 
     databases: tuple[str, ...]
@@ -268,7 +266,6 @@ class StatsResponse:
     uptime_seconds: float
     plan_cache: Mapping[str, object] = field(default_factory=dict)
     cluster: Mapping[str, object] = field(default_factory=dict)
-    feedback: Mapping[str, int] = field(default_factory=dict)
     prepared: Mapping[str, int] = field(default_factory=dict)
 
 

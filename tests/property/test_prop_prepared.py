@@ -1,17 +1,23 @@
-"""Property tests: prepared execution is indistinguishable from ad-hoc.
+"""Property tests: prepared and ad-hoc execution both match the reference.
 
 Over random small databases and random queries, turning every constant of
 the query into a ``$`` parameter and executing the resulting template
 through the prepared fast path (template plan + value substitution) must
 produce **byte-identical** wire answers to the ad-hoc request for the bound
 query — and, on the exact route, agree with Tarskian certain-answer ground
-truth.  This is the protocol-level analogue of the optimizer-equivalence
-properties: the session API may never change an answer.
+truth.  Since ad-hoc requests run on the plan of their lifted shape too,
+prepared-equals-ad-hoc alone would compare one route with itself, so both
+are also checked against the materialized reference
+``evaluate_query(materialized_ph2(db), rewrite_query(q))`` — including a
+second binding of one shape that is served from the plan cache.  This is the
+protocol-level analogue of the optimizer-equivalence properties: the session
+API may never change an answer.
 """
 
 from __future__ import annotations
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.logic.formulas import (
     And,
@@ -27,7 +33,7 @@ from repro.logic.formulas import (
 )
 from repro.logic.printer import query_to_text
 from repro.logic.queries import Query
-from repro.logic.template import query_parameters
+from repro.logic.template import bind_query, lift_constants, lifted_text, query_parameters
 from repro.logic.terms import Constant, Parameter
 from repro.approx.rewrite import rewrite_query
 from repro.logical.exact import certain_answers
@@ -37,6 +43,7 @@ from repro.service.protocol import QueryRequest, answers_to_wire
 from tests.property.strategies import cw_databases, materialized_ph2, queries
 
 MAX_EXAMPLES = 30
+ENGINES = ("tarski", "algebra", "auto")
 
 
 def _parameterize_term(term):
@@ -129,5 +136,53 @@ class TestPreparedEqualsAdhoc:
             prepared = service.execute_prepared(statement.statement_id, binding)
             truth = evaluate_query(materialized_ph2(database), rewrite_query(query))
             assert [list(row) for row in prepared.answers["approximate"]] == answers_to_wire(truth)
+        finally:
+            service.close()
+
+
+def _reference(database, query) -> list:
+    return answers_to_wire(evaluate_query(materialized_ph2(database), rewrite_query(query)))
+
+
+class TestShapePlansMatchTheReference:
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    @given(query=queries())
+    def test_lifted_text_renders_the_lifted_template(self, query):
+        template, values = lift_constants(query)
+        assert bind_query(template, values) == query
+        assert lifted_text(query) == (query_to_text(template), values)
+
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    @given(database=cw_databases(max_constants=3), query=queries(), engine=st.sampled_from(ENGINES))
+    def test_adhoc_route_matches_the_materialized_reference(self, database, query, engine):
+        service = QueryService(answer_cache_capacity=0)
+        service.register("db", database)
+        try:
+            adhoc = service.execute(QueryRequest("db", query_to_text(query), engine=engine))
+            assert [list(row) for row in adhoc.answers["approximate"]] == _reference(database, query)
+        finally:
+            service.close()
+
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    @given(
+        database=cw_databases(max_constants=4),
+        query=queries(),
+        engine=st.sampled_from(ENGINES),
+        data=st.data(),
+    )
+    def test_a_second_binding_of_one_shape_is_a_plan_cache_hit(self, database, query, engine, data):
+        template, values = lift_constants(query)
+        # Another injective binding over the database's constants lifts back
+        # to the same shape: distinct parameters stay distinct constants.
+        others = data.draw(st.permutations(database.constants))
+        second = bind_query(template, {name: others[int(name) - 1] for name in values})
+        service = QueryService(answer_cache_capacity=0)
+        service.register("db", database)
+        try:
+            for index, bound in enumerate((query, second)):
+                response = service.execute(QueryRequest("db", query_to_text(bound), engine=engine))
+                assert [list(row) for row in response.answers["approximate"]] == _reference(database, bound)
+                assert service.stats().plan_cache["hits"] == index
+            assert service.stats().plan_cache["size"] == 1
         finally:
             service.close()

@@ -128,16 +128,15 @@ class TestStats:
         assert isinstance(stats, StatsResponse)
         assert {f.name for f in dataclasses.fields(stats)} == {
             "databases", "answer_cache", "parse_cache", "batch", "uptime_seconds",
-            "plan_cache", "cluster", "feedback", "prepared",
+            "plan_cache", "cluster", "prepared",
         }
         assert stats.databases == ("emp",)
         cache_fields = {"capacity", "size", "hits", "misses", "evictions", "hit_rate"}
         assert set(stats.parse_cache) == cache_fields
         assert set(stats.plan_cache) == cache_fields
         assert set(stats.batch) == {"executed", "deduplicated"}
-        assert set(stats.feedback) == {"observations", "invalidations", "reoptimizations"}
         assert set(stats.prepared) == {
-            "templates", "executions", "generic_plans", "custom_plans", "statements",
+            "templates", "executions", "generic_plans", "statements",
         }
         assert stats.prepared["statements"] == 1
         assert stats.uptime_seconds >= 0.0

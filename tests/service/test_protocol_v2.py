@@ -62,7 +62,6 @@ MESSAGES = [
         uptime_seconds=1.5,
         plan_cache={"hits": 4},
         cluster={"shards": 2},
-        feedback={"observations": 1},
         prepared={"templates": 1, "executions": 9},
     ),
     BatchRequest((QueryRequest("db", "(x) . P(x)"),)),

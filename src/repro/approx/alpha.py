@@ -28,13 +28,14 @@ Two implementations are provided and tested against each other:
 the Tarskian evaluator reaches :meth:`AlphaAtom.holds` once per candidate
 tuple (one union-find per stored tuple of ``P``), which is what the tests,
 the benchmarks' correctness gates and ``engine="tarski"`` run.  The serving
-path (``engine="algebra"`` and whatever ``"auto"`` sends there) never calls
-it: :mod:`repro.physical.compiler` translates an :class:`AlphaAtom` into
-set-at-a-time plan operators — an anti-join of the candidates against the
-stored tuples that may coincide with them, found by joining ``P`` with the
-derived "possibly equal" relation column by column — and only reads the
-atom's ``predicate`` and ``args``.  ``tests/property/test_prop_negation.py``
-holds the two (and :func:`build_alpha_formula`) equal.
+path (``engine="algebra"``, and ``"auto"`` on every first-order query)
+never calls it: :mod:`repro.physical.compiler` translates an
+:class:`AlphaAtom` into set-at-a-time plan operators — an anti-join of the
+candidates against the stored tuples that may coincide with them, found by
+joining ``P`` with the derived "possibly equal" relation column by column —
+and only reads the atom's ``predicate`` and ``args``.
+``tests/property/test_prop_negation.py`` holds the two (and
+:func:`build_alpha_formula`) equal.
 """
 
 from __future__ import annotations

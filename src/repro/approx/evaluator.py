@@ -12,11 +12,11 @@ algorithm is
 
 Two engines are available: the direct Tarskian evaluator and the
 relational-algebra compiler (the "standard relational system" path).  Both
-must produce the same answers; ablation E12 compares their run times.  A
-third setting, ``engine="auto"``, routes each (query, statistics) pair to
-whichever engine the cost models of :mod:`repro.physical.dispatch` expect to
-be cheaper — including second-order queries, which only the Tarskian side
-can evaluate.
+must produce the same answers; the Tarskian evaluator is the definition the
+tests check the algebra engine against.  A third setting, ``engine="auto"``,
+chooses by capability: first-order rewrites run on the algebra engine,
+second-order rewrites on the Tarskian evaluator, the only engine that can
+express them.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from repro.logical.ph import ph2
 from repro.physical.algebra import execute
 from repro.physical.compiler import compile_query
 from repro.physical.database import PhysicalDatabase
-from repro.physical.dispatch import choose_engine
 from repro.physical.evaluator import evaluate_query
 from repro.physical.optimizer import optimize as optimize_plan
 from repro.physical.plan import PlanNode
@@ -56,8 +55,9 @@ class ApproximateEvaluator:
         or ``"formula"`` (the literal Lemma 10 first-order formula).
     engine:
         ``"tarski"`` for the direct semantic evaluator, ``"algebra"`` for the
-        compile-to-relational-algebra path, ``"auto"`` for the cost-based
-        dispatcher that picks per query (answers are identical either way).
+        compile-to-relational-algebra path, ``"auto"`` for the algebra path
+        with the Tarskian evaluator for second-order rewrites (answers are
+        identical either way).
     max_relations:
         Cap per second-order quantifier if the query is second order.
     optimize:
@@ -92,10 +92,9 @@ class ApproximateEvaluator:
         """The compiled, optimized plan for *query* on *storage*, if one applies.
 
         Returns ``None`` when this evaluator would not execute through the
-        algebra engine (Tarskian engine — chosen explicitly or by the
-        ``auto`` dispatcher — or a second-order rewrite).  The plan is
-        specific to *storage* — compilation consults its constants and
-        active domain — so cache it keyed on the storage's content (the
+        algebra engine (``engine="tarski"``, or a second-order rewrite).  The
+        plan is specific to *storage* — compilation consults its constants
+        and active domain — so cache it keyed on the storage's content (the
         serving layer uses the snapshot fingerprint).
         """
         rewritten = self.rewrite(query)
@@ -103,28 +102,12 @@ class ApproximateEvaluator:
             return None
         return self._plan_for(storage, rewritten)
 
-    def _plan_for(self, storage: PhysicalDatabase, rewritten: Query) -> PlanNode | None:
-        """Compile + optimize an already-rewritten first-order query; ``None``
-        when the ``auto`` dispatcher picks Tarskian enumeration instead.
-
-        :func:`~repro.physical.dispatch.choose_engine` is the one place the
-        auto decision lives — every entry point (plans, answers,
-        :meth:`resolve_engine`) funnels through here.
-        """
+    def _plan_for(self, storage: PhysicalDatabase, rewritten: Query) -> PlanNode:
+        """Compile + optimize an already-rewritten first-order query."""
         plan = compile_query(rewritten, storage)
         if self.optimize:
             plan = optimize_plan(plan, storage)
-        if self.engine == "auto" and choose_engine(storage, rewritten, plan) == "tarski":
-            return None
         return plan
-
-    def resolve_engine(self, storage: PhysicalDatabase, query: Query) -> str:
-        """The concrete engine this evaluator would use for *query* on *storage*."""
-        if self.engine != "auto":
-            return self.engine
-        if not is_first_order(self.rewrite(query).formula):
-            return "tarski"
-        return "algebra" if self.plan_on_storage(storage, query) is not None else "tarski"
 
     def answers_on_storage(
         self,
@@ -150,13 +133,7 @@ class ApproximateEvaluator:
         if is_first_order(rewritten.formula):
             if self.engine == "tarski":
                 return evaluate_query(storage, rewritten)
-            # One dispatch pipeline for "algebra" and "auto" alike: _plan_for
-            # owns compile + optimize + (for auto) the cost comparison, so
-            # the decision cannot drift between entry points.
-            compiled = self._plan_for(storage, rewritten)
-            if compiled is None:  # auto: the dispatcher chose enumeration
-                return evaluate_query(storage, rewritten)
-            return execute(compiled, storage, profiler=profiler).rows
+            return execute(self._plan_for(storage, rewritten), storage, profiler=profiler).rows
         if self.engine == "algebra":
             raise UnsupportedFormulaError("the algebra engine cannot evaluate second-order queries")
         return evaluate_query_so(storage, rewritten, self.max_relations)

@@ -355,8 +355,8 @@ def _add_query_options(parser: argparse.ArgumentParser) -> None:
         "--engine",
         choices=("auto", "tarski", "algebra"),
         default="auto",
-        help="engine used by the approximation (default: auto — a cost-based dispatcher "
-        "picks between the Tarskian evaluator and the relational algebra per query; "
+        help="engine used by the approximation (default: auto — the relational algebra, "
+        "and the Tarskian evaluator for second-order queries, which only it can express; "
         "answers are identical under every engine)",
     )
     parser.add_argument(

@@ -328,10 +328,9 @@ class ExtensionAtom(Formula):
     args: tuple[Term, ...]
 
     #: The stored predicate ``P`` whose *provable absence* the atom asserts
-    #: (``alpha_P``).  The algebra compiler and the dispatcher's cost model
-    #: know that one meaning and read it here; a subclass that does not
-    #: define it can only be evaluated by the Tarskian evaluator, through
-    #: :meth:`holds`.
+    #: (``alpha_P``).  The algebra compiler knows that one meaning and reads
+    #: it here; a subclass that does not define it can only be evaluated by
+    #: the Tarskian evaluator, through :meth:`holds`.
     predicate: str
 
     def holds(self, database: "PhysicalDatabase", values: tuple[object, ...]) -> bool:

@@ -112,16 +112,6 @@ class _ExecutionContext:
         self.database = database
         self.use_indexes = use_indexes
         self.profiler = profiler
-        # Column resolution is structural per (database, plan) — the arity
-        # checks depend on the database's vocabulary — so the cache lives on
-        # the immutable database instance (the ``DatabaseIndexes`` idiom)
-        # and cached plans resolve each subplan once, not per execution.
-        # Failed resolutions are never stored, so wiring errors re-raise.
-        cache = database.__dict__.get("_plan_columns")
-        if cache is None:
-            cache = {}
-            object.__setattr__(database, "_plan_columns", cache)
-        self._columns: dict[PlanNode, tuple[str, ...]] = cache
         self._memo: dict[PlanNode, Table] = {}
         self._shared: frozenset[PlanNode] = frozenset()
         # Captured once per execution (one thread-local read); enforced at
@@ -166,11 +156,19 @@ class _ExecutionContext:
     # Column resolution --------------------------------------------------------
 
     def columns(self, plan: PlanNode) -> tuple[str, ...]:
-        cached = self._columns.get(plan)
-        if cached is None:
-            cached = self._resolve_columns(plan)
-            self._columns[plan] = cached
-        return cached
+        # Column resolution is structural per (database, plan) — the arity
+        # checks depend on the database's vocabulary — so the result is
+        # cached on the immutable node with the database it was checked
+        # against (the ``cached_hash`` idiom).  It dies with the plan, so a
+        # substituted per-binding plan leaves nothing behind; a node run
+        # against another database is checked again, and failed resolutions
+        # are never stored, so wiring errors re-raise.
+        cached = plan.__dict__.get("_cached_columns")
+        if cached is not None and cached[0] is self.database:
+            return cached[1]
+        columns = self._resolve_columns(plan)
+        object.__setattr__(plan, "_cached_columns", (self.database, columns))
+        return columns
 
     def _resolve_columns(self, plan: PlanNode) -> tuple[str, ...]:
         if isinstance(plan, (ScanRelation, IndexScan)):

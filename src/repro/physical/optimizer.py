@@ -65,10 +65,7 @@ from repro.physical.plan import (
 from repro.logic.terms import Parameter
 from repro.physical.statistics import Statistics, statistics_for
 
-__all__ = [
-    "optimize",
-    "plan_cost",
-]
+__all__ = ["optimize"]
 
 _SELECTIVITY_OPAQUE = 1.0 / 3.0
 
@@ -929,25 +926,3 @@ def _rebuild(plan: PlanNode, node_type, **replacements) -> PlanNode:
         return plan
     fields.update(replacements)
     return node_type(**fields)
-
-
-def plan_cost(plan: PlanNode, database: PhysicalDatabase, statistics: Statistics | None = None) -> float:
-    """A scalar cost for *plan*: total estimated rows flowing through it.
-
-    Each distinct subtree is charged once (the executor's memo computes
-    shared subplans once), with a small per-node constant so empty plans are
-    not free.  Used by the engine dispatcher to weigh the algebra route
-    against Tarskian enumeration — relative magnitude is all that matters.
-    """
-    rewriter = _Rewriter(database, statistics or statistics_for(database))
-    seen: set[int] = set()
-    total = 0.0
-    pending = [plan]
-    while pending:
-        node = pending.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        total += 1.0 + rewriter.estimate(node).rows
-        pending.extend(node.children())
-    return total

@@ -14,7 +14,6 @@ rows with named columns — when executed.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
@@ -38,7 +37,6 @@ __all__ = [
     "CrossProduct",
     "UnionAll",
     "Difference",
-    "plan_fingerprint",
     "plan_parameters",
     "substitute_plan_parameters",
 ]
@@ -328,7 +326,7 @@ def _install_cached_hashes() -> None:
     """Replace each node class's generated ``__hash__`` with a caching wrapper.
 
     Plan nodes are immutable trees used as dict keys everywhere — the
-    executor's memo and column cache, the optimizer's rewrites.  The dataclass-generated ``__hash__``
+    executor's memo and shared-subplan analysis, the optimizer's rewrites.  The dataclass-generated ``__hash__``
     recursively re-hashes the whole subtree on *every* lookup, which makes
     per-node bookkeeping O(tree size); caching the value on first use (the
     ``object.__setattr__`` idiom used for ``PhysicalDatabase`` caches) makes
@@ -364,63 +362,6 @@ def _install_cached_hashes() -> None:
 
 
 _install_cached_hashes()
-
-
-def plan_fingerprint(plan: PlanNode) -> str | None:
-    """A stable content key for a plan subtree, or ``None`` if it has none.
-
-    Two structurally equal plans — in any process, at any time — get the same
-    fingerprint, unlike ``hash()``, which varies between processes.  Plans containing an opaque ``Selection.condition`` callable are
-    unfingerprintable (``None``): a function cannot be keyed by content.
-    """
-    parts: list[str] = []
-    if not _fingerprint_parts(plan, parts):
-        return None
-    return hashlib.sha256("\x1f".join(parts).encode()).hexdigest()
-
-
-def _fingerprint_parts(plan: PlanNode, parts: list[str]) -> bool:
-    if isinstance(plan, ScanRelation):
-        parts.append(f"Scan:{plan.relation}:{','.join(plan.columns)}")
-        return True
-    if isinstance(plan, IndexScan):
-        probe = ";".join(f"{column}={value!r}" for column, value in plan.bindings)
-        parts.append(f"IndexScan:{plan.relation}:{','.join(plan.columns)}:{probe}")
-        return True
-    if isinstance(plan, ActiveDomain):
-        parts.append(f"ActiveDomain:{plan.column}")
-        return True
-    if isinstance(plan, LiteralTable):
-        rows = ";".join(repr(row) for row in sorted(plan.rows, key=repr))
-        parts.append(f"Literal:{','.join(plan.columns)}:{rows}")
-        return True
-    if isinstance(plan, Selection):
-        if plan.condition is not None:
-            return False
-        bindings = ";".join(f"{column}={value!r}" for column, value in plan.bindings)
-        equalities = ";".join(",".join(group) for group in plan.equalities)
-        parts.append(f"Select:{bindings}:{equalities}")
-        return _fingerprint_parts(plan.source, parts)
-    if isinstance(plan, Projection):
-        parts.append(f"Project:{','.join(plan.columns)}")
-        return _fingerprint_parts(plan.source, parts)
-    if isinstance(plan, RenameColumns):
-        renames = ";".join(f"{old}>{new}" for old, new in plan.renaming)
-        parts.append(f"Rename:{renames}")
-        return _fingerprint_parts(plan.source, parts)
-    if isinstance(plan, (EquiJoin, SemiJoin, AntiJoin)):
-        pairs = ";".join(f"{left}={right}" for left, right in plan.pairs)
-        parts.append(f"{type(plan).__name__}:{pairs}")
-    elif isinstance(plan, (NaturalJoin, CrossProduct, UnionAll, Difference)):
-        parts.append(type(plan).__name__)
-    else:
-        return False
-    parts.append("(")
-    for child in plan.children():
-        if not _fingerprint_parts(child, parts):
-            return False
-    parts.append(")")
-    return True
 
 
 # Parameterized template plans --------------------------------------------------

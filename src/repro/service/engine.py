@@ -74,11 +74,6 @@ __all__ = ["RegisteredDatabase", "QueryService"]
 
 DEFAULT_ANSWER_CACHE_CAPACITY = 4096
 
-#: Plan-cache value meaning "the auto dispatcher chose Tarskian enumeration".
-#: Caching the *decision* (not just the absent plan) lets warm requests skip
-#: the compile + optimize + cost-model work the dispatcher needed to decide.
-_TARSKI_ROUTE = "tarski-route"
-
 #: Plan-cache value meaning "this shape has no plan" (second order, or an
 #: explicit ``engine="tarski"``): each execution evaluates its bound query.
 _AST_ROUTE = "ast-route"
@@ -389,24 +384,19 @@ class QueryService(Frontend):
         the compiled + optimized plan with
         :class:`~repro.logic.terms.Parameter` placeholders still inside — and
         each execution substitutes its values into it, a pure tree rebuild.
-        Two routes have no plan and evaluate *bound* directly: the ``auto``
-        dispatcher costed the shape onto Tarskian enumeration, or the shape
-        is second order or asks for ``engine="tarski"``.  The plan depends on
-        the snapshot content, never on the method, so content-identical
-        snapshots share plans across aliases.
+        A shape that is second order or asks for ``engine="tarski"`` has no
+        plan and evaluates *bound* directly.  The plan depends on the
+        snapshot content, never on the method, so content-identical snapshots
+        share plans across aliases.
         """
         storage = entry.storage
         evaluator = ApproximateEvaluator(engine=engine)
 
         def compute_plan():
             plan = evaluator.plan_on_storage(storage, template())
-            if plan is None:
-                return _TARSKI_ROUTE if engine == "auto" else _AST_ROUTE
-            return plan
+            return _AST_ROUTE if plan is None else plan
 
         plan, __ = self._plans.get_or_compute((entry.fingerprint, shape, engine), compute_plan)
-        if plan is _TARSKI_ROUTE:
-            return ApproximateEvaluator(engine="tarski").answers_on_storage(storage, bound)
         if plan is _AST_ROUTE:
             return evaluator.answers_on_storage(storage, bound)
         # Resolving through constant_value makes an unknown constant fail

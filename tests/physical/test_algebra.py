@@ -1,9 +1,14 @@
 """Unit tests for the relational-algebra plan executor."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import EvaluationError
+from repro.logic.terms import Parameter
 from repro.logic.vocabulary import Vocabulary
+from repro.physical import algebra
 from repro.physical.algebra import execute, plan_size, plan_to_text
 from repro.physical.database import PhysicalDatabase
 from repro.physical.plan import (
@@ -18,6 +23,7 @@ from repro.physical.plan import (
     Selection,
     Table,
     UnionAll,
+    substitute_plan_parameters,
 )
 
 
@@ -139,3 +145,52 @@ class TestPlanUtilities:
         plan = Projection(ScanRelation("EMP_DEPT", ("e", "d")), ("e",))
         text = plan_to_text(plan)
         assert "Project" in text and "Scan EMP_DEPT" in text
+
+
+class TestColumnCache:
+    @pytest.mark.parametrize("vectorize", [True, False])
+    def test_a_substituted_plan_dies_after_its_execution(self, database, vectorize):
+        template = Projection(
+            Selection(ScanRelation("EMP_DEPT", ("e", "d")), bindings=(("d", Parameter("dept")),)), ("e",)
+        )
+        plan = substitute_plan_parameters(template, {"dept": "eng"})
+        assert execute(plan, database, vectorize=vectorize).rows == frozenset({("ada",), ("boris",)})
+        alive = weakref.ref(plan)
+        del plan
+        gc.collect()
+        assert alive() is None, "the executed plan is still referenced after its execution"
+
+    def test_a_plan_run_against_another_database_is_checked_again(self, database):
+        plan = ScanRelation("EMP_DEPT", ("emp", "dept"))
+        execute(plan, database)
+        wider = PhysicalDatabase(
+            Vocabulary((), {"EMP_DEPT": 3}), domain={"a"}, constants={}, relations={"EMP_DEPT": {("a", "a", "a")}}
+        )
+        with pytest.raises(EvaluationError, match="arity 3"):
+            execute(plan, wider)
+
+    def test_a_plan_rerun_on_the_same_database_is_resolved_once(self, database, monkeypatch):
+        resolved = []
+        resolve = algebra._ExecutionContext._resolve_columns
+
+        def counting(context, plan):
+            resolved.append(plan)
+            return resolve(context, plan)
+
+        monkeypatch.setattr(algebra._ExecutionContext, "_resolve_columns", counting)
+        plan = Projection(ScanRelation("EMP_DEPT", ("e", "d")), ("e",))
+        first = execute(plan, database)
+        after_first = len(resolved)
+        assert after_first > 0
+        assert execute(plan, database) == first
+        assert len(resolved) == after_first, "a re-run resolved its columns again"
+
+    def test_a_failed_resolution_is_not_cached(self, database):
+        plan = ScanRelation("EMP_DEPT", ("emp",))
+        for __ in range(2):
+            with pytest.raises(EvaluationError, match="arity 2"):
+                execute(plan, database)
+        narrow = PhysicalDatabase(
+            Vocabulary((), {"EMP_DEPT": 1}), domain={"a"}, constants={}, relations={"EMP_DEPT": {("a",)}}
+        )
+        assert execute(plan, narrow).rows == frozenset({("a",)})

@@ -11,7 +11,6 @@ from repro.physical.plan import (
     LiteralTable,
     ScanRelation,
     SemiJoin,
-    plan_fingerprint,
 )
 
 
@@ -97,23 +96,3 @@ class TestRendering:
         assert plan_to_text(AntiJoin(_scan_r(), _filter_table("a"), (("x", "k"),))).startswith(
             "AntiJoin(x=k)"
         )
-
-
-class TestFingerprints:
-    def test_structurally_equal_plans_share_a_fingerprint(self):
-        first = SemiJoin(_scan_r(), _filter_table("a"), (("x", "k"),))
-        second = SemiJoin(_scan_r(), _filter_table("a"), (("x", "k"),))
-        assert plan_fingerprint(first) == plan_fingerprint(second) is not None
-
-    def test_different_pairs_change_the_fingerprint(self):
-        semi = SemiJoin(_scan_r(), _filter_table("a"), (("x", "k"),))
-        other = SemiJoin(_scan_r(), _filter_table("a"), (("y", "k"),))
-        anti = AntiJoin(_scan_r(), _filter_table("a"), (("x", "k"),))
-        assert len({plan_fingerprint(semi), plan_fingerprint(other), plan_fingerprint(anti)}) == 3
-
-    def test_opaque_selection_has_no_fingerprint(self):
-        from repro.physical.plan import Selection
-
-        plan = Selection(_scan_r(), condition=lambda row: True, description="opaque")
-        assert plan_fingerprint(plan) is None
-        assert plan_fingerprint(SemiJoin(plan, _filter_table("a"), (("x", "k"),))) is None

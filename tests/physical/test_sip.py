@@ -58,9 +58,9 @@ class TestSemiJoinReduction:
             assert answers_to_wire(execute(without, storage).rows) == answers_to_wire(naive), name
 
     def test_every_configuration_equals_tarskian_ground_truth(self):
-        """SIP on, SIP off, the naive engine, the ``auto`` dispatcher and the
-        adaptive service (observe, then re-optimize) all equal direct
-        Tarskian evaluation, on an instance small enough to enumerate."""
+        """SIP on, SIP off, the naive engine, ``engine="auto"`` and the
+        service's shape plans all equal direct Tarskian evaluation, on an
+        instance small enough to enumerate."""
         database = skewed_star_database(
             n_entities=60, n_links=20, n_hubs=3, n_targets=10, facts_per_entity=5, n_hot=2, seed=3
         )

@@ -7,6 +7,7 @@ from repro.logic.printer import query_to_text
 from repro.logical.ph import ph2
 from repro.physical.algebra import execute
 from repro.physical.compiler import compile_query
+from repro.physical.plan import PlanNode
 from repro.service.engine import QueryService
 from repro.service.protocol import QueryRequest, StatsResponse, answers_to_wire, parse_wire, to_wire
 from repro.workloads.generators import employee_database, skewed_adaptive_workload, skewed_star_database
@@ -116,19 +117,21 @@ class TestPlanAnswers:
                 response = service.query("skewed", text)
                 assert [list(row) for row in response.answers["approximate"]] == naive, name
 
-    def test_tarski_routed_auto_queries_cache_the_decision(self):
+    def test_auto_queries_cache_the_algebra_plan(self):
         service = QueryService(answer_cache_capacity=0)
-        service.register("emp", employee_database(12, seed=4))
-        # Unrestricted negation: enumeration beats the compiled plan, so the
-        # dispatcher routes to the Tarskian side.
+        entry = service.register("emp", employee_database(12, seed=4))
+        # Unrestricted negation: the shape the retired cost model sent to
+        # Tarskian enumeration.  ``auto`` caches and reuses the algebra plan.
         text = "(x, y) . ~EMP_DEPT(x, y)"
         first = service.query("emp", text, engine="auto")
         stats = service.stats().plan_cache
         assert stats["misses"] == 1 and stats["size"] == 1
         second = service.query("emp", text, engine="auto")
         stats = service.stats().plan_cache
-        assert stats["hits"] == 1, "the dispatch decision was not served from the plan cache"
+        assert stats["hits"] == 1, "the plan was not served from the plan cache"
         assert first.answers == second.answers
+        shape = query_to_text(service._parse(text))
+        assert isinstance(service._plans.get((entry.fingerprint, shape, "auto")), PlanNode)
         tarski = service.query("emp", text, engine="tarski")
         assert tarski.answers == first.answers
 

@@ -90,7 +90,7 @@ from repro.service.protocol import (
     QueryRequest,
     QueryResponse,
     StatsResponse,
-    answers_to_wire,
+    canonical_rows,
 )
 
 __all__ = [
@@ -640,10 +640,7 @@ class ClusterRouter(Frontend):
             method=request.method,
             engine=request.engine,
             arity=query.arity,
-            answers={
-                label: tuple(tuple(row) for row in answers_to_wire(rows))
-                for label, rows in merged.items()
-            },
+            answers={label: canonical_rows(rows) for label, rows in merged.items()},
             complete=complete,
             missed=missed,
             cached=all(part.cached for part in parts),

@@ -8,8 +8,8 @@ The serving layer caches two kinds of derived objects:
 
 Both caches see concurrent access from the batch executor and the HTTP
 front-end, so every operation takes a single lock; the cached values
-themselves (frozensets, Query objects, response dataclasses) are immutable
-and may be shared freely between threads once handed out.
+themselves (frozensets, Query objects, responses and their packed rows) are
+immutable and may be shared freely between threads once handed out.
 """
 
 from __future__ import annotations

@@ -2,12 +2,14 @@
 
 A single-body response ships the whole answer set as one JSON body; a large
 answer over a large instance turns into a single multi-megabyte
-serialization on one thread.  The streaming path materializes the answer once into a
-*cursor* — the canonical sorted row order, chopped into fixed-size pages —
-and hands the client a cursor id; pages are then fetched individually and
-idempotently (:class:`~repro.service.protocol.FetchRequest` names an
-explicit page index, so a retried fetch re-reads rather than double-
-advances, which keeps the client's stale-connection retry safe).
+serialization on one thread.  The streaming path materializes the answer
+once into a *cursor* — the canonical sorted row order, packed into one flat
+tuple of cells (:class:`~repro.service.protocol.PackedRows`) — and hands the
+client a cursor id.  Each page is sliced from the packed rows when it is
+fetched, and pages are fetched individually and idempotently
+(:class:`~repro.service.protocol.FetchRequest` names an explicit page index,
+so a retried fetch re-reads rather than double-advances, which keeps the
+client's stale-connection retry safe).
 
 Cursors live in the transport layer (the HTTP server owns one store), not
 in the engine — in-process callers already hold the full answer set as a
@@ -24,7 +26,7 @@ from collections import OrderedDict
 
 from repro.errors import ServiceError, UnknownCursorError
 from repro.observability import events
-from repro.service.protocol import CursorResponse, PageResponse, QueryResponse
+from repro.service.protocol import CursorResponse, PackedRows, PageResponse, QueryResponse
 
 __all__ = ["CursorStore", "DEFAULT_CURSOR_CAPACITY"]
 
@@ -39,35 +41,36 @@ class CursorStore:
             raise ServiceError("a cursor store needs capacity for at least one cursor")
         self._capacity = capacity
         self._lock = threading.Lock()
-        self._cursors: OrderedDict[str, tuple[tuple[tuple[tuple[str, ...], ...], ...], int]] = OrderedDict()
+        #: cursor id -> (the answer's rows, page size)
+        self._cursors: OrderedDict[str, tuple[PackedRows, int]] = OrderedDict()
 
     def open(self, response: QueryResponse, label: str, page_size: int) -> CursorResponse:
         """Materialize one answer route of *response* into a cursor.
 
-        The rows are already in canonical wire order (``answers_to_wire``
+        The rows are already in canonical wire order (``canonical_rows``
         sorted them), so concatenating the pages in index order reproduces
         the single-body ``answers[label]`` byte for byte.
         """
         if page_size < 1:
             raise ServiceError(f"page_size must be a positive integer, got {page_size!r}")
         try:
-            rows = response.answers[label]
+            rows = PackedRows.pack(response.answers[label])
         except KeyError:
             raise ServiceError(
                 f"response has no {label!r} answers to stream (method was {response.method!r})"
             ) from None
-        pages = tuple(rows[start:start + page_size] for start in range(0, len(rows), page_size)) or ((),)
+        pages = _page_count(rows, page_size)
         cursor_id = secrets.token_hex(16)
         with self._lock:
-            self._cursors[cursor_id] = (pages, len(rows))
+            self._cursors[cursor_id] = (rows, page_size)
             while len(self._cursors) > self._capacity:
-                evicted_id, (evicted_pages, evicted_rows) = self._cursors.popitem(last=False)
+                evicted_id, (evicted_rows, evicted_page_size) = self._cursors.popitem(last=False)
                 events.emit(
                     "cursor.evicted",
                     level="warning",
                     cursor_id=evicted_id,
-                    pages=len(evicted_pages),
-                    total_rows=evicted_rows,
+                    pages=_page_count(evicted_rows, evicted_page_size),
+                    total_rows=evicted_rows.count,
                     capacity=self._capacity,
                 )
         return CursorResponse(
@@ -79,9 +82,9 @@ class CursorStore:
             engine=response.engine,
             arity=response.arity,
             label=label,
-            total_rows=len(rows),
+            total_rows=rows.count,
             page_size=page_size,
-            pages=len(pages),
+            pages=pages,
             complete=response.complete,
             missed=response.missed,
             cached=response.cached,
@@ -98,14 +101,15 @@ class CursorStore:
             raise UnknownCursorError(
                 f"unknown cursor {cursor_id!r} — it may have been evicted; re-execute to stream again"
             )
-        pages, __ = entry
-        if not 0 <= page < len(pages):
-            raise ServiceError(f"cursor {cursor_id!r} has pages 0..{len(pages) - 1}, got {page}")
+        rows, page_size = entry
+        pages = _page_count(rows, page_size)
+        if not 0 <= page < pages:
+            raise ServiceError(f"cursor {cursor_id!r} has pages 0..{pages - 1}, got {page}")
         return PageResponse(
             cursor_id=cursor_id,
             page=page,
-            rows=pages[page],
-            last=page == len(pages) - 1,
+            rows=rows.rows(page * page_size, (page + 1) * page_size),
+            last=page == pages - 1,
         )
 
     def close(self, cursor_id: str) -> None:
@@ -116,3 +120,8 @@ class CursorStore:
     def __len__(self) -> int:
         with self._lock:
             return len(self._cursors)
+
+
+def _page_count(rows: PackedRows, page_size: int) -> int:
+    """Pages of *rows* at *page_size*; an empty answer still has one (empty) page."""
+    return max(1, -(-rows.count // page_size))

@@ -24,7 +24,8 @@ version, v1 included, is refused with a :class:`~repro.errors.ProtocolError`
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from repro.complexity.classes import QueryClassification
@@ -57,6 +58,8 @@ __all__ = [
     "CursorResponse",
     "FetchRequest",
     "PageResponse",
+    "PackedRows",
+    "canonical_rows",
     "answers_to_wire",
     "answers_from_wire",
     "build_info_response",
@@ -98,6 +101,15 @@ def normalize_options(method: str, engine: str) -> tuple[str, str]:
     return method, engine
 
 
+def canonical_rows(answers: Iterable[tuple[str, ...]]) -> tuple[tuple[str, ...], ...]:
+    """An answer set's rows in the canonical wire order: one sort, no copies.
+
+    Sorting the row tuples gives the order :func:`answers_to_wire` gives by
+    sorting lists, so both spell the same JSON.
+    """
+    return tuple(sorted(answers))
+
+
 def answers_to_wire(answers: Iterable[Sequence[str]]) -> list[list[str]]:
     """Canonical JSON form of an answer set: sorted list of string lists."""
     return sorted([list(row) for row in answers])
@@ -106,6 +118,38 @@ def answers_to_wire(answers: Iterable[Sequence[str]]) -> list[list[str]]:
 def answers_from_wire(rows: Iterable[Sequence[str]]) -> frozenset[tuple[str, ...]]:
     """Inverse of :func:`answers_to_wire`."""
     return frozenset(tuple(row) for row in rows)
+
+
+@dataclass(frozen=True, slots=True)
+class PackedRows:
+    """Answer rows held as one flat tuple of cells, ``arity`` cells a row.
+
+    The compact form of ``QueryResponse.answers[label]`` that the answer
+    cache and the cursor store keep.  A binary row costs 64 bytes as a
+    tuple inside a tuple (a 40-byte header, two cells, its slot in the outer
+    tuple) and 16 bytes packed.  :meth:`rows` rebuilds row tuples (all of
+    them, or one page) on demand.  A Boolean answer — ``()`` or
+    ``((),)`` — packs to no cells, arity 0 and a count of 0 or 1.
+    """
+
+    cells: tuple[str, ...]
+    arity: int
+    count: int
+
+    @classmethod
+    def pack(cls, rows: Sequence[tuple[str, ...]]) -> "PackedRows":
+        arity = len(rows[0]) if rows else 0
+        return cls(tuple(chain.from_iterable(rows)), arity, len(rows))
+
+    def rows(self, start: int = 0, stop: int | None = None) -> tuple[tuple[str, ...], ...]:
+        """Rows ``start:stop`` (clipped to the answer), as row tuples."""
+        stop = self.count if stop is None else min(stop, self.count)
+        if start >= stop:
+            return ()
+        if self.arity == 0:
+            return ((),) * (stop - start)
+        cells = iter(self.cells[start * self.arity:stop * self.arity])
+        return tuple(zip(*[cells] * self.arity))
 
 
 @dataclass(frozen=True)
@@ -422,7 +466,7 @@ class CursorResponse:
     Mirrors every :class:`QueryResponse` field except the answer rows
     themselves, which arrive chunked through :class:`FetchRequest` /
     :class:`PageResponse`.  Reassembling all pages in order yields exactly
-    ``answers_to_wire`` of the answer set — byte-identical to the
+    ``canonical_rows`` of the answer set — byte-identical to the
     single-body response.  Cursors are bounded server-side state and may be
     evicted; fetching pages is idempotent until then.
     """
@@ -465,9 +509,6 @@ class PageResponse:
     rows: tuple[tuple[str, ...], ...]
     last: bool
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(tuple(row) for row in self.rows))
-
 
 _MESSAGE_TYPES: dict[str, type] = {
     "query_request": QueryRequest,
@@ -494,25 +535,23 @@ _TYPE_TAGS = {cls: tag for tag, cls in _MESSAGE_TYPES.items()}
 
 
 def to_wire(message: object) -> dict[str, object]:
-    """Serialize a protocol dataclass to a JSON-compatible dict."""
+    """Serialize a protocol dataclass to a JSON-compatible dict.
+
+    The envelope is shallow: field values are shared with *message*, not
+    copied (``json`` writes a tuple as an array, so answer rows need no
+    conversion).  Callers may add top-level keys to the returned dict, as
+    the server does with ``trace`` and ``cost``, but must not mutate the
+    values it shares.
+    """
     tag = _TYPE_TAGS.get(type(message))
     if tag is None:
         raise ProtocolError(f"not a protocol message: {type(message).__name__}")
+    payload: dict[str, object] = {f.name: getattr(message, f.name) for f in fields(message)}
+    # Batch items are messages themselves: each needs its own type tag.
     if isinstance(message, BatchRequest):
-        # Shallow envelope: asdict would deep-convert every nested message
-        # only for the list to be rebuilt via to_wire immediately after.
-        payload: dict[str, object] = {
-            "requests": [to_wire(request) for request in message.requests]
-        }
+        payload["requests"] = [to_wire(request) for request in message.requests]
     elif isinstance(message, BatchResponse):
-        payload = {
-            "responses": [to_wire(response) for response in message.responses],
-            "total": message.total,
-            "unique": message.unique,
-            "deduplicated": message.deduplicated,
-        }
-    else:
-        payload = asdict(message)
+        payload["responses"] = [to_wire(response) for response in message.responses]
     payload["type"] = tag
     payload["v"] = PROTOCOL_VERSION
     return payload
@@ -573,6 +612,8 @@ def parse_wire(payload: Mapping[str, object] | str | bytes) -> object:
                 label: tuple(tuple(row) for row in rows)
                 for label, rows in dict(arguments.get("answers", {})).items()
             }
+        if message_type is PageResponse and "rows" in arguments:
+            arguments["rows"] = tuple(tuple(row) for row in arguments["rows"])
         if message_type is InfoResponse:
             arguments["unknown_constants"] = tuple(arguments.get("unknown_constants", ()))
         if message_type in (StatsResponse, DatabasesResponse):

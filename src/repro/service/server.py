@@ -64,6 +64,8 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import selectors
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -129,6 +131,13 @@ class ServiceHTTPServer(ThreadingHTTPServer):
         recorder_capacity: int | None = None,
         slow_threshold_ms: float | None = None,
     ) -> None:
+        # socketserver's loop notices a stop request only on its next poll
+        # tick (0.5 s by default); a byte on this pair wakes it at once.  It
+        # exists before the bind, whose failure calls server_close().
+        self._wake_reader, self._wake_writer = socket.socketpair()
+        self._wake_reader.setblocking(False)
+        self._stop_requested = False
+        self._stopped = threading.Event()
         super().__init__(address, _Handler)
         self.service = service
         self.quiet = quiet
@@ -151,6 +160,46 @@ class ServiceHTTPServer(ThreadingHTTPServer):
         if max_queue_depth is not None:
             kwargs["max_queue_depth"] = max_queue_depth
         self.admission = AdmissionController(metrics=service.metrics_registry, **kwargs)
+
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        """Handle requests until :meth:`shutdown`, which wakes the loop at once.
+
+        The loop of :class:`socketserver.BaseServer`, with one more readable
+        in its selector: the socket pair ``shutdown()`` writes to.
+        """
+        self._stopped.clear()
+        with contextlib.suppress(BlockingIOError):  # the wake-up of the last stop
+            self._wake_reader.recv(4096)
+        try:
+            with selectors.DefaultSelector() as selector:
+                selector.register(self, selectors.EVENT_READ)
+                selector.register(self._wake_reader, selectors.EVENT_READ)
+                while not self._stop_requested:
+                    ready = selector.select(poll_interval)
+                    if self._stop_requested:
+                        break
+                    if any(key.fileobj is self for key, __ in ready):
+                        self._handle_request_noblock()
+                    self.service_actions()
+        finally:
+            self._stop_requested = False
+            self._stopped.set()
+
+    def shutdown(self) -> None:
+        """Stop :meth:`serve_forever` and wait until it has returned.
+
+        Like the stdlib's, this must be called from a thread other than the
+        serving one, or it deadlocks.
+        """
+        self._stop_requested = True
+        with contextlib.suppress(OSError):  # a repeated stop, after server_close()
+            self._wake_writer.send(b"\0")
+        self._stopped.wait()
+
+    def server_close(self) -> None:
+        super().server_close()
+        self._wake_reader.close()
+        self._wake_writer.close()
 
     @property
     def base_url(self) -> str:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import json
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -109,6 +111,43 @@ class TestRoundTrips:
         assert PROTOCOL_VERSION == 2
         assert SUPPORTED_PROTOCOL_VERSIONS == (2,)
         assert json.loads(dump_wire(QUERY_RESPONSE))["v"] == 2
+
+
+def _asdict_wire(message: object) -> dict[str, object]:
+    """The deep-copying envelope (``dataclasses.asdict``), kept here as the oracle."""
+    if isinstance(message, BatchRequest):
+        payload: dict[str, object] = {"requests": [_asdict_wire(request) for request in message.requests]}
+    elif isinstance(message, BatchResponse):
+        payload = {
+            "responses": [_asdict_wire(response) for response in message.responses],
+            "total": message.total,
+            "unique": message.unique,
+            "deduplicated": message.deduplicated,
+        }
+    else:
+        payload = asdict(message)
+    payload["type"] = to_wire(message)["type"]
+    payload["v"] = PROTOCOL_VERSION
+    return payload
+
+
+class TestShallowEnvelope:
+    @pytest.mark.parametrize("message", MESSAGES, ids=lambda m: type(m).__name__)
+    def test_bytes_equal_the_deep_copying_oracle(self, message):
+        assert json.dumps(to_wire(message), sort_keys=True) == json.dumps(_asdict_wire(message), sort_keys=True)
+
+    def test_answers_are_shared_not_copied(self):
+        assert to_wire(QUERY_RESPONSE)["answers"] is QUERY_RESPONSE.answers
+
+    @pytest.mark.parametrize("message", MESSAGES, ids=lambda m: type(m).__name__)
+    def test_top_level_keys_added_by_the_server_leave_the_message_alone(self, message):
+        before = copy.deepcopy(message)
+        text = dump_wire(message)
+        wire = to_wire(message)
+        wire["trace"] = {"id": "t", "spans": []}
+        wire["cost"] = {"schema": "repro-cost/v1", "rows_emitted": 2}
+        assert message == before
+        assert dump_wire(message) == text
 
 
 class TestVersioning:

@@ -188,6 +188,10 @@ class RemoteBackend:
         """What the worker advertised on its last successful health check."""
         return self._protocol_versions
 
+    def close(self) -> None:
+        """Close the connections every fan-out thread holds to the worker."""
+        self.client.close_all()
+
 
 class _WorkerState:
     """Router-side view of one backend: liveness belief plus error counters."""
@@ -777,6 +781,12 @@ class ClusterRouter(Frontend):
             (layout.fingerprint, query_text), lambda: decompose_query(layout, query)
         )
         return plan
+
+    def close(self) -> None:
+        super().close()
+        for state in self._workers:
+            if isinstance(state.backend, RemoteBackend):
+                state.backend.close()
 
     def _fanout(self):
         return self._pool("fanout", self._fanout_workers)

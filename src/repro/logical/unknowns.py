@@ -50,6 +50,11 @@ class VirtualNERelation:
         """``U``: outside it, every pair of distinct values is in ``NE``."""
         return self.database.unknown
 
+    @property
+    def explicit(self) -> frozenset[tuple[str, str]]:
+        """``NE'``: the pairs touching ``U`` that are in ``NE``, both orientations."""
+        return self.database.explicit
+
     def __contains__(self, item: object) -> bool:
         if not isinstance(item, tuple) or len(item) != 2:
             return False

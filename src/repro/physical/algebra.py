@@ -35,7 +35,7 @@ from typing import Iterator
 
 from repro.errors import EvaluationError
 from repro.observability.accounting import current_account
-from repro.physical.database import PhysicalDatabase
+from repro.physical.database import PhysicalDatabase, PossiblyEqualRelation
 from repro.physical.indexes import indexes_for
 from repro.resilience.deadlines import current_deadline
 from repro.physical.plan import (
@@ -404,6 +404,11 @@ class _ExecutionContext:
                 if self.profiler is not None:
                     self.profiler.note_access(build, "index")
                 return index
+        if self.use_indexes and probed_within(build, key_positions, self.database):
+            among = {key for (key,) in self._filter_keys(build)}
+            if self.profiler is not None:
+                self.profiler.note_access(build, "index")
+            return indexes_for(self.database).computed(build.source.relation, key_positions, among=among)
         if self.deadline is not None:
             self.deadline.check("join build")
         buckets: dict[tuple, list[tuple]] = {}
@@ -479,6 +484,24 @@ class _ExecutionContext:
 
 
 _NO_ROWS: tuple[tuple, ...] = ()
+
+
+def probed_within(build: PlanNode, key_positions: tuple[int, ...], database: PhysicalDatabase) -> bool:
+    """Whether a join build side is ``PE`` semi-joined on its other column.
+
+    Then the join probes ``PE`` per key of its own, and keeps only the
+    partners in the semi-join's keys (the values a negation's conjunct
+    binds): neither ``PE`` of every filter key nor every partner of a join
+    key is produced.
+    """
+    return (
+        isinstance(build, SemiJoin)
+        and isinstance(build.source, ScanRelation)
+        and len(build.pairs) == 1
+        and len(key_positions) == 1
+        and build.source.columns.index(build.pairs[0][0]) != key_positions[0]
+        and isinstance(database.relation(build.source.relation), PossiblyEqualRelation)
+    )
 
 
 def plan_size(plan: PlanNode) -> int:

@@ -48,8 +48,8 @@ from time import perf_counter
 from typing import Iterator, Mapping, Sequence
 
 from repro.errors import EvaluationError
-from repro.physical.algebra import _ExecutionContext
-from repro.physical.database import PhysicalDatabase
+from repro.physical.algebra import _ExecutionContext, probed_within
+from repro.physical.database import PhysicalDatabase, PossiblyEqualRelation
 from repro.physical.indexes import indexes_for
 from repro.physical.plan import (
     ActiveDomain,
@@ -153,7 +153,8 @@ def columnar_relation(database: PhysicalDatabase, name: str) -> tuple[tuple[tupl
     immutable, so the columnar image can never go stale.  Only materialized
     :class:`~repro.physical.relation.Relation` instances have one: the lazy
     ``NE`` of ``Ph2`` is never scanned (compiled plans read its complement
-    ``PE``), and materializing it would defeat its purpose.
+    ``PE``), and materializing it would defeat its purpose.  ``PE`` itself
+    is enumerated, uncached, by the rare plan that binds neither column.
     """
     cache = database.__dict__.get("_columnar")
     if cache is None:
@@ -162,6 +163,9 @@ def columnar_relation(database: PhysicalDatabase, name: str) -> tuple[tuple[tupl
     entry = cache.get(name)
     if entry is None:
         relation = database.relation(name)
+        if isinstance(relation, PossiblyEqualRelation):
+            ordered = sorted(relation, key=repr)
+            return (tuple(zip(*ordered)) if ordered else ()), len(ordered)
         if not isinstance(relation, Relation):
             raise EvaluationError(f"relation {name!r} is lazy and has no columnar image")
         ordered = sorted(relation.tuples, key=repr)
@@ -551,6 +555,20 @@ class _BatchContext(_ExecutionContext):
                         if parts is not None:
                             return parts, None, True, False
                     return buckets, columns, scalar, unique
+                parts = indexes.computed(node.relation, key_positions, scalar=scalar, columns=True)
+                if parts is not None:
+                    # A computed relation (``PE``) is probed per key in parts mode.
+                    if self.profiler is not None:
+                        self.profiler.note_access(build, "index")
+                    return parts, None, scalar, False
+            elif probed_within(node, key_positions, self.database):
+                among, __ = self._filter_keys(node)
+                if self.profiler is not None:
+                    self.profiler.note_access(build, "index")
+                parts = indexes_for(self.database).computed(
+                    node.source.relation, key_positions, scalar=True, columns=True, among=among
+                )
+                return parts, None, True, False
         if self.deadline is not None:
             self.deadline.check("join build")
         build_cols = None

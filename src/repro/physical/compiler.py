@@ -26,7 +26,7 @@ so nothing about it needs evaluating at compile time:
     alpha_P(t) = Cand(vars) |> project_vars select_exact( P(y) |x|_i PE(t_i, y_i) )
 
 ``|>`` is an anti-join and ``PE`` ("possibly equal") is the complement of
-``NE`` over the active domain, derived once per database
+``NE`` over the active domain, computed per key from ``NE``'s encoding
 (:meth:`~repro.physical.database.PhysicalDatabase.possibly_equal`).  A
 candidate ``c`` fails ``alpha_P`` iff some stored ``d`` does *not* disagree
 with it, and not disagreeing implies ``PE(c_i, d_i)`` in every column, so the
@@ -44,6 +44,7 @@ is the test oracle, not part of this path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Mapping
 
 from repro.errors import UnsupportedFormulaError
@@ -67,6 +68,7 @@ from repro.logic.transform import eliminate_implications, standardize_apart
 from repro.logic.vocabulary import NE_PREDICATE, PE_PREDICATE
 from repro.physical.algebra import execute
 from repro.physical.database import PhysicalDatabase
+from repro.physical.relation import RelationLike
 from repro.physical.optimizer import optimize as optimize_plan
 from repro.physical.plan import (
     ActiveDomain,
@@ -251,7 +253,8 @@ class _MayCoincide:
 
     #: ``(column of c_i, column of d_i)`` per argument position.
     pairs: tuple[tuple[str, str], ...]
-    possibly_equal: frozenset[tuple] = field(repr=False)
+    #: Asked for membership only (:class:`~repro.physical.database.PossiblyEqualRelation`).
+    possibly_equal: RelationLike = field(repr=False)
 
     def __call__(self, row: Mapping[str, object]) -> bool:
         values = [row[column] for pair in self.pairs for column in pair]
@@ -264,12 +267,9 @@ class _MayCoincide:
                 components.remove(component)
                 merged |= component
             components.append(merged)
-        return all(
-            (left, right) in self.possibly_equal
-            for component in components
-            for left in component
-            for right in component
-        )
+        # PE is reflexive on the active domain (where every row value comes
+        # from) and symmetric, so each unordered pair is asked once.
+        return all(pair in self.possibly_equal for component in components for pair in combinations(component, 2))
 
 
 def _compile_extension_atom(atom: ExtensionAtom, database: PhysicalDatabase) -> tuple[PlanNode, tuple[str, ...]]:
@@ -313,7 +313,7 @@ def _compile_extension_atom(atom: ExtensionAtom, database: PhysicalDatabase) -> 
             refuted,
             _MayCoincide(
                 tuple(zip(argument_columns, stored_columns)),
-                database.possibly_equal().tuples,
+                database.possibly_equal(),
             ),
             description=f"({', '.join(argument_columns)}) may equal ({', '.join(stored_columns)})",
         )

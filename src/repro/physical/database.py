@@ -20,15 +20,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.errors import DatabaseError, VocabularyError
 from repro.logic.vocabulary import NE_PREDICATE, PE_PREDICATE, Vocabulary
 from repro.physical.relation import Relation, RelationLike
 
-__all__ = ["PhysicalDatabase"]
+__all__ = ["PhysicalDatabase", "PossiblyEqualRelation"]
 
 
 @dataclass(frozen=True)
@@ -217,7 +216,7 @@ class PhysicalDatabase:
             object.__setattr__(self, "_active_domain", cached)
         return cached
 
-    def possibly_equal(self) -> Relation:
+    def possibly_equal(self) -> "PossiblyEqualRelation":
         """``PE``: the pairs of active-domain values not known to be unequal.
 
         The complement of ``NE`` (read in both orientations, like Lemma 10's
@@ -226,33 +225,11 @@ class PhysicalDatabase:
         ``alpha_P`` plans and ``~(t1 = t2)`` anti-joins read it under the
         reserved name :data:`~repro.logic.vocabulary.PE_PREDICATE`.  It is
         derived, not stored: absent from :attr:`vocabulary`,
-        :attr:`relations`, :meth:`fingerprint` and :meth:`total_tuples`,
-        built on first use and cached on the instance.
-
-        Off the diagonal, ``PE(a, b)`` needs ``a`` or ``b`` in ``NE``'s set
-        ``U`` of unknown values (outside it every distinct pair is unequal),
-        so the build probes ``NE`` membership on ``U x active domain`` only:
-        ``|U|·|C|`` work on ``Ph2``.  An ``NE`` without a ``U`` (a plain
-        relation) is probed on every pair.  Unlike the other instance caches
-        the build takes a lock: the serving layer's threads share one
-        instance.
+        :attr:`relations`, :meth:`fingerprint` and :meth:`total_tuples`, and
+        computed per key from ``NE``'s encoding (:class:`PossiblyEqualRelation`),
+        so asking for it costs nothing.
         """
-        cached = self.__dict__.get("_possibly_equal")
-        if cached is None:
-            with self.__dict__.setdefault("_possibly_equal_lock", threading.Lock()):
-                cached = self.__dict__.get("_possibly_equal")
-                if cached is None:
-                    unequal = self.relations.get(NE_PREDICATE, ())
-                    values = self.active_domain()
-                    pairs = {(value, value) for value in values}
-                    for left in getattr(unequal, "unknown", values) & values:
-                        for right in values:
-                            if (left, right) not in unequal and (right, left) not in unequal:
-                                pairs.add((left, right))
-                                pairs.add((right, left))
-                    cached = Relation(PE_PREDICATE, 2, pairs)
-                    object.__setattr__(self, "_possibly_equal", cached)
-        return cached
+        return PossiblyEqualRelation(self.active_domain(), self.relations.get(NE_PREDICATE))
 
     def total_tuples(self) -> int:
         """Number of stored tuples across all relations (a size measure)."""
@@ -325,3 +302,109 @@ class PhysicalDatabase:
         for name in sorted(self.relations):
             parts.append(f"{name}: {len(self.relations[name])} tuples")
         return ", ".join(parts)
+
+
+class PossiblyEqualRelation:
+    """``PE`` over an active domain, answered per key from ``NE``'s encoding.
+
+    Off the diagonal, ``PE(a, b)`` needs ``a`` or ``b`` in the set ``U`` of
+    unknown values (outside it every distinct pair is in ``NE``).  So with
+    ``NE'(a)`` the values ``NE`` separates from ``a``:
+
+    * for ``a`` outside ``U``, ``PE(a, ·) = {a} ∪ (U − NE'(a))``;
+    * for ``a`` in ``U``, ``PE(a, ·) = adom − NE'(a)``.
+
+    ``NE``'s :attr:`~repro.logical.unknowns.VirtualNERelation.unknown` and
+    ``explicit`` pairs supply ``U`` and ``NE'``; a plain ``NE`` relation is
+    read with ``U = adom`` and ``NE' = NE``, and no ``NE`` at all makes every
+    pair possibly equal.  Membership, :meth:`partners`, ``len`` and
+    :meth:`values` never enumerate pairs; the executor reaches the relation
+    through :meth:`partners` (:mod:`repro.physical.indexes`), and only a
+    plan with no binding on either column iterates it.  The relation is
+    symmetric.
+    """
+
+    name = PE_PREDICATE
+    arity = 2
+
+    def __init__(self, values: frozenset, unequal: RelationLike | None) -> None:
+        self._values = values
+        self._unequal = unequal
+        unknown = getattr(unequal, "unknown", None)
+        self._unknown = values if unknown is None else unknown & values
+        self._separated = getattr(unequal, "explicit", unequal) or frozenset()
+
+    def partners(self, among: frozenset | set | None = None) -> Callable[[object], tuple]:
+        """``value -> every b with PE(value, b)`` — only the ``b`` in *among*, if given.
+
+        ``U`` and the domain are intersected with *among* once, here, so a
+        probe for a known value costs ``|U ∩ among|``, not ``|U|``.
+        """
+        values = self._values if among is None else self._values & among
+        unknown = self._unknown if among is None else self._unknown & among
+        domain, every_unknown, separated = self._values, self._unknown, self._separated
+
+        def probe(value: object) -> tuple:
+            if value not in domain:
+                return ()
+            candidates = values if value in every_unknown else unknown
+            return ((value,) if value in values else ()) + tuple(
+                other
+                for other in candidates
+                if other != value and (value, other) not in separated and (other, value) not in separated
+            )
+
+        return probe
+
+    def __contains__(self, item: object) -> bool:
+        if not isinstance(item, tuple) or len(item) != 2:
+            return False
+        left, right = item
+        if left not in self._values or right not in self._values:
+            return False
+        if left == right:
+            return True
+        if left not in self._unknown and right not in self._unknown:
+            return False
+        return item not in self._separated and (right, left) not in self._separated
+
+    def __iter__(self) -> Iterator[tuple]:
+        partners = self.partners()
+        for value in self._values:
+            for other in partners(value):
+                yield (value, other)
+
+    def __len__(self) -> int:
+        """``|adom|`` reflexive pairs plus both orientations of each unordered
+        pair that touches ``U`` and is not separated by ``NE'``."""
+        values, unknown = self._values, self._unknown
+        size, known = len(values), len(values) - len(unknown)
+        touching = len(unknown) * (len(unknown) - 1) // 2 + len(unknown) * known
+        separated = {
+            frozenset(pair)
+            for pair in self._separated
+            if pair[0] != pair[1]
+            and pair[0] in values
+            and pair[1] in values
+            and (pair[0] in unknown or pair[1] in unknown)
+        }
+        return size + 2 * (touching - len(separated))
+
+    def values(self) -> frozenset:
+        """Every active-domain value (each is possibly equal to itself)."""
+        return self._values
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PossiblyEqualRelation):
+            return NotImplemented
+        if self._values != other._values:
+            return False
+        if self._unequal is other._unequal:
+            return True
+        return len(self) == len(other) and all(pair in other for pair in self)
+
+    def __hash__(self) -> int:
+        return hash((PE_PREDICATE, len(self._values)))
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"PossiblyEqualRelation(values={len(self._values)}, unknown={len(self._unknown)})"

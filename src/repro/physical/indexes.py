@@ -13,9 +13,12 @@ Indexes are built on demand per ``(relation, column positions)`` request and
 cached on the database instance with the same ``object.__setattr__`` idiom as
 ``PhysicalDatabase.fingerprint`` — databases are immutable, so an index can
 never go stale, and content-addressed cache keys elsewhere (fingerprints)
-remain the sole invalidation mechanism.  Lazy relations (the ``NE`` of
-``Ph2``) are deliberately *not* indexed: materializing them defeats their
-purpose, so lookups against them fall back to scanning, exactly as before.
+remain the sole invalidation mechanism.  Lazy relations are deliberately
+*not* indexed: materializing them defeats their purpose.  The ``NE`` of
+``Ph2`` has no index at all (no plan reads it); the derived ``PE``
+(:class:`~repro.physical.database.PossiblyEqualRelation`) answers every
+index request with a view that asks the relation per key, so index scans,
+indexed joins and semi-join probes reach it without a build.
 
 Index construction is thread-safe: the serving layer executes plans against
 one shared database from many threads, so a per-database lock guards the
@@ -28,7 +31,7 @@ from __future__ import annotations
 import threading
 from typing import Mapping, Sequence
 
-from repro.physical.database import PhysicalDatabase
+from repro.physical.database import PhysicalDatabase, PossiblyEqualRelation
 from repro.physical.relation import Relation
 
 __all__ = ["DatabaseIndexes", "indexes_for"]
@@ -52,16 +55,16 @@ class DatabaseIndexes:
     def prefix(self, relation: str, positions: tuple[int, ...]) -> Mapping[tuple, tuple[tuple, ...]] | None:
         """Index of *relation* on the given column positions, or ``None``.
 
-        Returns ``None`` for lazy relations (no index is built for them) and
-        for empty position tuples.  The returned mapping sends each key tuple
-        — the row's values at ``positions``, in that order — to the tuple of
-        full rows carrying it.
+        Returns ``None`` for ``NE`` (no index is built for it) and for empty
+        position tuples.  The returned mapping sends each key tuple — the
+        row's values at ``positions``, in that order — to the tuple of full
+        rows carrying it; only its ``get`` is used.
         """
         if not positions:
             return None
         stored = self._database.relation(relation)
         if not isinstance(stored, Relation):
-            return None
+            return self.computed(relation, positions)
         key = (relation, positions)
         index = self._prefix.get(key)
         if index is None:
@@ -90,8 +93,8 @@ class DatabaseIndexes:
         never has to build key tuples at all.
         """
         index = self.prefix(relation, (position,))
-        if index is None:
-            return None
+        if index is None or isinstance(index, _ComputedIndex):
+            return self.computed(relation, (position,), scalar=True)
         key = (relation, position)
         view = self._scalar.get(key)
         if view is None:
@@ -111,8 +114,8 @@ class DatabaseIndexes:
         or re-transposed on the probe path.
         """
         base = self.scalar(relation, position)
-        if base is None:
-            return None
+        if base is None or isinstance(base, _ComputedIndex):
+            return self.computed(relation, (position,), scalar=True, columns=True)
         key = (relation, position)
         view = self._scalar_columns.get(key)
         if view is None:
@@ -193,12 +196,73 @@ class DatabaseIndexes:
                     self._distinct[key] = values
         return values
 
+    def computed(
+        self,
+        relation: str,
+        positions: tuple[int, ...],
+        *,
+        scalar: bool = False,
+        columns: bool = False,
+        among: frozenset | set | None = None,
+    ) -> "_ComputedIndex | None":
+        """A per-key view of a computed relation (``PE``), or ``None``.
+
+        *scalar* keys it by the bare value of a single position; *columns*
+        returns each bucket transposed, as :meth:`scalar_columns` does;
+        *among* keeps only the rows whose other column lies in it.  Nothing
+        is built or cached: each ``get`` asks the relation.
+        """
+        stored = self._database.relation(relation)
+        if not isinstance(stored, PossiblyEqualRelation):
+            return None
+        return _ComputedIndex(stored, positions, scalar, columns, among)
+
     def lookup(self, relation: str, positions: tuple[int, ...], key: tuple) -> tuple[tuple, ...] | None:
         """Rows of *relation* whose *positions* equal *key*; ``None`` = no index."""
         index = self.prefix(relation, positions)
         if index is None:
             return None
         return index.get(key, _EMPTY)
+
+
+class _ComputedIndex:
+    """The index interface (``get``) of ``PE``, answered per key."""
+
+    __slots__ = ("_relation", "_positions", "_scalar", "_columns", "_partners")
+
+    def __init__(
+        self,
+        relation: PossiblyEqualRelation,
+        positions: tuple[int, ...],
+        scalar: bool,
+        columns: bool,
+        among: frozenset | set | None,
+    ) -> None:
+        self._relation = relation
+        self._positions = positions
+        self._scalar = scalar
+        self._columns = columns
+        self._partners = relation.partners(among)
+
+    def get(self, key, default=None):
+        if self._scalar:
+            key = (key,)
+        if len(self._positions) == 2:
+            pair = key if self._positions == (0, 1) else key[::-1]
+            if pair not in self._relation:
+                return default
+            return tuple((value,) for value in pair) if self._columns else (pair,)
+        (value,) = key
+        partners = self._partners(value)
+        if not partners:
+            return default
+        pair = ((value,) * len(partners), partners)
+        if self._positions == (1,):
+            pair = pair[::-1]
+        return pair if self._columns else tuple(zip(*pair))
+
+    def __bool__(self) -> bool:
+        return True  # emptiness is only known per key
 
 
 def indexes_for(database: PhysicalDatabase) -> DatabaseIndexes:

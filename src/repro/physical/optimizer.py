@@ -22,6 +22,10 @@ This module rewrites a compiled plan into an equivalent cheaper one:
   preferring joins that share columns over products;
 * **projection pushdown** — columns a parent never consumes are dropped
   before joins, shrinking intermediate widths and row counts;
+* **negations over bound columns** — a negation the compiler wrote over
+  the active domain (``alpha_P``, ``~(t1 = t2)``, ``~phi``) anti-joins the
+  conjunct that binds its columns instead, and its refuted side is
+  semi-joined by that conjunct's keys;
 * **common-subplan deduplication** — structurally equal subtrees are
   interned to a single object; the executor's memo table then computes each
   one once per execution;
@@ -32,8 +36,8 @@ This module rewrites a compiled plan into an equivalent cheaper one:
   hash indexes turn a full pass into per-key probes); differences whose
   right side is expensive get the symmetric
   :class:`~repro.physical.plan.AntiJoin` treatment, and the candidate
-  columns of a compiled ``alpha_P`` atom (an anti-join over active-domain
-  columns) are restricted by their siblings' keys.
+  columns of a nested negation over the active domain become the
+  filter's keys.
 
 Every rewrite preserves the result *exactly* — same columns in the same
 order, same row set — so a naive plan (:func:`~repro.physical.compiler.compile_query`
@@ -63,6 +67,7 @@ from repro.physical.plan import (
     UnionAll,
 )
 from repro.logic.terms import Parameter
+from repro.logic.vocabulary import PE_PREDICATE
 from repro.physical.statistics import Statistics, statistics_for
 
 __all__ = ["optimize"]
@@ -95,6 +100,7 @@ def optimize(
     plan = rewriter.reorder_joins(plan)
     plan = rewriter.prune_columns(plan, None)
     plan = rewriter.fold(plan)
+    plan = rewriter.bind_negations(plan)
     if sip:
         plan = rewriter.pass_sideways(plan)
     return rewriter.intern(plan)
@@ -357,14 +363,8 @@ class _Rewriter:
             leaves = [self.reorder_joins(leaf) for leaf in leaves]
             original_columns = self.cols(plan)
             if len(leaves) < 3:
-                rebuilt: PlanNode = leaves[0]
-                for leaf in leaves[1:]:
-                    rebuilt = NaturalJoin(rebuilt, leaf)
-                return rebuilt
-            ordered = self._greedy_order(leaves)
-            rebuilt = ordered[0]
-            for leaf in ordered[1:]:
-                rebuilt = NaturalJoin(rebuilt, leaf)
+                return _chain(leaves)
+            rebuilt = _chain(self._greedy_order(leaves))
             if self.cols(rebuilt) == original_columns:
                 return rebuilt
             return Projection(rebuilt, original_columns)
@@ -583,6 +583,98 @@ class _Rewriter:
             )
         return plan
 
+    # Negations over bound columns ----------------------------------------------
+
+    def bind_negations(self, plan: PlanNode) -> PlanNode:
+        """Anti-join a negation against the conjunct that binds its columns.
+
+        The compiler negates over the active domain: ``alpha_P``, ``~(t1 =
+        t2)`` and ``~phi`` become ``universe(V) ▷ R`` (or ``universe(V) − R``),
+        where ``universe(V)`` is the product of one ``ActiveDomain`` per column.
+        Inside a join chain, the other conjuncts ``A`` already bind some of
+        ``V``, so
+
+            A ⋈ (universe(V) ▷ R)  ==  (A × universe(V − cols A)) ▷ (R ⋉ π A)
+
+        — the candidates are ``A``'s rows, not the domain, and only the
+        refuted rows keyed like ``A`` are computed (:meth:`_push_semi` with
+        ``domains=True``).  Negations move to the end of their chain, in order;
+        the chain's columns keep their names and order.
+        """
+        if not isinstance(plan, NaturalJoin):
+            children = _named_children(plan)
+            if not children:
+                return plan
+            return _rebuild(plan, type(plan), **{name: self.bind_negations(child) for name, child in children})
+        leaves: list[PlanNode] = []
+        _flatten_joins(plan, leaves)
+        leaves = [self.bind_negations(leaf) for leaf in leaves]
+        negations = [leaf for leaf in leaves if _negation(leaf, self.cols) is not None]
+        others = [leaf for leaf in leaves if leaf not in negations]
+        bound_anywhere = {column for leaf in others for column in self.cols(leaf)}
+        if not others or not any(bound_anywhere & set(self.cols(leaf)) for leaf in negations):
+            return _chain(leaves)
+        anchor = _chain(others)
+        for leaf in negations:
+            universe, refuted, pairs = _negation(leaf, self.cols)
+            columns = self.cols(anchor)
+            bound = tuple((key, column) for column, key in pairs if column in columns)
+            if not bound:
+                anchor = NaturalJoin(anchor, leaf)
+                continue
+            keys = tuple(dict.fromkeys(column for __, column in bound))
+            sibling = anchor if columns == keys else Projection(anchor, keys)
+            reduced = self._push_semi(refuted, sibling, bound, domains=True)
+            anchor = AntiJoin(self._bind_universe(universe, anchor), reduced, pairs)
+        original = self.cols(plan)
+        return anchor if self.cols(anchor) == original else Projection(anchor, original)
+
+    def _bind_universe(self, universe: PlanNode, keys: PlanNode) -> PlanNode:
+        """``keys`` times the ``ActiveDomain`` factors of *universe* it does not bind.
+
+        Equal to ``universe ⋉ keys`` (plus *keys*' other columns) because
+        every value a plan produces lies in the active domain.
+        """
+        plan = keys
+        bound = set(self.cols(keys))
+        for domain in _domains(universe):
+            if domain.column not in bound:
+                plan = CrossProduct(plan, domain)
+        return plan
+
+    def _keys(self, filter_plan: PlanNode, pairs: tuple[tuple[str, str], ...]) -> PlanNode:
+        """The filter's key columns, named like the columns they key."""
+        keys = Projection(filter_plan, tuple(dict.fromkeys(key for __, key in pairs)))
+        renaming = tuple((key, column) for column, key in pairs if key != column)
+        return self.fold(RenameColumns(keys, renaming) if renaming else keys)
+
+    def _push_into_negation(
+        self,
+        plan: AntiJoin | Difference,
+        filter_plan: PlanNode,
+        pairs: tuple[tuple[str, str], ...],
+        domains: bool,
+    ) -> PlanNode:
+        """``plan ⋉ filter_plan`` for a negation over the active domain.
+
+        The paired candidate columns become the filter's keys
+        (:meth:`_bind_universe`) and the refuted side is reduced by the same
+        keys, so no candidate outside the filter is ever produced.
+        """
+        universe, refuted, own = _negation(plan, self.cols)
+        keys = dict(pairs)
+        columns = self.cols(universe)
+        if len(set(keys.values())) < len(keys):
+            return plan  # one filter column keys two candidate columns
+        source = self._bind_universe(universe, self._keys(filter_plan, pairs))
+        if self.cols(source) != columns:
+            source = Projection(source, columns)
+        translated = tuple((filtered, keys[column]) for column, filtered in own if column in keys)
+        reduced = self._push_semi(refuted, filter_plan, translated, domains)
+        if isinstance(plan, AntiJoin):
+            return AntiJoin(source, reduced, own)
+        return Difference(source, reduced)
+
     # Sideways information passing (semi-join reduction) ------------------------
 
     def pass_sideways(self, plan: PlanNode) -> PlanNode:
@@ -627,7 +719,11 @@ class _Rewriter:
         """Semi-join-reduce whichever join input dwarfs its sibling."""
         left_rows = self.estimate(join.left).rows
         right_rows = self.estimate(join.right).rows
-        if right_rows >= _SIP_MIN_ROWS and right_rows >= _SIP_RATIO * max(left_rows, 1.0):
+        if (
+            right_rows >= _SIP_MIN_ROWS
+            and right_rows >= _SIP_RATIO * max(left_rows, 1.0)
+            and not _computed_scan(join.right)  # the join probes it per left key already
+        ):
             reduced = self._reduce(join.right, join.left, right_pairs)
             return _rebuild(join, type(join), right=reduced)
         if left_rows >= _SIP_MIN_ROWS and left_rows >= _SIP_RATIO * max(right_rows, 1.0):
@@ -683,6 +779,7 @@ class _Rewriter:
         plan: PlanNode,
         filter_plan: PlanNode,
         pairs: tuple[tuple[str, str], ...],
+        domains: bool = False,
     ) -> PlanNode:
         """Push a semi-join filter down *plan*; returns *plan* where pointless.
 
@@ -692,17 +789,25 @@ class _Rewriter:
         those rows anyway (the sibling join input, or the anti/semi-join key
         intersection).  That is what makes partial pushes — splitting pairs
         across join sides, leaving un-pushable branches untouched — sound.
+
+        With *domains*, an ``ActiveDomain`` leaf the filter reaches becomes
+        the filter's keys (:meth:`bind_negations` restricting a negation's
+        refuted side).  A negation over the active domain takes the filter
+        into its candidates and its refuted side
+        (:meth:`_push_into_negation`).
         """
         if not pairs:
             return plan
         if isinstance(plan, Selection):
-            return _rebuild(plan, Selection, source=self._push_semi(plan.source, filter_plan, pairs))
+            return _rebuild(plan, Selection, source=self._push_semi(plan.source, filter_plan, pairs, domains))
         if isinstance(plan, Projection):
-            return Projection(self._push_semi(plan.source, filter_plan, pairs), plan.columns)
+            return Projection(self._push_semi(plan.source, filter_plan, pairs, domains), plan.columns)
         if isinstance(plan, RenameColumns):
             inverse = {new: old for old, new in plan.renaming}
             mapped = tuple((inverse.get(column, column), key) for column, key in pairs)
-            return RenameColumns(self._push_semi(plan.source, filter_plan, mapped), plan.renaming)
+            return RenameColumns(self._push_semi(plan.source, filter_plan, mapped, domains), plan.renaming)
+        if _negation(plan, self.cols) is not None:
+            return self._push_into_negation(plan, filter_plan, pairs, domains)
         if isinstance(plan, (NaturalJoin, EquiJoin, CrossProduct)):
             left_columns = set(self.cols(plan.left))
             right_columns = set(self.cols(plan.right))
@@ -712,62 +817,39 @@ class _Rewriter:
             )
             replacements = {}
             if left_pairs:
-                replacements["left"] = self._push_semi(plan.left, filter_plan, left_pairs)
+                replacements["left"] = self._push_semi(plan.left, filter_plan, left_pairs, domains)
             if right_pairs:
-                replacements["right"] = self._push_semi(plan.right, filter_plan, right_pairs)
+                replacements["right"] = self._push_semi(plan.right, filter_plan, right_pairs, domains)
             return _rebuild(plan, type(plan), **replacements) if replacements else plan
         if isinstance(plan, UnionAll):
             return UnionAll(
-                self._push_semi(plan.left, filter_plan, pairs),
-                self._push_semi(plan.right, filter_plan, pairs),
+                self._push_semi(plan.left, filter_plan, pairs, domains),
+                self._push_semi(plan.right, filter_plan, pairs, domains),
             )
         if isinstance(plan, Difference):
             # Both sides: rows of either side outside the filter's keys can
             # only affect result rows that are themselves outside those keys.
             return Difference(
-                self._push_semi(plan.left, filter_plan, pairs),
-                self._push_semi(plan.right, filter_plan, pairs),
+                self._push_semi(plan.left, filter_plan, pairs, domains),
+                self._push_semi(plan.right, filter_plan, pairs, domains),
             )
         if isinstance(plan, (SemiJoin, AntiJoin)):
-            if isinstance(plan, AntiJoin) and _is_universe(plan.source):
-                source = self._restrict_candidates(plan.source, filter_plan, pairs)
-            else:
-                source = self._push_semi(plan.source, filter_plan, pairs)
+            source = self._push_semi(plan.source, filter_plan, pairs, domains)
             own = dict(plan.pairs)
             translated = tuple((own[column], key) for column, key in pairs if column in own)
             filtered = plan.filter
             if translated:
-                filtered = self._push_semi(plan.filter, filter_plan, translated)
+                filtered = self._push_semi(plan.filter, filter_plan, translated, domains)
             return type(plan)(source, filtered, plan.pairs)
         if isinstance(plan, ScanRelation):
             return SemiJoin(plan, filter_plan, pairs)
-        # IndexScan (already selective), literals, active domains: the filter
-        # would cost more than the rows it could remove.
+        if domains and isinstance(plan, ActiveDomain):
+            # The domain restricted to the filter's keys is the keys (every
+            # value a plan produces lies in the domain).
+            return self._keys(filter_plan, pairs)
+        # IndexScan (already selective), literals: the filter would cost
+        # more than the rows it could remove.
         return plan
-
-    def _restrict_candidates(
-        self,
-        universe: PlanNode,
-        filter_plan: PlanNode,
-        pairs: tuple[tuple[str, str], ...],
-    ) -> PlanNode:
-        """Semi-join-reduce the paired columns of an ``alpha_P`` candidate universe.
-
-        An anti-join over active-domain columns is the compiler's translation
-        of an ``alpha_P`` atom (nothing else produces one): its candidates
-        multiply — one domain-sized column per variable of the negated atom —
-        and every one that the sibling's keys exclude is dropped by the
-        enclosing join anyway.  Elsewhere an active-domain leaf is left alone
-        (see :meth:`_push_semi`): on its own it is a single domain-sized
-        column, cheaper than the filter.
-        """
-        if isinstance(universe, CrossProduct):
-            return CrossProduct(
-                self._restrict_candidates(universe.left, filter_plan, pairs),
-                self._restrict_candidates(universe.right, filter_plan, pairs),
-            )
-        own = tuple(pair for pair in pairs if pair[0] == universe.column)
-        return SemiJoin(universe, filter_plan, own) if own else universe
 
     # Common-subplan interning -------------------------------------------------
 
@@ -917,6 +999,42 @@ def _is_universe(plan: PlanNode) -> bool:
     if isinstance(plan, CrossProduct):
         return _is_universe(plan.left) and _is_universe(plan.right)
     return False
+
+
+def _negation(plan: PlanNode, cols) -> tuple[PlanNode, PlanNode, tuple[tuple[str, str], ...]] | None:
+    """``(universe, refuted, pairs)`` of a compiled negation over the active domain, else ``None``."""
+    if isinstance(plan, AntiJoin) and _is_universe(plan.source):
+        return plan.source, plan.filter, plan.pairs
+    if isinstance(plan, Difference) and _is_universe(plan.left):
+        return plan.left, plan.right, tuple((column, column) for column in cols(plan.left))
+    return None
+
+
+def _computed_scan(plan: PlanNode) -> bool:
+    """Whether *plan* scans ``PE`` (or semi-joins a scan of it).
+
+    As a join's build side the executor probes it per key of the join, and
+    within the semi-join's keys
+    (:func:`~repro.physical.algebra.probed_within`), so reducing it by the
+    join's other side would only add work.
+    """
+    if isinstance(plan, SemiJoin):
+        plan = plan.source
+    return isinstance(plan, ScanRelation) and plan.relation == PE_PREDICATE
+
+
+def _domains(universe: PlanNode) -> list[ActiveDomain]:
+    """The ``ActiveDomain`` factors of a universe, left to right."""
+    if isinstance(universe, CrossProduct):
+        return _domains(universe.left) + _domains(universe.right)
+    return [universe]
+
+
+def _chain(leaves: list[PlanNode]) -> PlanNode:
+    rebuilt = leaves[0]
+    for leaf in leaves[1:]:
+        rebuilt = NaturalJoin(rebuilt, leaf)
+    return rebuilt
 
 
 def _rebuild(plan: PlanNode, node_type, **replacements) -> PlanNode:

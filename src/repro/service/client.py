@@ -72,6 +72,7 @@ from repro.service.protocol import (
     BatchResponse,
     ClassifyRequest,
     ClassifyResponse,
+    CloseRequest,
     CursorResponse,
     DatabasesResponse,
     DEFAULT_PAGE_SIZE,
@@ -136,6 +137,8 @@ class ServiceClient:
         self._port = parsed.port or (443 if self._tls else 80)
         self._prefix = parsed.path.rstrip("/")
         self._local = threading.local()
+        #: Every thread's open connection, so :meth:`close_all` reaches them all.
+        self._connections: set[http.client.HTTPConnection] = set()
 
     # Endpoints -----------------------------------------------------------------
 
@@ -214,6 +217,10 @@ class ServiceClient:
     def fetch_page(self, cursor_id: str, page: int) -> PageResponse:
         return self._expect(self._post("/fetch", FetchRequest(cursor_id, page)), PageResponse)
 
+    def close_cursor(self, cursor_id: str) -> None:
+        """Drop a cursor server-side (idempotent)."""
+        self._expect(self._post("/fetch", CloseRequest(cursor_id)), CloseRequest)
+
     def get_raw(self, path: str) -> dict:
         """GET a route and return the undecoded JSON payload (envelope included)."""
         payload = self._round_trip("GET", path)
@@ -230,10 +237,17 @@ class ServiceClient:
         connection = getattr(self._local, "connection", None)
         self._local.connection = None
         if connection is not None:
+            self._connections.discard(connection)
             try:
                 connection.close()
             except OSError:  # pragma: no cover - best-effort cleanup
                 pass
+
+    def close_all(self) -> None:
+        """Close every thread's persistent connection: the client is done."""
+        for connection in list(self._connections):
+            connection.close()
+        self._connections.clear()
 
     # Plumbing ------------------------------------------------------------------
 
@@ -278,6 +292,7 @@ class ServiceClient:
             # ~40ms to every keep-alive request.
             connection.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self._local.connection = connection
+            self._connections.add(connection)
         return connection
 
     def _round_trip(self, method: str, path: str, body: bytes | None = None) -> object:
@@ -436,14 +451,19 @@ class PreparedHandle:
         """Iterate the answer rows, fetching one page at a time.
 
         Rows arrive in the canonical (sorted) wire order, so collecting the
-        iterator reproduces the single-body answer exactly.
+        iterator reproduces the single-body answer exactly.  The server-side
+        cursor is closed after the last page, or as soon as the consumer
+        stops early (the iterator is closed or dropped).
         """
         cursor = self.client.open_cursor(self.statement_id, params, page_size=page_size)
-        for page in range(cursor.pages):
-            response = self.client.fetch_page(cursor.cursor_id, page)
-            yield from response.rows
-            if response.last:
-                break
+        try:
+            for page in range(cursor.pages):
+                response = self.client.fetch_page(cursor.cursor_id, page)
+                yield from response.rows
+                if response.last:
+                    break
+        finally:
+            self.client.close_cursor(cursor.cursor_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return (

@@ -55,6 +55,7 @@ __all__ = [
     "PrepareResponse",
     "ExecuteRequest",
     "ExecuteManyRequest",
+    "CloseRequest",
     "CursorResponse",
     "FetchRequest",
     "PageResponse",
@@ -501,6 +502,17 @@ class FetchRequest:
 
 
 @dataclass(frozen=True)
+class CloseRequest:
+    """Drop a streamed answer's cursor; the server answers with the same message.
+
+    Idempotent: closing an unknown (already closed or evicted) cursor
+    succeeds too.
+    """
+
+    cursor_id: str
+
+
+@dataclass(frozen=True)
 class PageResponse:
     """One chunk of a streamed answer, in the canonical sorted order."""
 
@@ -529,6 +541,7 @@ _MESSAGE_TYPES: dict[str, type] = {
     "execute_many_request": ExecuteManyRequest,
     "cursor_response": CursorResponse,
     "fetch_request": FetchRequest,
+    "close_request": CloseRequest,
     "page_response": PageResponse,
 }
 _TYPE_TAGS = {cls: tag for tag, cls in _MESSAGE_TYPES.items()}

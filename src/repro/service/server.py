@@ -22,7 +22,8 @@ Routes
 ``/execute``   POST    :class:`ExecuteRequest` → :class:`QueryResponse`
                        (or :class:`CursorResponse` when streaming), and
                        :class:`ExecuteManyRequest` → :class:`BatchResponse`
-``/fetch``     POST    :class:`FetchRequest` → :class:`PageResponse`
+``/fetch``     POST    :class:`FetchRequest` → :class:`PageResponse`, and
+                       :class:`CloseRequest` → the same message (cursor gone)
 =============  ======  ==================================================
 
 Errors come back as :class:`ErrorResponse` bodies (stable ``code`` field)
@@ -93,6 +94,7 @@ from repro.service.frontend import Frontend
 from repro.service.protocol import (
     BatchRequest,
     ClassifyRequest,
+    CloseRequest,
     DatabasesResponse,
     ErrorResponse,
     ExecuteManyRequest,
@@ -386,7 +388,10 @@ class _Handler(BaseHTTPRequestHandler):
                 response = service.execute_prepared(request.statement_id, request.params)
                 label = "exact" if response.method == "exact" else "approximate"
                 return self.server.cursors.open(response, label, request.page_size)
-            request = _expect_type(message, FetchRequest)
+            request = _expect_type(message, (FetchRequest, CloseRequest))
+            if isinstance(request, CloseRequest):
+                self.server.cursors.close(request.cursor_id)
+                return request
             return self.server.cursors.fetch(request.cursor_id, request.page)
 
     # Plumbing -----------------------------------------------------------------

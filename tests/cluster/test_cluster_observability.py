@@ -13,7 +13,6 @@ import pytest
 
 from repro.cluster import start_cluster
 from repro.cluster.deploy import local_router
-from repro.cluster.router import ClusterRouter
 from repro.observability import tracing
 from repro.service.protocol import QueryRequest
 from repro.workloads.generators import employee_database
@@ -144,9 +143,13 @@ class _MuteBackend:
 
 class TestForwardCompatibility:
     def _wrapped_router(self, employee, wrapper):
-        plain = local_router({"emp": employee}, shards=2, replicas=2, replication_threshold=32)
-        backends = [wrapper(state.backend) for state in plain._workers]
-        return ClusterRouter(plain._layouts, backends, replicas=2)
+        return local_router(
+            {"emp": employee},
+            shards=2,
+            replicas=2,
+            replication_threshold=32,
+            backend_wrapper=lambda backend, index: wrapper(backend),
+        )
 
     def test_stats_tolerates_unknown_and_reshaped_worker_fields(self, employee):
         """Satellite: a newer worker's stats never take cluster stats() down."""

@@ -2,8 +2,9 @@
 
 ``NE`` is read off the ``U``/``NE'`` encoding (Section 5, end) and compiled
 plans read its complement ``PE``, so the quadratic relation is never built.
-These tests make enumerating it an error — ``VirtualNERelation.__iter__``
-and ``CWDatabase.unequal_pairs`` raise — and then drive the benchmark
+These tests make enumerating it an error — ``VirtualNERelation.__iter__``,
+``CWDatabase.unequal_pairs`` and ``PE``'s ``PossiblyEqualRelation.__iter__``
+raise — and then drive the benchmark
 database (``employee_database(300, seed=21)``) through every stage a server
 and a cluster go through: CSV round trip, registration, one request of every
 E21 template shape ad hoc and prepared, statistics, partitioning and the
@@ -32,6 +33,7 @@ from repro.observability.explain import render_profile
 from repro.physical.algebra import execute
 from repro.physical.compiler import compile_query
 from repro.physical.csvio import load_cw_database, save_cw_database
+from repro.physical.database import PossiblyEqualRelation
 from repro.physical.statistics import statistics_payload
 from repro.service.engine import QueryService
 from repro.service.protocol import QueryRequest, answers_to_wire
@@ -91,13 +93,14 @@ def oracle(database, reference):
 
 @pytest.fixture(scope="module")
 def refused():
-    """Enumerating ``NE`` or the uniqueness pairs raises, for the rest of the module."""
+    """Enumerating ``NE``, ``PE`` or the uniqueness pairs raises, for the rest of the module."""
 
     def refuse(*args):
-        raise AssertionError("the quadratic NE was enumerated")
+        raise AssertionError("the quadratic NE (or its complement PE) was enumerated")
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(VirtualNERelation, "__iter__", refuse)
+        patch.setattr(PossiblyEqualRelation, "__iter__", refuse)
         patch.setattr(CWDatabase, "unequal_pairs", refuse)
         yield
 

@@ -144,7 +144,7 @@ class TestPossiblyEqual:
 
     def test_complement_of_ne_in_both_orientations_with_reflexive_pairs(self, storage):
         __, physical = storage
-        assert physical.possibly_equal().tuples == {
+        assert frozenset(physical.possibly_equal()) == {
             ("a", "a"), ("b", "b"), ("c", "c"), ("n", "n"),
             ("b", "n"), ("n", "b"), ("c", "n"), ("n", "c"),
         }  # fmt: skip
@@ -153,7 +153,7 @@ class TestPossiblyEqual:
         database = PhysicalDatabase(
             vocabulary.with_predicates({"NE": 2}), {"a", "b"}, {"a": "a", "b": "b"}, {"NE": {("a", "b")}}
         )
-        assert database.possibly_equal().tuples == {("a", "a"), ("b", "b")}
+        assert frozenset(database.possibly_equal()) == {("a", "a"), ("b", "b")}
 
     def test_without_ne_every_pair_is_possibly_equal(self, database):
         assert len(database.possibly_equal()) == len(database.active_domain()) ** 2
@@ -181,7 +181,7 @@ class TestPossiblyEqual:
         from repro.physical.statistics import statistics_payload
 
         database, physical = storage
-        assert physical.relation(PE_PREDICATE) is physical.possibly_equal()
+        assert physical.relation(PE_PREDICATE) == physical.possibly_equal()
         assert PE_PREDICATE not in physical.vocabulary.predicates
         assert PE_PREDICATE not in physical.relations and not physical.has_relation(PE_PREDICATE)
         assert PE_PREDICATE not in statistics_payload(physical)["relations"]
@@ -195,28 +195,39 @@ class TestPossiblyEqual:
         with pytest.raises(VocabularyError, match="derived"):
             Vocabulary(("a",), {PE_PREDICATE: 2})
 
-    def test_concurrent_first_touch_builds_one_relation(self, storage):
+    def test_concurrent_first_negated_requests_agree(self):
+        """Eight threads send the first negated request to fresh storage at once."""
         import sys
         import threading
 
-        __, physical = storage
+        from repro.approx.evaluator import ApproximateEvaluator
+        from repro.logic.parser import parse_query
+        from repro.service.engine import QueryService
+        from repro.service.protocol import QueryRequest
+        from repro.workloads.generators import employee_database
+
+        database = employee_database(300, seed=21)
+        text = "(x) . exists d. EMP_DEPT(x, d) & ~DEPT_MGR(d, 'emp7')"
+        truth = ApproximateEvaluator(engine="tarski").answers(database, parse_query(text))
+        service = QueryService(answer_cache_capacity=0)
+        service.register("emp", database)
         barrier = threading.Barrier(8)
         seen = []
 
-        def touch():
+        def request():
             barrier.wait(timeout=10)
-            seen.append(physical.possibly_equal())
+            seen.append(service.execute(QueryRequest("emp", text, "approx", "algebra")).answer_set("approximate"))
 
-        threads = [threading.Thread(target=touch) for __ in range(8)]
+        threads = [threading.Thread(target=request) for __ in range(8)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join(timeout=10)
+                thread.join(timeout=30)
         finally:
             sys.setswitchinterval(interval)
+            service.close()
         assert not any(thread.is_alive() for thread in threads)
-        assert len(seen) == 8 and all(relation is seen[0] for relation in seen)
-        assert physical.possibly_equal() is seen[0]
+        assert len(seen) == 8 and all(answers == truth for answers in seen)

@@ -17,6 +17,7 @@ from repro.service.protocol import (
     BatchResponse,
     ClassifyRequest,
     ClassifyResponse,
+    CloseRequest,
     CursorResponse,
     DatabasesResponse,
     ErrorResponse,
@@ -87,6 +88,7 @@ MESSAGES = [
         pages=2,
     ),
     FetchRequest("c1", 1),
+    CloseRequest("c1"),
     PageResponse("c1", 1, (("a",),), True),
 ]
 

@@ -87,7 +87,9 @@ class TestHTTPStreaming:
         service = QueryService()
         service.register("emp", employee_database(60, seed=5))
         with running_server(service) as server:
-            yield ServiceClient(server.base_url)
+            client = ServiceClient(server.base_url)
+            yield client
+            client.close()
         service.close()
 
     def test_stream_reassembles_single_body_answer(self, served):
@@ -103,6 +105,60 @@ class TestHTTPStreaming:
         handle = served.prepare("emp", "(y) . exists d. EMP_DEPT($e, d) & EMP_DEPT(y, d)")
         single = handle.execute({"e": "emp0"})
         assert tuple(handle.stream({"e": "emp0"}, page_size=2)) == single.answers["approximate"]
+
+    def test_a_finished_stream_closes_its_cursor(self, served_server):
+        client, server = served_server
+        handle = client.prepare("emp", "(x, y) . exists d. EMP_DEPT(x, d) & EMP_DEPT(y, d)")
+        assert len(list(handle.stream({}, page_size=32))) > 32
+        assert len(server.cursors) == 0
+
+    def test_a_stream_stopped_early_closes_its_cursor(self, served_server):
+        client, server = served_server
+        handle = client.prepare("emp", "(x, y) . exists d. EMP_DEPT(x, d) & EMP_DEPT(y, d)")
+        for __ in handle.stream({}, page_size=32):
+            assert len(server.cursors) == 1
+            break
+        assert len(server.cursors) == 0
+
+    def test_closing_is_idempotent_over_the_wire(self, served_server):
+        client, server = served_server
+        handle = client.prepare("emp", "(x) . EMP_DEPT(x, 'dept0')")
+        cursor = client.open_cursor(handle.statement_id, {}, page_size=3)
+        client.close_cursor(cursor.cursor_id)
+        client.close_cursor(cursor.cursor_id)
+        assert len(server.cursors) == 0
+        with pytest.raises(UnknownCursorError):
+            client.fetch_page(cursor.cursor_id, 0)
+
+    def test_streams_past_capacity_evict_nothing(self, served_server, monkeypatch):
+        from repro.observability import events
+        from repro.service.cursors import DEFAULT_CURSOR_CAPACITY
+
+        client, server = served_server
+        emitted = []
+        emit = events.emit
+
+        def recording(kind, *args, **kwargs):
+            emitted.append(kind)
+            return emit(kind, *args, **kwargs)
+
+        monkeypatch.setattr(events, "emit", recording)
+        handle = client.prepare("emp", "(y) . exists d. EMP_DEPT($e, d) & EMP_DEPT(y, d)")
+        assert DEFAULT_CURSOR_CAPACITY == 256
+        for index in range(300):
+            assert list(handle.stream({"e": f"emp{index % 60}"}, page_size=2))
+        assert len(server.cursors) == 0
+        assert "cursor.evicted" not in emitted
+
+    @pytest.fixture()
+    def served_server(self):
+        service = QueryService()
+        service.register("emp", employee_database(60, seed=5))
+        with running_server(service) as server:
+            client = ServiceClient(server.base_url)
+            yield client, server
+            client.close()
+        service.close()
 
     def test_cursor_metadata_matches_the_response(self, served):
         handle = served.prepare("emp", "(x) . EMP_DEPT(x, 'dept0')")
@@ -121,7 +177,9 @@ class TestHTTPStreaming:
         service = QueryService()
         service.register("intro", employee_intro_scenario().database)
         with running_server(service) as server:
-            yield ServiceClient(server.base_url)
+            client = ServiceClient(server.base_url)
+            yield client
+            client.close()
         service.close()
 
     def test_streaming_method_both_is_rejected(self, served_small):

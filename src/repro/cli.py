@@ -50,6 +50,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import signal
 import sys
 from pathlib import Path
@@ -620,7 +621,6 @@ def _command_serve(arguments: argparse.Namespace) -> int:
 
 def _command_top(arguments: argparse.Namespace) -> int:
     """Poll ``GET /metrics`` across servers and redraw one dashboard table."""
-    import contextlib
     import time
 
     from repro.observability.dashboard import render_top
@@ -746,7 +746,12 @@ def _command_cluster(arguments: argparse.Namespace) -> int:
 
 
 def _command_client(arguments: argparse.Namespace) -> int:
-    client = ServiceClient(arguments.url, account=getattr(arguments, "cost", False))
+    account = getattr(arguments, "cost", False)
+    with contextlib.closing(ServiceClient(arguments.url, account=account)) as client:
+        return _client_action(client, arguments)
+
+
+def _client_action(client: ServiceClient, arguments: argparse.Namespace) -> int:
     if arguments.action == "health":
         health = client.health()
         print(dump_wire(health, indent=2) if arguments.json else f"status: {health.status}")
@@ -940,8 +945,6 @@ def _command_chaos(arguments: argparse.Namespace) -> int:
     verifies the resilience invariant — every answer that does come back is
     identical; faults may cost availability, never correctness.
     """
-    import contextlib
-
     from repro.errors import (
         DeadlineExceededError,
         OverloadedError,

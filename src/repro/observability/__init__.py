@@ -10,8 +10,8 @@ cost (almost) nothing when disabled:
   log-bucketed latency histograms (p50/p95/p99), served at ``GET /metrics``
   and merged cluster-wide by the router.
 * :mod:`repro.observability.explain` — operator-level EXPLAIN ANALYZE: a
-  profiler the streaming executor threads per-node row counts, wall time,
-  access-path and memo-hit information through, rendered as a text tree.
+  profiler the column-batch executor reports per-node row counts, wall
+  time, access-path and memo-hit information to, rendered as a text tree.
 * :mod:`repro.observability.events` — a schema-versioned, rate-limited
   structured event log: every resilience decision (shed, trip, retry,
   failover, degraded serve, eviction...) leaves one trace-correlated
@@ -30,9 +30,9 @@ cost (almost) nothing when disabled:
 
 The serving layers import these modules unconditionally, but every hook is
 behind an ``is it on?`` check (an active thread-local trace, a non-``None``
-profiler or account), so the instrumented hot
-paths stay within noise of the uninstrumented ones — the e14/e16/e17
-speedup requirements still hold.
+profiler or account).  Those checks guard the hook calls only: the
+executor runs the same operators and access paths whether or not anything
+observes it.
 """
 
 from repro.observability.accounting import ResourceAccount, current_account

@@ -13,9 +13,10 @@ Design rules (the same priority order as tracing and deadlines):
 
 1. **Zero cost when off.**  :func:`current_account` is a single
    thread-local read; with no account active, every charge site is an
-   ``is None`` check.  The streaming executor captures the account once
-   per execution and charges at materialization points (len-based, never
-   per row).
+   ``is None`` check.  The column-batch executor captures the account
+   once per execution and charges at base-relation access points
+   (len-based, never per row); it bills the path it takes and never
+   chooses a path by whether an account is active.
 2. **Wire-envelope propagation.**  The bill returns to the client as a
    ``cost`` field on the query response; ``parse_wire`` filters unknown
    keys, so a pre-accounting peer ignores it harmlessly — no protocol

@@ -1,10 +1,11 @@
-"""Operator-level EXPLAIN ANALYZE for the streaming algebra executor.
+"""Operator-level EXPLAIN ANALYZE for the column-batch executor.
 
 A :class:`PlanProfiler` is handed to :func:`repro.physical.algebra.execute`.
-The tuple executor wraps each plan node's
-row iterator (``wrap``); the vectorized executor reports once per column
-batch instead (``observe_start``/``observe_batch``/``observe_tail``), which
-is both cheaper and exact.  Either way the profiler observes, per node:
+The executor reports once per column batch (``observe_start``/
+``observe_batch``/``observe_tail``), so the profile is exact at one clock
+pair per batch.  It meters the path that serves unprofiled requests too:
+attaching a profiler changes no operator and no access path.  Per node it
+observes:
 
 * **rows** — how many rows the node produced (rows-out; each child's entry
   is that node's rows-in);
@@ -14,7 +15,11 @@ is both cheaper and exact.  Either way the profiler observes, per node:
 * **access path** — whether a scan/join/semi-join used a stored hash index
   or fell back to scan-and-filter;
 * **memo hits** — how often a shared subplan was replayed from the
-  materialization memo instead of recomputed.
+  materialization memo instead of recomputed;
+* **batches** — how many column batches the node emitted.
+
+A join fused into the projection above it is still metered as its own node
+(the fused stream carries the projection's row count, which is the join's).
 
 Profiles are plain JSON-compatible dicts (the ``profile`` field of a
 :class:`~repro.service.protocol.QueryResponse`) rendered by
@@ -25,8 +30,7 @@ executor is one ``is None`` check per node.
 
 from __future__ import annotations
 
-import time
-from typing import Iterator, Mapping
+from typing import Mapping
 
 __all__ = ["PlanProfiler", "profile_payload", "render_profile"]
 
@@ -67,33 +71,12 @@ class PlanProfiler:
             stats = self._stats[plan] = _NodeStats()
         return stats
 
-    def wrap(self, plan, iterator: Iterator[tuple]) -> Iterator[tuple]:
-        """Meter an iterator: row count plus cumulative (inclusive) wall time."""
-        stats = self._entry(plan)
-        stats.iterated = True
-        perf_counter = time.perf_counter
-
-        def metered() -> Iterator[tuple]:
-            while True:
-                started = perf_counter()
-                try:
-                    row = next(iterator)
-                except StopIteration:
-                    stats.seconds += perf_counter() - started
-                    return
-                stats.seconds += perf_counter() - started
-                stats.rows += 1
-                yield row
-
-        return metered()
-
-    # Batch-granular hooks (the vectorized executor's counterpart of ``wrap``:
-    # one call per column batch instead of two clock reads per row; row counts
-    # stay exact because every batch reports its live-row count).
+    # Batch-granular hooks: one call per column batch; row counts stay exact
+    # because every batch reports its live-row count.
 
     def observe_start(self, plan) -> None:
         """A node's batch stream was pulled (even a node producing no batches
-        reports ``rows=0`` rather than ``None``, exactly like ``wrap``)."""
+        reports ``rows=0`` rather than ``None``)."""
         self._entry(plan).iterated = True
 
     def observe_batch(self, plan, rows: int, seconds: float) -> None:
@@ -134,9 +117,7 @@ class PlanProfiler:
         if stats is not None:
             payload["rows"] = stats.rows if stats.iterated else None
             payload["time_us"] = int(stats.seconds * 1_000_000)
-            # Only batch-granular (vectorized) executions set ``batches``;
-            # tuple-at-a-time profiles keep their exact prior shape, so
-            # profiles cached before this field existed stay byte-stable.
+            # A node that emitted no batch has no ``batches`` field.
             if stats.batches:
                 payload["batches"] = stats.batches
             if stats.access is not None:
@@ -187,8 +168,7 @@ def _flatten(node: Mapping[str, object], depth: int, rows: list) -> None:
     memo_hits = node.get("memo_hits")
     if isinstance(memo_hits, int) and memo_hits:
         cache_bits.append(f"memo x{memo_hits}")
-    # Emitted by the vectorized executor only; absent from (older or
-    # tuple-path) profiles, which render exactly as before.
+    # Absent from nodes that emitted no batch.
     batches = node.get("batches")
     if isinstance(batches, int) and batches:
         cache_bits.append(f"{batches} batch" + ("es" if batches != 1 else ""))

@@ -21,12 +21,11 @@ Two access paths consult the per-database hash indexes of
 Pass ``use_indexes=False`` to force the scan-and-filter paths (the
 benchmarks' naive configuration); answers are identical either way.
 
-This tuple-at-a-time executor is the *reference* path: by default
+This tuple-at-a-time executor is the answers-only *reference*: by default
 :func:`execute` dispatches to the vectorized column-batch executor of
-:mod:`repro.physical.batch`, which mirrors every semantic detail of this
-module (memo, profiler and account hook points, index access paths) while moving data in column batches instead of one tuple at a time.
-Pass ``vectorize=False`` to run the executor below; answers are identical
-either way.
+:mod:`repro.physical.batch`, the one path that serves, profiles and bills
+queries.  Pass ``vectorize=False`` to run the executor below, which has no
+profiler, account or deadline hooks; answers are identical either way.
 """
 
 from __future__ import annotations
@@ -34,10 +33,8 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.errors import EvaluationError
-from repro.observability.accounting import current_account
 from repro.physical.database import PhysicalDatabase, PossiblyEqualRelation
 from repro.physical.indexes import indexes_for
-from repro.resilience.deadlines import current_deadline
 from repro.physical.plan import (
     ActiveDomain,
     AntiJoin,
@@ -76,27 +73,18 @@ def execute(
 ) -> Table:
     """Execute *plan* against *database* and return the result table.
 
-    *profiler* (any object with the
-    :class:`~repro.observability.explain.PlanProfiler` hooks: ``set_root``,
-    ``wrap``, ``memo_hit``, ``note_access``) meters every node's row count
-    and wall time for EXPLAIN ANALYZE.  It wraps the *streaming* iterators
-    too, so profiled executions pay two clock reads per row — profiling is opt-in per request, and the disabled path costs
-    one ``is None`` check per node.
-
     *vectorize* selects the executor: the column-batch path (default) or,
-    with ``False``, the tuple-at-a-time reference.  Answers, profiler row
-    counts and account totals are identical
-    either way — the batch executor exists purely to cut per-tuple
-    interpreter overhead.
+    with ``False``, the tuple-at-a-time reference.  Answers are identical
+    either way.  *profiler* (a
+    :class:`~repro.observability.explain.PlanProfiler`) meters every node
+    of the column-batch path for EXPLAIN ANALYZE; the reference ignores it.
     """
     if vectorize:
         from repro.physical.batch import execute_batched
 
         return execute_batched(plan, database, use_indexes=use_indexes, profiler=profiler)
-    context = _ExecutionContext(database, use_indexes, profiler)
+    context = _ExecutionContext(database, use_indexes)
     context.mark_shared_subplans(plan)
-    if profiler is not None:
-        profiler.set_root(plan)
     return context.table(plan)
 
 
@@ -108,23 +96,11 @@ def output_columns(plan: PlanNode, database: PhysicalDatabase) -> tuple[str, ...
 class _ExecutionContext:
     """Per-execution state: column resolution, shared-subplan memo, indexes."""
 
-    def __init__(self, database: PhysicalDatabase, use_indexes: bool, profiler=None) -> None:
+    def __init__(self, database: PhysicalDatabase, use_indexes: bool) -> None:
         self.database = database
         self.use_indexes = use_indexes
-        self.profiler = profiler
         self._memo: dict[PlanNode, Table] = {}
         self._shared: frozenset[PlanNode] = frozenset()
-        # Captured once per execution (one thread-local read); enforced at
-        # the pipeline-breaker materialization points below, so a query that
-        # overran its propagated budget stops burning CPU between operators
-        # instead of running to completion.  ``None`` (the common case)
-        # costs one ``is None`` check per materialization, like the profiler.
-        self.deadline = current_deadline()
-        # Same capture discipline for the resource account: one read here,
-        # then len-based charges at base-relation access points only —
-        # never per row, so an account-free execution costs one ``is
-        # None`` check per scan.
-        self.account = current_account()
 
     def mark_shared_subplans(self, root: PlanNode) -> None:
         """Record which subplans occur more than once (by structural equality).
@@ -247,24 +223,15 @@ class _ExecutionContext:
         """Materialize *plan* (through the memo for shared subplans)."""
         cached = self._memo.get(plan)
         if cached is None:
-            if self.deadline is not None:
-                self.deadline.check("plan materialization")
-            iterator = self._iterate(plan)
-            if self.profiler is not None:
-                iterator = self.profiler.wrap(plan, iterator)
-            cached = Table.trusted(self.columns(plan), frozenset(iterator))
+            cached = Table.trusted(self.columns(plan), frozenset(self._iterate(plan)))
             if plan in self._shared:
                 self._memo[plan] = cached
-        elif self.profiler is not None:
-            self.profiler.memo_hit(plan)
         return cached
 
     def rows(self, plan: PlanNode) -> Iterator[tuple]:
         """Stream *plan*'s rows; shared subplans are served from the memo."""
         if plan in self._shared:
             yield from self.table(plan).rows
-        elif self.profiler is not None:
-            yield from self.profiler.wrap(plan, self._iterate(plan))
         else:
             yield from self._iterate(plan)
 
@@ -273,8 +240,6 @@ class _ExecutionContext:
     def _iterate(self, plan: PlanNode) -> Iterator[tuple]:
         if isinstance(plan, ScanRelation):
             relation = self.database.relation(plan.relation)
-            if self.account is not None:
-                self.account.rows_scanned += len(relation)
             for row in relation:
                 yield tuple(row)
             return
@@ -342,17 +307,9 @@ class _ExecutionContext:
         if self.use_indexes:
             rows = indexes_for(self.database).lookup(plan.relation, positions, key)
             if rows is not None:
-                if self.profiler is not None:
-                    self.profiler.note_access(plan, "index")
-                if self.account is not None:
-                    self.account.rows_scanned += len(rows)
                 yield from rows
                 return
         # No index available (lazy relation) or indexing disabled: filter scan.
-        if self.profiler is not None:
-            self.profiler.note_access(plan, "scan")
-        if self.account is not None:
-            self.account.rows_scanned += len(self.database.relation(plan.relation))
         for row in self.database.relation(plan.relation):
             row = tuple(row)
             if all(row[position] == value for position, value in zip(positions, key)):
@@ -401,16 +358,10 @@ class _ExecutionContext:
         if self.use_indexes and isinstance(build, ScanRelation):
             index = indexes_for(self.database).prefix(build.relation, key_positions)
             if index is not None:
-                if self.profiler is not None:
-                    self.profiler.note_access(build, "index")
                 return index
         if self.use_indexes and probed_within(build, key_positions, self.database):
             among = {key for (key,) in self._filter_keys(build)}
-            if self.profiler is not None:
-                self.profiler.note_access(build, "index")
             return indexes_for(self.database).computed(build.source.relation, key_positions, among=among)
-        if self.deadline is not None:
-            self.deadline.check("join build")
         buckets: dict[tuple, list[tuple]] = {}
         for row in self.rows(build):
             buckets.setdefault(tuple(row[i] for i in key_positions), []).append(row)
@@ -418,8 +369,6 @@ class _ExecutionContext:
 
     def _filter_keys(self, plan: SemiJoin | AntiJoin) -> set[tuple]:
         """The distinct key tuples of a semi/anti-join's filter side."""
-        if self.deadline is not None:
-            self.deadline.check("filter build")
         filter_columns = self.columns(plan.filter)
         positions = [filter_columns.index(column) for __, column in plan.pairs]
         return {tuple(row[i] for i in positions) for row in self.rows(plan.filter)}
@@ -436,8 +385,6 @@ class _ExecutionContext:
             # per key, so no row is produced twice.
             index = indexes_for(self.database).prefix(plan.source.relation, positions)
             if index is not None:
-                if self.profiler is not None:
-                    self.profiler.note_access(plan, "index")
                 for key in keys:
                     yield from index.get(key, _NO_ROWS)
                 return

@@ -32,13 +32,17 @@ through the same operator tree.
   build sides, difference/anti-join filters) materialize batches directly
   into row sets via ``zip(*columns)``.
 
-Every observable side channel is kept **bit-identical** to the tuple
-executor: answers (set semantics make emission deterministic),
-:class:`~repro.observability.explain.PlanProfiler` per-node row counts
-(streamed rows, duplicates included, now counted once per batch), resource
-``account`` totals (charged once per batch, one ``is None`` check per
-batch) and index-vs-scan access decisions.  ``execute(...,
-vectorize=False)`` runs the tuple executor as the reference.
+One path runs whether or not anyone watches.  A
+:class:`~repro.observability.explain.PlanProfiler` meters the operators that
+run (per-node rows, duplicates included, counted once per batch; a join
+fused into its projection reports its own rows; a shared-subplan replay is
+a memo hit), and a resource ``account`` is billed for the access path that
+is taken (scans charge the rows they read, index scans the rows they
+return, index-backed join builds nothing).  Observer checks guard only
+those hook calls: no operator or access path depends on them.
+``execute(..., vectorize=False)`` runs the tuple executor of
+:mod:`repro.physical.algebra`, which has no hooks and serves as the
+answers-only reference.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from time import perf_counter
 from typing import Iterator, Mapping, Sequence
 
 from repro.errors import EvaluationError
+from repro.observability.accounting import current_account
 from repro.physical.algebra import _ExecutionContext, probed_within
 from repro.physical.database import PhysicalDatabase, PossiblyEqualRelation
 from repro.physical.indexes import indexes_for
@@ -70,6 +75,7 @@ from repro.physical.plan import (
     UnionAll,
 )
 from repro.physical.relation import Relation
+from repro.resilience.deadlines import current_deadline
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",
@@ -185,10 +191,10 @@ def execute_batched(
 ) -> Table:
     """Execute *plan* on column batches; the vectorized twin of ``execute``.
 
-    Same contract as :func:`repro.physical.algebra.execute` — same answers,
-    same profiler/account observations, same access-path decisions.
-    *batch_rows* overrides the scan batch size (tests and the batch-size
-    sweep use it).
+    Same answers as :func:`repro.physical.algebra.execute` with
+    ``vectorize=False``.  *profiler* meters every node for EXPLAIN ANALYZE;
+    it and the active resource account observe the execution without
+    changing it.  *batch_rows* overrides the scan batch size (tests use it).
     """
     context = _BatchContext(database, use_indexes, profiler, batch_rows)
     context.mark_shared_subplans(plan)
@@ -201,8 +207,8 @@ _NO_ROWS: tuple[tuple, ...] = ()
 
 
 class _BatchContext(_ExecutionContext):
-    """Batch-granular execution state; column resolution and the shared-subplan
-    memo are inherited from the tuple executor's context unchanged."""
+    """Batch-granular execution state; column resolution and shared-subplan
+    marks are inherited from the tuple executor's context unchanged."""
 
     def __init__(
         self,
@@ -211,85 +217,77 @@ class _BatchContext(_ExecutionContext):
         profiler=None,
         batch_rows: int = DEFAULT_BATCH_SIZE,
     ) -> None:
-        super().__init__(database, use_indexes, profiler)
+        super().__init__(database, use_indexes)
         self.batch_rows = max(1, batch_rows)
-        #: Shared subplans memoized directly as one columnar batch (only
-        #: used when no profiler observes the materialization).
+        self.profiler = profiler
+        # Captured once per execution (one thread-local read each).  The
+        # deadline is enforced at pipeline-breaker materializations, so a
+        # query that overran its budget stops between operators; the account
+        # is charged len-based at base-relation access points, never per row.
+        self.deadline = current_deadline()
+        self.account = current_account()
+        #: Shared subplans, materialized once as one deduplicated batch.
         self._batch_memo: dict[PlanNode, ColumnBatch] = {}
 
     # Materialization ----------------------------------------------------------
 
     def table(self, plan: PlanNode) -> Table:
-        """Materialize *plan* (through the memo for shared subplans)."""
-        cached = self._memo.get(plan)
-        if cached is None:
-            if self.deadline is not None:
-                self.deadline.check("plan materialization")
-            # Resolve (and thereby validate) the whole tree's columns before
-            # pulling a single batch, exactly like the tuple executor — a
-            # malformed plan must raise EvaluationError, never produce rows.
-            columns = self.columns(plan)
-            # One C-driven pass: frozenset consumes the chained batch rows
-            # directly (no intermediate set + copy).
-            cached = Table.trusted(
-                columns,
-                frozenset(
-                    chain.from_iterable(
-                        batch.row_tuples() for batch in self._maybe_observed(plan)
-                    )
-                ),
-            )
-            if plan in self._shared:
-                self._memo[plan] = cached
-        elif self.profiler is not None:
-            self.profiler.memo_hit(plan)
-        return cached
+        """Materialize the root *plan* into its result table."""
+        if self.deadline is not None:
+            self.deadline.check("plan materialization")
+        # Resolve (and thereby validate) the whole tree's columns before
+        # pulling a single batch, exactly like the tuple executor — a
+        # malformed plan must raise EvaluationError, never produce rows.
+        columns = self.columns(plan)
+        # One C-driven pass: frozenset consumes the chained batch rows
+        # directly (no intermediate set + copy).
+        return Table.trusted(
+            columns,
+            frozenset(chain.from_iterable(batch.row_tuples() for batch in self.batches(plan))),
+        )
 
     def batches(self, plan: PlanNode) -> Iterator[ColumnBatch]:
         """Stream *plan*'s batches; shared subplans are served from the memo."""
         if plan in self._shared:
-            if self.profiler is None:
-                # Unprofiled executions memoize shared subplans in columnar
-                # form directly: same set-semantics dedup, but no Table ->
-                # rows -> columns round trip per consumer.  A profiler needs
-                # the Table memo (memo hits are part of EXPLAIN).
-                batch = self._batch_memo.get(plan)
-                if batch is None:
-                    if self.deadline is not None:
-                        self.deadline.check("plan materialization")
-                    columns = self.columns(plan)
-                    rows = set(
-                        chain.from_iterable(b.row_tuples() for b in self._batches(plan))
-                    )
-                    # Width-preserving even when empty: consumers index
-                    # columns by position regardless of row count.
-                    packed = tuple(zip(*rows)) if rows else tuple(() for __ in columns)
-                    batch = ColumnBatch(packed, len(rows))
-                    self._batch_memo[plan] = batch
-                if batch.length or not batch.columns:
-                    yield batch
-                return
-            table = self.table(plan)
-            rows = list(table.rows)
-            if rows or not table.columns:
-                columns = tuple(zip(*rows)) if rows and table.columns else ()
-                yield ColumnBatch(columns, len(rows))
-        else:
-            yield from self._maybe_observed(plan)
+            return self._shared_batches(plan)
+        return self._metered(plan, self._batches(plan))
 
-    def _maybe_observed(self, plan: PlanNode) -> Iterator[ColumnBatch]:
+    def _shared_batches(self, plan: PlanNode) -> Iterator[ColumnBatch]:
+        """A shared subplan, materialized on first use into one columnar batch
+        (set-semantics dedup) and replayed, as a memo hit, everywhere else."""
+        batch = self._batch_memo.get(plan)
+        if batch is None:
+            if self.deadline is not None:
+                self.deadline.check("plan materialization")
+            columns = self.columns(plan)
+            rows = set(
+                chain.from_iterable(
+                    b.row_tuples() for b in self._metered(plan, self._batches(plan))
+                )
+            )
+            # Width-preserving even when empty: consumers index columns by
+            # position regardless of row count.
+            packed = tuple(zip(*rows)) if rows else tuple(() for __ in columns)
+            batch = self._batch_memo[plan] = ColumnBatch(packed, len(rows))
+        elif self.profiler is not None:
+            self.profiler.memo_hit(plan)
+        if batch.length or not batch.columns:
+            yield batch
+
+    def _metered(self, plan: PlanNode, source: Iterator[ColumnBatch]) -> Iterator[ColumnBatch]:
+        """*source* as the batches of *plan*, observed when a profiler is on."""
         if self.profiler is None:
-            return self._batches(plan)
-        return self._observed(plan, self._batches(plan))
+            return source
+        return self._observed(plan, source)
 
     def _observed(self, plan: PlanNode, source: Iterator[ColumnBatch]) -> Iterator[ColumnBatch]:
         """Meter a node's batches: exact row count, batch count, wall time.
 
         The hook granularity is the whole point of batching the profiler:
-        one ``observe_batch`` call per batch replaces two clock reads per
+        one ``observe_batch`` call per batch instead of two clock reads per
         row.  ``observe_start`` fires on the first pull so a node that
-        produces no batches still reports ``rows=0`` (like the tuple
-        executor's ``wrap``), and never-pulled nodes keep reporting ``None``.
+        produces no batches still reports ``rows=0``, and never-pulled nodes
+        keep reporting ``None``.
         """
         profiler = self.profiler
         profiler.observe_start(plan)
@@ -336,18 +334,18 @@ class _BatchContext(_ExecutionContext):
             source_columns = self.columns(plan.source)
             indexes = [source_columns.index(column) for column in plan.columns]
             source = plan.source
-            if self.profiler is None and source not in self._shared:
+            if source not in self._shared:
                 # Fuse the projection into the join's probe gather so dropped
-                # columns are never materialized.  Profiled executions keep
-                # the unfused path: EXPLAIN ANALYZE meters each node's own
-                # batch stream, which fusion would collapse.  (Shared joins
-                # must materialize their full width for the memo.)
+                # columns are never materialized.  The join is still metered
+                # as its own node: projection keeps the row count.  (Shared
+                # joins must materialize their full width for the memo.)
                 if isinstance(source, NaturalJoin):
                     if any(c in self.columns(source.right) for c in self.columns(source.left)):
-                        yield from self._natural_join_batches(source, keep=indexes)
+                        fused = self._natural_join_batches(source, keep=indexes)
+                        yield from self._metered(source, fused)
                         return
                 elif isinstance(source, EquiJoin) and source.pairs:
-                    yield from self._equi_join_batches(source, keep=indexes)
+                    yield from self._metered(source, self._equi_join_batches(source, keep=indexes))
                     return
             for batch in self.batches(source):
                 yield ColumnBatch(tuple(batch.columns[i] for i in indexes), batch.length, batch.sel)
@@ -506,16 +504,15 @@ class _BatchContext(_ExecutionContext):
     def _join_buckets(self, build: PlanNode, key_positions: tuple[int, ...]):
         """``(buckets, build_cols, scalar, unique)`` hash table for a build side.
 
-        Same contract as the tuple executor's ``_join_buckets`` — identical
-        access decision and deadline check — in the
-        one bucket layout the batch probe wants: ``build_cols`` holds the
-        build side transposed (one sequence per column) and ``buckets``
-        maps each key to **row indices** into those columns — a bare
-        ``int`` while every key is distinct (``unique=True``, the common
+        The bucket layout is the one the batch probe wants: ``build_cols``
+        holds the build side transposed (one sequence per column) and
+        ``buckets`` maps each key to **row indices** into those columns — a
+        bare ``int`` while every key is distinct (``unique=True``, the common
         functional-build case, driven entirely by C-level
         ``dict(zip(...))``), lists of ints after the first duplicate.
 
-        Stored-relation builds come from the cached
+        Stored-relation builds, through any renames (which change column
+        names, never positions or values), come from the cached
         :meth:`~repro.physical.indexes.DatabaseIndexes.columnar` image and
         cost nothing per execution; anything else is accumulated columnwise
         with C-speed extends (no row tuple is ever materialized).
@@ -525,19 +522,8 @@ class _BatchContext(_ExecutionContext):
         scalar = len(key_positions) == 1
         if self.use_indexes:
             node = build
-            if (
-                not isinstance(node, ScanRelation)
-                and self.profiler is None
-                and self.account is None
-            ):
-                # With observability off nothing can distinguish a fresh
-                # build over a pure rename from a stored-index lookup —
-                # renames change column *names* only, never positions or
-                # values — so look through them to the scan.  An active
-                # profiler/account keeps the fresh build so access decisions
-                # and charges match the tuple executor.
-                while isinstance(node, RenameColumns):
-                    node = node.source
+            while isinstance(node, RenameColumns):
+                node = node.source
             if isinstance(node, ScanRelation):
                 indexes = indexes_for(self.database)
                 entry = indexes.columnar(node.relation, key_positions)
@@ -633,16 +619,6 @@ class _BatchContext(_ExecutionContext):
         *build_cols*).  A fused projection passes only the columns it
         keeps, so dropped columns are never gathered at all.
         """
-        if (
-            not buckets
-            and self.profiler is None
-            and self.account is None
-        ):
-            # An empty hash table matches nothing: with observability off the
-            # probe side never executes at all.  Any attached observer keeps
-            # the scan so probe-side row counts and scan charges match the
-            # tuple executor.
-            return
         get = buckets.get
         for batch in self.batches(probe):
             sel = batch.sel
@@ -789,20 +765,6 @@ class _BatchContext(_ExecutionContext):
         filter_columns = self.columns(plan.filter)
         positions = [filter_columns.index(column) for __, column in plan.pairs]
         scalar = len(positions) == 1
-        if (
-            scalar
-            and self.use_indexes
-            and self.profiler is None
-            and self.account is None
-        ):
-            # With observability off, a filter side that is a pure stored
-            # column (through renames/projections, which re-wire but never
-            # compute) is served from the cached distinct-values index.
-            resolved = self._scan_column(plan.filter, positions[0])
-            if resolved is not None:
-                cached = indexes_for(self.database).distinct(*resolved)
-                if cached is not None:
-                    return cached, True
         keys: set = set()
         for batch in self.batches(plan.filter):
             if scalar:
@@ -813,23 +775,6 @@ class _BatchContext(_ExecutionContext):
             else:
                 keys.update(batch.key_tuples(positions))
         return keys, scalar
-
-    def _scan_column(self, plan: PlanNode, position: int) -> tuple[str, int] | None:
-        """``(relation, position)`` when *plan*'s output column *position*
-        is a stored-relation column reached only through renames and
-        projections (pure column re-wiring), else ``None``."""
-        node = plan
-        while True:
-            if isinstance(node, RenameColumns):
-                node = node.source
-            elif isinstance(node, Projection):
-                source_columns = self.columns(node.source)
-                position = source_columns.index(node.columns[position])
-                node = node.source
-            elif isinstance(node, ScanRelation):
-                return node.relation, position
-            else:
-                return None
 
     def _key_filtered(
         self, source: PlanNode, positions: tuple[int, ...], keys: set, scalar: bool, keep: bool

@@ -48,7 +48,6 @@ class DatabaseIndexes:
         self._scalar: dict[tuple[str, int], Mapping[object, tuple[tuple, ...]]] = {}
         self._scalar_columns: dict[tuple[str, int], Mapping[object, tuple[tuple, ...]]] = {}
         self._columnar: dict[tuple[str, tuple[int, ...]], tuple] = {}
-        self._distinct: dict[tuple[str, int], frozenset] = {}
         self._lock = threading.Lock()
         self.built = 0  # number of distinct indexes constructed (observability)
 
@@ -175,26 +174,6 @@ class DatabaseIndexes:
                     entry = self._columnar[key] = (buckets, columns, unique)
                     self.built += 1
         return entry
-
-    def distinct(self, relation: str, position: int) -> frozenset | None:
-        """The distinct values of one stored column, or ``None`` when lazy.
-
-        The vectorized executor serves semi/anti-join filter sides that
-        reduce to a pure stored column (through renames and projections)
-        from this cache instead of re-collecting the set per execution.
-        """
-        stored = self._database.relation(relation)
-        if not isinstance(stored, Relation):
-            return None
-        key = (relation, position)
-        values = self._distinct.get(key)
-        if values is None:
-            with self._lock:
-                values = self._distinct.get(key)
-                if values is None:
-                    values = frozenset(row[position] for row in stored.tuples)
-                    self._distinct[key] = values
-        return values
 
     def computed(
         self,

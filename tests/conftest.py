@@ -14,6 +14,7 @@ from repro.logic.parser import parse_query
 from repro.logic.vocabulary import Vocabulary
 from repro.logical.database import CWDatabase
 from repro.physical.database import PhysicalDatabase
+from repro.physical.indexes import DatabaseIndexes
 
 
 @pytest.fixture
@@ -84,3 +85,22 @@ def simple_queries():
         "boolean": parse_query("exists x. TEACHES(x, 'plato')"),
         "universal": parse_query("(x) . forall y. TEACHES(x, y) -> PHILOSOPHER(y)"),
     }
+
+
+@pytest.fixture
+def index_calls(monkeypatch) -> list:
+    """Every call made on a ``DatabaseIndexes``, in order, as ``(method, args,
+    kwargs)``: the access paths an execution took.  Clear it between runs."""
+    calls: list = []
+
+    def recorder(name, method):
+        def recorded(self, *args, **kwargs):
+            calls.append((name, args, sorted(kwargs.items())))
+            return method(self, *args, **kwargs)
+
+        return recorded
+
+    for name, method in list(vars(DatabaseIndexes).items()):
+        if callable(method) and not name.startswith("_"):
+            monkeypatch.setattr(DatabaseIndexes, name, recorder(name, method))
+    return calls

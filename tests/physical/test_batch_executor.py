@@ -1,14 +1,16 @@
 """Unit tests for the vectorized column-batch executor.
 
-The contract under test is strict equivalence with the tuple-at-a-time
-executor of :mod:`repro.physical.algebra`: identical answers on every
-operator at every batch size, and — when a profiler or resource account is
-watching — identical observable side effects (per-node row counts, memo
-hits, access decisions, ``account.*`` totals).  The fast-mode-only paths (projection fusion, rename
-look-through, the columnar/distinct stored caches, parts-mode probes, the
-shared-subplan batch memo) are exercised both gated **on** (no observers)
-and gated **off** (observers active) against the same plans.
+Two contracts are under test.  Answers equal those of the tuple-at-a-time
+reference executor of :mod:`repro.physical.algebra` on every operator at
+every batch size.  And observing an execution does not change it: under no
+observer, a resource account, a profiler or both, every plan gives the same
+answers through the same sequence of index calls (projection fusion, rename
+look-through, the columnar stored caches, parts-mode probes and the
+shared-subplan memo all run watched or not), and a profiler leaves the
+account's bill unchanged.
 """
+
+from contextlib import nullcontext
 
 import pytest
 
@@ -37,6 +39,7 @@ from repro.physical.plan import (
 )
 
 BATCH_SIZES = (1, 7, 1024)
+OBSERVERS = ("none", "account", "profiler", "both")
 
 
 @pytest.fixture
@@ -96,7 +99,7 @@ PLANS = {
     "join_duplicate_build": NaturalJoin(
         scan("DEPT_MGR", "dept", "mgr"), scan("EMP_DEPT", "emp", "dept")
     ),
-    # Rename on the build side: fast mode looks through to the stored index.
+    # Rename on the build side: the join looks through it to the stored index.
     "join_renamed_build": NaturalJoin(
         scan("EMP_DEPT", "emp", "dept"),
         RenameColumns(scan("DEPT_MGR", "d", "mgr"), (("d", "dept"),)),
@@ -112,7 +115,6 @@ PLANS = {
     "equi_join_no_pairs": EquiJoin(
         scan("DEPT_MGR", "dept", "mgr"), LiteralTable(("flag",), frozenset({("on",)})), ()
     ),
-    # Filter side reduces to a stored column: the distinct-values cache.
     "semi_join": SemiJoin(
         scan("EMP_DEPT", "emp", "dept"),
         Projection(scan("DEPT_MGR", "dept", "mgr"), ("dept",)),
@@ -150,7 +152,7 @@ PLANS = {
 }
 
 # One structurally shared subtree used twice: exercises the shared-subplan
-# memo (tuple executor) and the columnar batch memo (vectorized fast mode).
+# memo of both executors.
 _SHARED = Projection(
     NaturalJoin(scan("EMP_DEPT", "emp", "dept"), scan("DEPT_MGR", "dept", "mgr")),
     ("dept",),
@@ -195,58 +197,65 @@ class TestOperatorParity:
             execute_batched(ScanRelation("NOWHERE", ("a",)), database)
 
 
-class TestObserverParity:
-    """With a profiler/recorder/account active the fast-mode shortcuts are
-    disabled and every observation must match the tuple executor exactly."""
+def observed_run(plan, storage, observer, **options):
+    """Execute *plan* under *observer*; ``(table, account, profiler)``."""
+    account = ResourceAccount() if observer in ("account", "both") else None
+    profiler = PlanProfiler() if observer in ("profiler", "both") else None
+    with activate(account) if account is not None else nullcontext():
+        table = execute_batched(plan, storage, profiler=profiler, **options)
+    return table, account, profiler
 
-    @staticmethod
-    def _strip_timing(node: dict) -> dict:
-        clean = {
-            key: value
-            for key, value in node.items()
-            if key not in ("time_us", "batches", "children")
-        }
-        clean["children"] = [
-            TestObserverParity._strip_timing(child) for child in node.get("children", ())
-        ]
-        return clean
+
+def bill(account: ResourceAccount) -> tuple[int, int, int]:
+    return account.rows_scanned, account.rows_emitted, account.cache_hits
+
+
+def assert_observers_change_nothing(plan, storage, index_calls, label=None):
+    """Same answers and index calls under every observer; returns the answers."""
+    runs = []
+    for observer in OBSERVERS:
+        index_calls.clear()
+        table, __, __ = observed_run(plan, storage, observer)
+        runs.append((observer, table, list(index_calls)))
+    __, expected, expected_calls = runs[0]
+    for observer, table, calls in runs[1:]:
+        assert table == expected, (label, observer)
+        assert calls == expected_calls, (label, observer)
+    return expected
+
+
+def assert_profiler_changes_no_bill(plan, storage, label=None):
+    __, alone, __ = observed_run(plan, storage, "account")
+    __, watched, profiler = observed_run(plan, storage, "both")
+    assert bill(watched) == bill(alone), label
+    assert profiler.tree(node_label) is not None, label
+
+
+class TestObserverIndependence:
+    """A profiler or an account observes an execution without changing it."""
 
     @pytest.mark.parametrize("name", sorted(PLANS))
-    def test_profiler_rows_match(self, database, name):
-        plan = PLANS[name]
-        tuple_profiler, batch_profiler = PlanProfiler(), PlanProfiler()
-        expected = execute(plan, database, vectorize=False, profiler=tuple_profiler)
-        actual = execute_batched(plan, database, profiler=batch_profiler)
-        assert actual == expected
-        assert self._strip_timing(batch_profiler.tree(node_label)) == self._strip_timing(
-            tuple_profiler.tree(node_label)
-        )
+    def test_answers_and_index_calls_identical(self, database, index_calls, name):
+        answers = assert_observers_change_nothing(PLANS[name], database, index_calls, name)
+        assert answers == execute(PLANS[name], database, vectorize=False)
 
     @pytest.mark.parametrize("name", sorted(PLANS))
-    def test_account_totals_match(self, database, name):
-        plan = PLANS[name]
-        tuple_account, batch_account = ResourceAccount(), ResourceAccount()
-        with activate(tuple_account):
-            expected = execute(plan, database, vectorize=False)
-        with activate(batch_account):
-            assert execute_batched(plan, database) == expected
-        assert batch_account.rows_scanned == tuple_account.rows_scanned
-        assert batch_account.rows_emitted == tuple_account.rows_emitted
-        assert batch_account.cache_hits == tuple_account.cache_hits
+    def test_account_totals_identical_with_and_without_profiler(self, database, name):
+        assert_profiler_changes_no_bill(PLANS[name], database)
 
-    def test_tuple_profile_has_no_batches_field(self, database):
-        """Tuple-path profiles keep their exact pre-vectorization shape, so
-        profiles cached before the ``batches`` field existed stay byte-stable."""
-        plan = PLANS["join_unique_build"]
-        profiler = PlanProfiler()
-        execute(plan, database, vectorize=False, profiler=profiler)
-
-        def assert_no_batches(node):
-            assert "batches" not in node
-            for child in node["children"]:
-                assert_no_batches(child)
-
-        assert_no_batches(profiler.tree(node_label))
+    @pytest.mark.parametrize(
+        "name, scanned",
+        [
+            ("scan", 4),  # a scan charges the rows it reads
+            ("index_scan", 2),  # an index scan charges the rows it returns
+            ("join_unique_build", 4),  # the indexed build side charges nothing
+            ("join_renamed_build", 4),  # ... also through a rename
+            ("anti_join", 7),  # ... and a filter side's scan the rows it reads
+        ],
+    )
+    def test_account_bills_the_path_taken(self, database, name, scanned):
+        __, account, __ = observed_run(PLANS[name], database, "account")
+        assert account.rows_scanned == scanned
 
     def test_vectorized_profile_reports_batches(self, database):
         plan = PLANS["join_unique_build"]
@@ -254,6 +263,21 @@ class TestObserverParity:
         execute_batched(plan, database, profiler=profiler, batch_rows=2)
         tree = profiler.tree(node_label)
         assert tree["batches"] >= 1
+
+    @pytest.mark.parametrize("name", ["fused_projection_natural", "fused_projection_equi"])
+    def test_a_fused_join_reports_its_rows(self, database, name):
+        profiler = PlanProfiler()
+        execute_batched(PLANS[name], database, profiler=profiler)
+        projection = profiler.tree(node_label)
+        (join,) = projection["children"]
+        assert join["rows"] == projection["rows"] == 4
+        assert [child["rows"] for child in join["children"]] == [4, None]  # indexed build
+
+    def test_shared_subplan_replays_are_memo_hits(self, database):
+        profiler = PlanProfiler()
+        execute_batched(PLANS["shared_subplan"], database, profiler=profiler)
+        shared = profiler.tree(node_label)["children"][0]["children"][0]
+        assert shared["rows"] == 4 and shared["memo_hits"] == 2
 
 
 class TestColumnBatch:
@@ -271,15 +295,15 @@ class TestColumnBatch:
 
 
 class TestConfiguration:
-    def test_vectorize_false_runs_the_tuple_executor(self, database):
+    def test_vectorize_false_runs_the_tuple_executor(self, database, monkeypatch):
         plan = PLANS["join_unique_build"]
-        batched, tupled = PlanProfiler(), PlanProfiler()
-        assert execute(plan, database, profiler=batched) == execute(
-            plan, database, vectorize=False, profiler=tupled
-        )
-        # Only the batch executor, the default, counts batches per node.
-        assert "batches" in batched.tree(node_label)
-        assert "batches" not in tupled.tree(node_label)
+        expected = execute(plan, database)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("vectorize=False ran the batch executor")
+
+        monkeypatch.setattr("repro.physical.batch.execute_batched", refuse)
+        assert execute(plan, database, vectorize=False) == expected
 
     def test_batch_rows_sets_the_scan_batch_size(self, database):
         counts = {}
@@ -304,8 +328,8 @@ class TestConfiguration:
 
 
 class TestSkewedStarParity:
-    """The acceptance check on the skewed-star workload: EXPLAIN row counts
-    and account totals identical between executors."""
+    """The skewed-star workload's plans: answers and index calls independent
+    of observers, and equal to the tuple reference at every batch size."""
 
     @pytest.fixture(scope="class")
     def skewed(self):
@@ -325,29 +349,14 @@ class TestSkewedStarParity:
         assert plans, "the skewed workload produced no algebra plans"
         return storage, plans
 
-    def test_answers_and_observations_identical(self, skewed):
+    def test_answers_and_observations_identical(self, skewed, index_calls):
         storage, plans = skewed
         for name, plan in plans:
-            tuple_profiler, batch_profiler = PlanProfiler(), PlanProfiler()
-            tuple_account, batch_account = ResourceAccount(), ResourceAccount()
-            with activate(tuple_account):
-                expected = execute(plan, storage, vectorize=False, profiler=tuple_profiler)
-            with activate(batch_account):
-                actual = execute_batched(plan, storage, profiler=batch_profiler)
-            assert actual == expected, name
-            strip = TestObserverParity._strip_timing
-            assert strip(batch_profiler.tree(node_label)) == strip(
-                tuple_profiler.tree(node_label)
-            ), name
-            for field in ("rows_scanned", "rows_emitted", "cache_hits"):
-                assert getattr(batch_account, field) == getattr(tuple_account, field), (
-                    name, field,
-                )
+            answers = assert_observers_change_nothing(plan, storage, index_calls, name)
+            assert answers == execute(plan, storage, vectorize=False), name
+            assert_profiler_changes_no_bill(plan, storage, name)
 
-    def test_fast_mode_answers_identical(self, skewed):
-        """Without observers the fast-mode shortcuts (fusion, look-through,
-        batch memo, distinct cache, parts mode) are all live — answers must
-        still be byte-identical at every batch size."""
+    def test_answers_identical_at_every_batch_size(self, skewed):
         storage, plans = skewed
         for name, plan in plans:
             expected = execute(plan, storage, vectorize=False)

@@ -53,8 +53,7 @@ class TestProfilePayloads:
     def test_profile_output_is_byte_stable_across_cached_executions(self, service):
         """Satellite: repeated profile=true requests serve identical bytes."""
         request = QueryRequest("emp", QUERY, profile=True)
-        with running_server(service) as server:
-            client = ServiceClient(server.base_url)
+        with running_server(service) as server, closing(ServiceClient(server.base_url)) as client:
             first = client.query("emp", QUERY, profile=True)
             second = client.query("emp", QUERY, profile=True)
             third = client.query("emp", QUERY, profile=True)
@@ -67,8 +66,7 @@ class TestProfilePayloads:
 
 class TestMetricsEndpoint:
     def test_metrics_snapshot_over_http(self, service):
-        with running_server(service) as server:
-            client = ServiceClient(server.base_url)
+        with running_server(service) as server, closing(ServiceClient(server.base_url)) as client:
             client.query("emp", QUERY)
             client.query("emp", QUERY)
             metrics = client.metrics()
@@ -90,8 +88,7 @@ class TestMetricsEndpoint:
 
 class TestHttpTracing:
     def test_client_folds_server_spans_into_the_active_trace(self, service):
-        with running_server(service) as server:
-            client = ServiceClient(server.base_url)
+        with running_server(service) as server, closing(ServiceClient(server.base_url)) as client:
             with tracing.trace("edge request") as active:
                 client.query("emp", QUERY)
         names = {span.name for span in active.spans}
@@ -118,17 +115,23 @@ class TestHttpTracing:
 
 class TestCostField:
     def test_cost_is_opt_in_via_the_account_envelope_key(self, service):
-        with running_server(service) as server:
-            plain = ServiceClient(server.base_url).query("emp", QUERY)
-            billed = ServiceClient(server.base_url, account=True).query("emp", QUERY)
+        with (
+            running_server(service) as server,
+            closing(ServiceClient(server.base_url)) as plain_client,
+            closing(ServiceClient(server.base_url, account=True)) as billed_client,
+        ):
+            plain = plain_client.query("emp", QUERY)
+            billed = billed_client.query("emp", QUERY)
         assert plain.cost is None
         assert billed.cost["schema"] == "repro-cost/v1"
         assert billed.cost["rows_emitted"] == len(billed.answers["approximate"])
         assert billed.cost["bytes_in"] > 0
 
     def test_cost_never_enters_the_answer_cache(self, service):
-        with running_server(service) as server:
-            client = ServiceClient(server.base_url, account=True)
+        with (
+            running_server(service) as server,
+            closing(ServiceClient(server.base_url, account=True)) as client,
+        ):
             first = client.query("emp", QUERY)
             second = client.query("emp", QUERY)
         assert second.cached
@@ -140,8 +143,10 @@ class TestCostField:
 
 class TestFlightRecorderEndpoint:
     def test_fast_healthy_traffic_is_not_captured(self, service):
-        with running_server(service, slow_threshold_ms=60_000.0) as server:
-            client = ServiceClient(server.base_url)
+        with (
+            running_server(service, slow_threshold_ms=60_000.0) as server,
+            closing(ServiceClient(server.base_url)) as client,
+        ):
             client.query("emp", QUERY)
             snapshot = client.debug()
         assert snapshot["schema"] == "repro-flightrecorder/v1"
@@ -149,8 +154,10 @@ class TestFlightRecorderEndpoint:
         assert snapshot["entries"] == []
 
     def test_errors_are_captured_with_the_full_forensic_record(self, service):
-        with running_server(service, slow_threshold_ms=60_000.0) as server:
-            client = ServiceClient(server.base_url)
+        with (
+            running_server(service, slow_threshold_ms=60_000.0) as server,
+            closing(ServiceClient(server.base_url)) as client,
+        ):
             with pytest.raises(Exception):
                 client.query("nope", QUERY)
             snapshot = client.debug()
@@ -161,8 +168,10 @@ class TestFlightRecorderEndpoint:
         assert entry["cost"]["schema"] == "repro-cost/v1"
 
     def test_slow_requests_are_captured_with_trace_and_cost(self, service):
-        with running_server(service, slow_threshold_ms=0.0) as server:
-            client = ServiceClient(server.base_url)
+        with (
+            running_server(service, slow_threshold_ms=0.0) as server,
+            closing(ServiceClient(server.base_url)) as client,
+        ):
             client.query("emp", QUERY)
             snapshot = client.debug()
         entry = snapshot["entries"][0]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import urllib.error
 import urllib.request
+from contextlib import closing
 
 import pytest
 
@@ -15,6 +16,14 @@ from repro.service.protocol import QueryRequest
 from repro.service.server import running_server
 
 
+def _refused(request) -> tuple[int, bytes]:
+    """Status and body of a request the server answers with an HTTP error."""
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        urllib.request.urlopen(request)
+    with excinfo.value as error:
+        return error.code, error.read()
+
+
 @pytest.fixture(scope="module")
 def served():
     """One service + server + client shared by the module's tests."""
@@ -22,8 +31,8 @@ def served():
 
     service = QueryService()
     register_scenarios(service)
-    with running_server(service) as server:
-        yield service, server, ServiceClient(server.base_url)
+    with running_server(service) as server, closing(ServiceClient(server.base_url)) as client:
+        yield service, server, client
 
 
 class TestRoundTrips:
@@ -156,17 +165,15 @@ class TestErrors:
 
     def test_unknown_route_is_404(self, served):
         __, server, __ = served
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(server.base_url + "/teleport")
-        assert excinfo.value.code == 404
+        code, __ = _refused(server.base_url + "/teleport")
+        assert code == 404
 
     def test_post_to_unknown_route_is_404_even_with_empty_body(self, served):
         __, server, __ = served
         request = urllib.request.Request(server.base_url + "/nope", data=b"", method="POST")
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request)
-        assert excinfo.value.code == 404
-        assert "no such route" in json.loads(excinfo.value.read())["error"]
+        code, body = _refused(request)
+        assert code == 404
+        assert "no such route" in json.loads(body)["error"]
 
     def test_non_string_type_tag_is_400(self, served):
         __, server, __ = served
@@ -177,9 +184,8 @@ class TestErrors:
             headers={"Content-Type": "application/json"},
             method="POST",
         )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request)
-        assert excinfo.value.code == 400
+        code, __ = _refused(request)
+        assert code == 400
 
     def test_malformed_body_is_400(self, served):
         __, server, __ = served
@@ -189,10 +195,9 @@ class TestErrors:
             headers={"Content-Type": "application/json"},
             method="POST",
         )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request)
-        assert excinfo.value.code == 400
-        assert json.loads(excinfo.value.read())["type"] == "error"
+        code, body = _refused(request)
+        assert code == 400
+        assert json.loads(body)["type"] == "error"
 
     def test_wrong_message_type_for_route_is_400(self, served):
         __, server, __ = served
@@ -203,9 +208,8 @@ class TestErrors:
             headers={"Content-Type": "application/json"},
             method="POST",
         )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request)
-        assert excinfo.value.code == 400
+        code, __ = _refused(request)
+        assert code == 400
 
     def test_v1_envelope_is_a_typed_400_and_caches_nothing(self):
         from repro.workloads.traffic import register_scenarios
@@ -222,10 +226,9 @@ class TestErrors:
                 headers={"Content-Type": "application/json"},
                 method="POST",
             )
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                urllib.request.urlopen(request)
-            assert excinfo.value.code == 400
-            error = json.loads(excinfo.value.read())
+            code, reply = _refused(request)
+            assert code == 400
+            error = json.loads(reply)
         assert error["v"] == 2
         assert error["type"] == "error"
         assert error["code"] == "protocol"
@@ -254,10 +257,9 @@ class TestErrors:
             headers={"Content-Type": "application/json"},
             method="POST",
         )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request)
-        assert excinfo.value.code == 400
-        error = json.loads(excinfo.value.read())
+        code, body = _refused(request)
+        assert code == 400
+        error = json.loads(body)
         assert (error["v"], error["type"], error["code"]) == (2, "error", "protocol")
         assert "unsupported protocol version 1" in error["error"]
 
@@ -277,9 +279,8 @@ class TestErrors:
             headers={"Content-Type": "application/json"},
             method="POST",
         )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request)
-        assert excinfo.value.code == 404
+        code, __ = _refused(request)
+        assert code == 404
 
     def test_non_json_2xx_body_is_a_clean_error(self):
         import http.server
@@ -300,9 +301,10 @@ class TestErrors:
             thread = threading.Thread(target=imposter.serve_forever, daemon=True)
             thread.start()
             try:
-                client = ServiceClient(f"http://127.0.0.1:{imposter.server_address[1]}")
-                with pytest.raises(ServiceError, match="non-JSON response"):
-                    client.health()
+                url = f"http://127.0.0.1:{imposter.server_address[1]}"
+                with closing(ServiceClient(url)) as client:
+                    with pytest.raises(ServiceError, match="non-JSON response"):
+                        client.health()
             finally:
                 imposter.shutdown()
                 thread.join(timeout=5)

@@ -24,6 +24,7 @@ from repro.service.engine import QueryService
 from repro.service.protocol import QueryRequest, answers_to_wire
 from repro.service.server import running_server
 from repro.workloads.generators import employee_database
+from repro.workloads.traffic import SWEEP_TEMPLATE
 
 ENGINES = ("tarski", "algebra", "auto")
 
@@ -256,3 +257,31 @@ class TestEveryShapeKind:
             assert prepared.answers["approximate"] == _oracle(database, shape, query)
         assert service.stats().plan_cache["size"] == 1
         assert service.stats().prepared["generic_plans"] == len(BINDINGS)
+
+
+class TestServedExecution:
+    """A served request runs exactly what an in-process request runs: the
+    resource account the server opens for every request changes no access
+    path."""
+
+    @pytest.mark.parametrize(
+        "template",
+        [SHAPES["join_mgr"][0], SWEEP_TEMPLATE.replace("$e", "$k") + _GUARD],
+        ids=["join_mgr", "sweep"],
+    )
+    def test_same_index_calls_as_in_process(self, service, index_calls, template):
+        parsed = parse_query(template)
+        query = query_to_text(
+            bind_query(parsed, {name: BINDINGS[0][name] for name in query_parameters(parsed)})
+        )
+        request = QueryRequest("emp", query, "approx", "algebra")
+        service.execute(request)  # plan the shape
+        index_calls.clear()
+        expected = service.execute(request).answers
+        in_process = list(index_calls)
+        # Both shapes join a renamed DEPT_MGR build side through its index.
+        assert ("columnar", ("DEPT_MGR", (0,)), []) in in_process
+        index_calls.clear()
+        with running_server(service) as server, closing(ServiceClient(server.base_url)) as client:
+            assert client.query("emp", query).answers == expected
+        assert index_calls == in_process

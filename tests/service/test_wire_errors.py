@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import closing
+
 import pytest
 
 from repro import errors
@@ -76,8 +78,8 @@ class TestClientRaisesTyped:
     def served(self):
         service = QueryService()
         service.register("emp", employee_intro_scenario().database)
-        with running_server(service) as server:
-            yield ServiceClient(server.base_url)
+        with running_server(service) as server, closing(ServiceClient(server.base_url)) as client:
+            yield client
         service.close()
 
     def test_unknown_database(self, served):

@@ -252,7 +252,9 @@ class TestTraceExport:
         from repro.service.client import ServiceClient
 
         with tracing.trace("cli test") as trace:
-            ServiceClient(live_server.base_url).query("ripper", "(x) . MURDERER(x)")
+            client = ServiceClient(live_server.base_url)
+            client.query("ripper", "(x) . MURDERER(x)")
+            client.close()
         source = tmp_path / "trace.json"
         source.write_text(json.dumps(trace.to_wire()))
         out_path = tmp_path / "chrome.json"

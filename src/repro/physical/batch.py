@@ -27,7 +27,9 @@ through the same operator tree.
 * **Joins** (equi/natural/semi/anti) build hash tables per batch with
   C-speed ``zip`` key extraction and probe with one dict lookup per row;
   a build side that is a bare relation scan still reuses the stored prefix
-  index, and semi-joins over indexed scans still probe per key.
+  index, and semi-joins over indexed scans still probe per key.  A build
+  whose keys repeat probes the distinct rows of a column-dropping
+  projection, so no duplicate probe row is multiplied by the fan-out.
 * **Pipeline breakers** (the final table, memoized shared subplans, join
   build sides, difference/anti-join filters) materialize batches directly
   into row sets via ``zip(*columns)``.
@@ -618,9 +620,24 @@ class _BatchContext(_ExecutionContext):
         column *i*) or ``("b", j)`` (build column *j*, an index into
         *build_cols*).  A fused projection passes only the columns it
         keeps, so dropped columns are never gathered at all.
+
+        When the build side has duplicate keys (``unique=False``, including
+        parts mode) every probe row is multiplied by its key's fan-out, so
+        a probe that is a column-dropping :class:`Projection` probes its
+        distinct rows only (:meth:`_distinct_batches`).  Shared subplans are
+        distinct already, and a unique build does not multiply anything.
         """
         get = buckets.get
-        for batch in self.batches(probe):
+        if (
+            not unique
+            and isinstance(probe, Projection)
+            and probe not in self._shared
+            and len(probe.columns) < len(self.columns(probe.source))
+        ):
+            source = self._metered(probe, self._distinct_batches(self._batches(probe)))
+        else:
+            source = self.batches(probe)
+        for batch in source:
             sel = batch.sel
             columns = batch.columns
             if scalar:
@@ -687,6 +704,15 @@ class _BatchContext(_ExecutionContext):
                 for side, pos in out_spec
             ]
             yield ColumnBatch(tuple(out), len(gather))
+
+    def _distinct_batches(self, source: Iterator[ColumnBatch]) -> Iterator[ColumnBatch]:
+        """*source*'s rows with duplicates dropped, across batches."""
+        seen: set[tuple] = set()
+        for batch in source:
+            fresh = [row for row in dict.fromkeys(batch.row_tuples()) if row not in seen]
+            if fresh:
+                seen.update(fresh)
+                yield ColumnBatch(tuple(zip(*fresh)), len(fresh))
 
     def _natural_join_batches(
         self, plan: NaturalJoin, keep: Sequence[int] | None = None

@@ -11,7 +11,9 @@ This module rewrites a compiled plan into an equivalent cheaper one:
   selections over literal tables evaluate at plan time;
 * **selection pushdown** — structured selections (constant bindings and
   column-equality groups) move below projections, renames, unions,
-  differences and into the matching side(s) of joins and products;
+  differences and into the matching side(s) of products and equi-joins
+  (the compiler builds them over scans, literals and active-domain
+  products, never over a natural join);
 * **join conversions** — a selection equating columns across a
   ``CrossProduct`` becomes an :class:`~repro.physical.plan.EquiJoin` (hash
   join instead of filtered product); constant bindings over a
@@ -33,11 +35,12 @@ This module rewrites a compiled plan into an equivalent cheaper one:
   input is estimated far smaller than another, the large input is reduced by
   a :class:`~repro.physical.plan.SemiJoin` against the small input's key set
   *before* the join, pushed down to the underlying scans (where the stored
-  hash indexes turn a full pass into per-key probes); differences whose
-  right side is expensive get the symmetric
-  :class:`~repro.physical.plan.AntiJoin` treatment, and the candidate
-  columns of a nested negation over the active domain become the
-  filter's keys.
+  hash indexes turn a full pass into per-key probes).  A build side the
+  executor already probes per key — a stored relation through any renames,
+  or ``PE`` — is never reduced; differences whose right side is expensive
+  get the symmetric :class:`~repro.physical.plan.AntiJoin` treatment, and
+  the candidate columns of a nested negation over the active domain become
+  the filter's keys.
 
 Every rewrite preserves the result *exactly* — same columns in the same
 order, same row set — so a naive plan (:func:`~repro.physical.compiler.compile_query`
@@ -249,9 +252,6 @@ class _Rewriter:
             )
             return type(source)(left, right)
 
-        if isinstance(source, NaturalJoin):
-            return self._push_into_join(source, bindings, equalities, selection.description)
-
         if isinstance(source, (CrossProduct, EquiJoin)):
             return self._push_into_product(source, bindings, equalities, selection.description)
 
@@ -294,26 +294,6 @@ class _Rewriter:
             return selection if filtered is None else filtered
 
         return Selection(source, None, selection.description, bindings, equalities)
-
-    def _push_into_join(self, join: NaturalJoin, bindings, equalities, description) -> PlanNode:
-        left_columns = set(self.cols(join.left))
-        right_columns = set(self.cols(join.right))
-        left_bindings = tuple(item for item in bindings if item[0] in left_columns)
-        right_bindings = tuple(item for item in bindings if item[0] in right_columns)
-        left_groups, right_groups, residual_groups = [], [], []
-        for group in equalities:
-            if all(column in left_columns for column in group):
-                left_groups.append(group)
-            elif all(column in right_columns for column in group):
-                right_groups.append(group)
-            else:
-                residual_groups.append(group)
-        left = self._wrap(join.left, left_bindings, tuple(left_groups), description)
-        right = self._wrap(join.right, right_bindings, tuple(right_groups), description)
-        rebuilt: PlanNode = NaturalJoin(left, right)
-        if residual_groups:
-            rebuilt = Selection(rebuilt, None, description, (), tuple(residual_groups))
-        return rebuilt
 
     def _push_into_product(self, product: CrossProduct | EquiJoin, bindings, equalities, description) -> PlanNode:
         left_columns = set(self.cols(product.left))
@@ -716,13 +696,18 @@ class _Rewriter:
         left_pairs: tuple[tuple[str, str], ...],
         right_pairs: tuple[tuple[str, str], ...],
     ) -> PlanNode:
-        """Semi-join-reduce whichever join input dwarfs its sibling."""
+        """Semi-join-reduce whichever join input dwarfs its sibling.
+
+        The build side (``right``) is left alone when the executor probes it
+        per key (:func:`_probed_per_key`): the plain indexed join already
+        touches only the rows whose keys the probe side produces.
+        """
         left_rows = self.estimate(join.left).rows
         right_rows = self.estimate(join.right).rows
         if (
             right_rows >= _SIP_MIN_ROWS
             and right_rows >= _SIP_RATIO * max(left_rows, 1.0)
-            and not _computed_scan(join.right)  # the join probes it per left key already
+            and not _probed_per_key(join.right)
         ):
             reduced = self._reduce(join.right, join.left, right_pairs)
             return _rebuild(join, type(join), right=reduced)
@@ -1010,17 +995,22 @@ def _negation(plan: PlanNode, cols) -> tuple[PlanNode, PlanNode, tuple[tuple[str
     return None
 
 
-def _computed_scan(plan: PlanNode) -> bool:
-    """Whether *plan* scans ``PE`` (or semi-joins a scan of it).
+def _probed_per_key(plan: PlanNode) -> bool:
+    """Whether a join probes *plan*, as its build side, per key.
 
-    As a join's build side the executor probes it per key of the join, and
-    within the semi-join's keys
-    (:func:`~repro.physical.algebra.probed_within`), so reducing it by the
-    join's other side would only add work.
+    A stored relation seen through any renames is probed through its cached
+    columnar index, ``PE`` per key, and ``PE`` semi-joined on its other
+    column per key within the semi-join's keys
+    (:func:`~repro.physical.algebra.probed_within`).  Reducing such a side
+    by the join's other side would only add work: an index probe per
+    sibling key, a materialized memo of the sibling and a fresh hash table.
     """
+    while isinstance(plan, RenameColumns):
+        plan = plan.source
     if isinstance(plan, SemiJoin):
         plan = plan.source
-    return isinstance(plan, ScanRelation) and plan.relation == PE_PREDICATE
+        return isinstance(plan, ScanRelation) and plan.relation == PE_PREDICATE
+    return isinstance(plan, ScanRelation)
 
 
 def _domains(universe: PlanNode) -> list[ActiveDomain]:

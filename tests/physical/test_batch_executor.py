@@ -104,6 +104,12 @@ PLANS = {
         scan("EMP_DEPT", "emp", "dept"),
         RenameColumns(scan("DEPT_MGR", "d", "mgr"), (("d", "dept"),)),
     ),
+    # A column-dropping projection probing a duplicate-key build: the
+    # probe side's duplicate ("eng",) row is probed once.
+    "join_distinct_probe": NaturalJoin(
+        Projection(scan("EMP_DEPT", "emp", "dept"), ("dept",)),
+        scan("EMP_DEPT", "peer", "dept"),
+    ),
     "join_no_shared_columns": NaturalJoin(
         scan("DEPT_MGR", "dept", "mgr"), LiteralTable(("flag",), frozenset({("on",)}))
     ),
@@ -362,3 +368,60 @@ class TestSkewedStarParity:
             expected = execute(plan, storage, vectorize=False)
             for batch_rows in BATCH_SIZES:
                 assert execute_batched(plan, storage, batch_rows=batch_rows) == expected, name
+
+
+class TestDistinctProbe:
+    """A join whose build keys repeat probes the distinct rows of a
+    column-dropping projection: each duplicate probe row would be multiplied
+    by its key's fan-out.  On the E21 database ``chain4``'s last join probes
+    ``Project(x0, x3)``: 1 500 rows, 300 of them distinct, each key joining
+    five employees."""
+
+    GUARDS = " & EMP_SAL('emp1', 'mid') & EMP_DEPT('emp2', 'dept2')"
+    CHAIN4 = (
+        "(x0, x4) . exists x1 x2 x3. EMP_DEPT(x0, x1) & EMP_DEPT(x2, x1) & EMP_DEPT(x2, x3)"
+        " & EMP_DEPT(x4, x3)" + GUARDS
+    )
+    CO_SALARY = "(x, y, s) . exists z. EMP_DEPT(x, z) & EMP_DEPT(y, z) & EMP_SAL(y, s)" + GUARDS
+
+    @pytest.fixture(scope="class")
+    def e21(self):
+        from repro.approx.evaluator import ApproximateEvaluator
+        from repro.logic.parser import parse_query
+        from repro.workloads.generators import employee_database
+
+        evaluator = ApproximateEvaluator(engine="algebra")
+        storage = evaluator.storage(employee_database(300, seed=21))
+
+        def plan(text):
+            return evaluator.plan_on_storage(storage, parse_query(text))
+
+        return storage, plan
+
+    @pytest.mark.parametrize("batch_rows", BATCH_SIZES)
+    def test_chain4_last_join_probes_distinct_rows(self, e21, batch_rows):
+        storage, plan_of = e21
+        plan = plan_of(self.CHAIN4)
+        profiler = PlanProfiler()
+        table = execute_batched(plan, storage, profiler=profiler, batch_rows=batch_rows)
+        assert table == execute(plan, storage, vectorize=False)
+        root = profiler.tree(node_label)
+        assert root["operator"] == "Project(x0, x4)"
+        (last_join,) = root["children"]
+        probe = last_join["children"][0]
+        assert probe["operator"] == "Project(x0, x3)"
+        assert probe["rows"] == 300
+        assert probe["children"][0]["rows"] == 1_500  # the fused join below it
+        assert last_join["rows"] == len(table.rows) == 1_500
+
+    def test_a_unique_build_is_not_deduplicated(self, e21):
+        storage, plan_of = e21
+        plan = plan_of(self.CO_SALARY)
+        profiler = PlanProfiler()
+        table = execute_batched(plan, storage, profiler=profiler)
+        assert table == execute(plan, storage, vectorize=False)
+        outer = profiler.tree(node_label)
+        assert outer["operator"] == "NaturalJoin"  # build: EMP_SAL keyed by employee
+        probe = outer["children"][0]
+        assert probe["operator"] == "Project(x, y)"
+        assert probe["rows"] == probe["children"][0]["rows"] == 1_500

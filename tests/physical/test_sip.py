@@ -6,25 +6,75 @@ from repro.approx.evaluator import ApproximateEvaluator
 from repro.approx.rewrite import rewrite_query
 from repro.logic.parser import parse_query
 from repro.logic.printer import query_to_text
+from repro.logic.template import lift_constants
 from repro.logical.ph import ph2
 from repro.physical.algebra import execute, plan_to_text
 from repro.physical.compiler import compile_query
 from repro.physical.evaluator import evaluate_query
 from repro.physical.optimizer import optimize
-from repro.physical.plan import AntiJoin, SemiJoin
+from repro.physical.plan import (
+    AntiJoin,
+    EquiJoin,
+    NaturalJoin,
+    Projection,
+    RenameColumns,
+    ScanRelation,
+    SemiJoin,
+)
 from repro.physical.statistics import Statistics
 from repro.service.engine import QueryService
 from repro.service.protocol import answers_to_wire
 from repro.workloads.generators import (
+    employee_database,
     skewed_adaptive_workload,
     skewed_star_database,
 )
+from repro.workloads.traffic import SWEEP_TEMPLATE
+
+#: The E21 shapes whose joins have a stored build side SIP once reduced,
+#: with E21's guard atoms (true facts of ``employee_database(300, seed=21)``).
+_GUARDS = " & EMP_SAL('emp1', 'mid') & EMP_DEPT('emp2', 'dept2')"
+STORED_BUILD_SHAPES = {
+    "join_peers": "(y) . exists d. EMP_DEPT('emp7', d) & EMP_DEPT(y, d) & EMP_SAL('emp1', 'mid')",
+    "sweep": SWEEP_TEMPLATE.replace("$e", "'emp7'") + " & EMP_SAL('emp1', 'mid')",
+    "co_occurrence": "(x, y) . exists z. EMP_DEPT(x, z) & EMP_DEPT(y, z)" + _GUARDS,
+    "co_salary": "(x, y, s) . exists z. EMP_DEPT(x, z) & EMP_DEPT(y, z) & EMP_SAL(y, s)" + _GUARDS,
+    "chain4": (
+        "(x0, x4) . exists x1 x2 x3. EMP_DEPT(x0, x1) & EMP_DEPT(x2, x1) & EMP_DEPT(x2, x3)"
+        " & EMP_DEPT(x4, x3)" + _GUARDS
+    ),
+}
 
 
 def _contains(plan, node_type) -> bool:
     if isinstance(plan, node_type):
         return True
     return any(_contains(child, node_type) for child in plan.children())
+
+
+def _reduced_stored_build_sides(plan) -> list:
+    """Joins whose stored build side, through renames, is semi-joined by the
+    join's own probe side (a reduction pushed down from a join above, by
+    that join's sibling, is a probe-side reduction and stays)."""
+    found = []
+    if isinstance(plan, (NaturalJoin, EquiJoin)):
+        build = plan.right
+        while isinstance(build, RenameColumns):
+            build = build.source
+        if isinstance(build, SemiJoin) and isinstance(build.source, ScanRelation):
+            keys = build.filter
+            if isinstance(keys, Projection):
+                keys = keys.source
+            if keys == plan.left:
+                found.append(plan_to_text(plan))
+    for child in plan.children():
+        found.extend(_reduced_stored_build_sides(child))
+    return found
+
+
+@pytest.fixture(scope="module")
+def e21_database():
+    return employee_database(300, seed=21)
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +97,24 @@ class TestSemiJoinReduction:
             if _contains(with_sip, SemiJoin):
                 inserted += 1
         assert inserted > 0, "SIP never fired on its own motivating workload"
+
+    def test_no_stored_build_side_is_reduced_on_the_skewed_workload(self, storage):
+        """The join probes a stored build side through its index already."""
+        for name, query in skewed_adaptive_workload():
+            plan = compile_query(rewrite_query(query, "direct"), storage)
+            optimized = optimize(plan, storage, statistics=Statistics(storage))
+            assert not _reduced_stored_build_sides(optimized), name
+
+    @pytest.mark.parametrize("shape", sorted(STORED_BUILD_SHAPES))
+    def test_no_stored_build_side_is_reduced_on_the_e21_shapes(self, e21_database, shape):
+        evaluator = ApproximateEvaluator(engine="algebra")
+        storage = evaluator.storage(e21_database)
+        query = parse_query(STORED_BUILD_SHAPES[shape])
+        assert evaluator.answers(e21_database, query)  # the guards are true facts
+        template = lift_constants(query)[0]
+        plan = evaluator.plan_on_storage(storage, template)  # the service's shape plan
+        assert not _reduced_stored_build_sides(plan)
+        assert not _contains(plan, SemiJoin)
 
     def test_sip_plans_are_answer_identical(self, storage):
         for name, query in skewed_adaptive_workload():

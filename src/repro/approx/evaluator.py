@@ -41,9 +41,6 @@ from repro.approx.rewrite import rewrite_query
 
 __all__ = ["ApproximateEvaluator", "approximate_answers", "approximately_holds"]
 
-_ENGINES = ("tarski", "algebra", "auto")
-
-
 @dataclass(frozen=True)
 class ApproximateEvaluator:
     """Configured approximate evaluator.
@@ -71,8 +68,9 @@ class ApproximateEvaluator:
     optimize: bool = True
 
     def __post_init__(self) -> None:
-        if self.engine not in _ENGINES:
-            raise ValueError(f"unknown engine {self.engine!r}; expected one of {_ENGINES}")
+        engines = ("tarski", "algebra", "auto")
+        if self.engine not in engines:
+            raise ValueError(f"unknown engine {self.engine!r}; expected one of {engines}")
 
     # Public API -----------------------------------------------------------------
 

@@ -293,10 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluation route (default approx)",
     )
     c_prepared.add_argument(
-        "--engine", choices=("auto", "tarski", "algebra"), default="algebra",
-        help="approximation engine (default algebra)",
-    )
-    c_prepared.add_argument(
         "--json", action="store_true",
         help="print the raw protocol responses instead of text",
     )
@@ -351,14 +347,6 @@ def _add_query_options(parser: argparse.ArgumentParser) -> None:
         choices=("approx", "exact", "both"),
         default="approx",
         help="evaluation route (default: the sound polynomial approximation)",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=("auto", "tarski", "algebra"),
-        default="auto",
-        help="engine used by the approximation (default: auto — the relational algebra, "
-        "and the Tarskian evaluator for second-order queries, which only it can express; "
-        "answers are identical under every engine)",
     )
     parser.add_argument(
         "--param",
@@ -425,7 +413,7 @@ def _command_query(arguments: argparse.Namespace) -> int:
         if is_template and not arguments.analyze:
             # The prepared path: the CLI exercises exactly the session API
             # a server would, so the printed response is byte-compatible.
-            statement = service.prepare(name, arguments.query, arguments.method, arguments.engine)
+            statement = service.prepare(name, arguments.query, arguments.method)
             response = service.execute_prepared(statement.statement_id, params)
         else:
             text = arguments.query
@@ -437,7 +425,7 @@ def _command_query(arguments: argparse.Namespace) -> int:
 
                 text = str(bind_query(parse_query(text), params))
             response = service.execute(
-                QueryRequest(name, text, arguments.method, arguments.engine, arguments.analyze)
+                QueryRequest(name, text, arguments.method, profile=arguments.analyze)
             )
         print(dump_wire(response, indent=2))
         return 0
@@ -452,7 +440,7 @@ def _command_query(arguments: argparse.Namespace) -> int:
     results: dict[str, frozenset[tuple[str, ...]]] = {}
     profiler: PlanProfiler | None = None
     if arguments.method in ("approx", "both"):
-        evaluator = ApproximateEvaluator(engine=arguments.engine)
+        evaluator = ApproximateEvaluator(engine="auto")
         if arguments.analyze:
             profiler = PlanProfiler()
             results["approximate"] = evaluator.answers_on_storage(
@@ -824,16 +812,10 @@ def _client_action(client: ServiceClient, arguments: argparse.Namespace) -> int:
                 )
             # Templates go through the session API so the server binds them;
             # an unparameterized query stays on the classic route.
-            handle = client.prepare(arguments.name, arguments.query, arguments.method, arguments.engine)
+            handle = client.prepare(arguments.name, arguments.query, arguments.method)
             response = handle.execute(params)
         else:
-            response = client.query(
-                arguments.name,
-                arguments.query,
-                arguments.method,
-                arguments.engine,
-                profile=arguments.analyze,
-            )
+            response = client.query(arguments.name, arguments.query, arguments.method, profile=arguments.analyze)
         if arguments.json:
             print(dump_wire(response, indent=2))
             return 0
@@ -850,18 +832,12 @@ def _client_action(client: ServiceClient, arguments: argparse.Namespace) -> int:
                 "explain does not apply to templates/bindings; "
                 "bind the parameters into the query text and retry"
             )
-        response = client.query(
-            arguments.name,
-            arguments.query,
-            arguments.method,
-            arguments.engine,
-            profile=True,
-        )
+        response = client.query(arguments.name, arguments.query, arguments.method, profile=True)
         if arguments.json:
             print(dump_wire(response, indent=2))
             return 0
         rows = response.answers.get("exact", response.answers.get("approximate", ()))
-        print(f"{response.database}: {len(rows)} answer(s), engine {response.engine}")
+        print(f"{response.database}: {len(rows)} answer(s)")
         print(render_profile(response.profile))
         if response.cached:
             print("(served from cache: the profile is the cached execution's)")
@@ -877,7 +853,7 @@ def _client_action(client: ServiceClient, arguments: argparse.Namespace) -> int:
 
 def _command_client_prepared(client: ServiceClient, arguments: argparse.Namespace) -> int:
     """The ``repro client URL prepared`` mode: prepare once, execute bindings."""
-    handle = client.prepare(arguments.name, arguments.template, arguments.method, arguments.engine)
+    handle = client.prepare(arguments.name, arguments.template, arguments.method)
     bindings = _parse_bindings(arguments.bind)
     if not arguments.json:
         needed = ", ".join(f"${name}" for name in handle.parameters) or "none"

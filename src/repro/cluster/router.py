@@ -642,7 +642,6 @@ class ClusterRouter(Frontend):
             fingerprint=layout.fingerprint,
             query=request.query,
             method=request.method,
-            engine=request.engine,
             arity=query.arity,
             answers={label: canonical_rows(rows) for label, rows in merged.items()},
             complete=complete,

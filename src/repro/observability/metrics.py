@@ -105,7 +105,7 @@ class MetricsRegistry:
     """Named counters, gauges and histograms behind one lock.
 
     One registry per serving component; names are dot-joined dimensions
-    (``"query.algebra"``, ``"http./query"``, ``"template.stmt-1"``).  The
+    (``"query.evaluate"``, ``"http./query"``, ``"template.stmt-1"``).  The
     registry never enforces a name schema — the conventions live with the
     recorders — but it does keep every operation O(1) and allocation-free
     so it can sit on the request hot path.

@@ -1,12 +1,12 @@
 """A thread-safe LRU cache with hit/miss/eviction counters.
 
-The serving layer caches two kinds of derived objects:
+The serving layer caches three kinds of derived objects:
 
-* parsed + rewritten queries, keyed on the query text (and rewrite mode);
-* answer sets, keyed on ``(db_fingerprint, query_text, method, engine,
-  profile)``.
+* parsed queries, keyed on the query text;
+* compiled + optimized plans, keyed on ``(db_fingerprint, query_shape)``;
+* answer sets, keyed on ``(db_fingerprint, query_text, method, profile)``.
 
-Both caches see concurrent access from the batch executor and the HTTP
+All three see concurrent access from the batch executor and the HTTP
 front-end, so every operation takes a single lock; the cached values
 themselves (frozensets, Query objects, responses and their packed rows) are
 immutable and may be shared freely between threads once handed out.

@@ -89,6 +89,7 @@ from repro.service.protocol import (
     QueryRequest,
     QueryResponse,
     StatsResponse,
+    check_method,
     parse_wire,
     to_wire,
 )
@@ -164,10 +165,10 @@ class ServiceClient:
         database: str,
         query: str,
         method: str = "approx",
-        engine: str = "algebra",
+        *,
         profile: bool = False,
     ) -> QueryResponse:
-        request = QueryRequest(database, query, method, engine, profile)
+        request = QueryRequest(database, query, method, profile=profile)
         return self._expect(self._post("/query", request), QueryResponse)
 
     def execute(self, request: QueryRequest) -> QueryResponse:
@@ -186,10 +187,15 @@ class ServiceClient:
         database: str,
         template: str,
         method: str = "approx",
-        engine: str = "algebra",
+        engine: str = "auto",
     ) -> "PreparedHandle":
-        """Register a query template server-side; returns the execution handle."""
-        request = PrepareRequest(database, template, method, engine)
+        """Register a query template server-side; returns the execution handle.
+
+        *engine* accepts only ``"auto"``
+        (:func:`~repro.service.protocol.check_method`).
+        """
+        check_method(method, engine)
+        request = PrepareRequest(database, template, method)
         response = self._expect(self._post("/prepare", request), PrepareResponse)
         return PreparedHandle(self, response)
 
@@ -433,7 +439,6 @@ class PreparedHandle:
         self.parameters = response.parameters
         self.arity = response.arity
         self.method = response.method
-        self.engine = response.engine
 
     def execute(self, params: Mapping[str, str] | None = None) -> QueryResponse:
         """One bound execution, answered as a single body."""

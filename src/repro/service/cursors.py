@@ -79,7 +79,6 @@ class CursorStore:
             fingerprint=response.fingerprint,
             query=response.query,
             method=response.method,
-            engine=response.engine,
             arity=response.arity,
             label=label,
             total_rows=rows.count,

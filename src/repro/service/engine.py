@@ -15,16 +15,16 @@ clients:
   stale answers;
 * **result caching** — parsed queries and full responses live in
   thread-safe LRU caches (:mod:`repro.service.cache`); responses are keyed
-  on ``(fingerprint, query_text, method, engine, profile)``,
-  and a prepared execution uses its bound text, so it shares the slot of
-  the equivalent ad-hoc request.  A cached response keeps its answer rows
+  on ``(fingerprint, query_text, method, profile)``, and a prepared
+  execution uses its bound text, so it shares the slot of the equivalent
+  ad-hoc request.  A cached response keeps its answer rows
   packed (:class:`~repro.service.protocol.PackedRows`, one flat tuple of
   cells per route: about 21 bytes a row on the E21 database, against 69 as
   row tuples), and a hit rebuilds rows equal to those of the miss;
 * **one plan per query shape** — an ad-hoc query's constants are lifted
   into parameters after parse (:func:`~repro.logic.template.lift_constants`),
   and the compiled + optimized plan of that *template* is cached per
-  ``(snapshot fingerprint, canonical template text, engine)``.  Requests
+  ``(snapshot fingerprint, canonical template text)``.  Requests
   that differ only in constants share one entry, exactly as the executions
   of one prepared template do: each substitutes its values into the cached
   plan (:func:`~repro.physical.plan.substitute_plan_parameters`), so a warm
@@ -78,9 +78,12 @@ __all__ = ["RegisteredDatabase", "QueryService"]
 
 DEFAULT_ANSWER_CACHE_CAPACITY = 4096
 
-#: Plan-cache value meaning "this shape has no plan" (second order, or an
-#: explicit ``engine="tarski"``): each execution evaluates its bound query.
+#: Plan-cache value meaning "this shape has no plan" (its rewrite is second
+#: order): each execution evaluates its bound query.
 _AST_ROUTE = "ast-route"
+
+#: Every served request's approximation: the capability rule.
+_EVALUATOR = ApproximateEvaluator(engine="auto")
 
 
 @dataclass(frozen=True)
@@ -265,8 +268,8 @@ class QueryService(Frontend):
         """Evaluate one request, serving repeats from the response cache.
 
         The cache key pairs the snapshot's content fingerprint with every
-        request field that can change the answer, so distinct methods and
-        engines never share an entry.  An uncached approximate request runs
+        request field that can change the answer, so distinct methods never
+        share an entry.  An uncached approximate request runs
         on the plan of its shape: the constants are lifted out of the parsed
         query and substituted back into the shape's cached plan.
         """
@@ -277,13 +280,11 @@ class QueryService(Frontend):
 
             def approximate(profiler: PlanProfiler | None) -> frozenset[tuple[str, ...]]:
                 shape, values = lifted_text(query)
-                return self._approximate(
-                    entry, request.engine, shape, lambda: lift_constants(query)[0], values, query, profiler
-                )
+                return self._approximate(entry, shape, lambda: lift_constants(query)[0], values, query, profiler)
 
             return self._evaluate(entry, request, query, approximate)
 
-        return self._answer(entry, request, evaluate, "query", f"query.{request.engine}")
+        return self._answer(entry, request, evaluate, "query", "query.evaluate")
 
     def _execute_bound(
         self,
@@ -302,8 +303,7 @@ class QueryService(Frontend):
 
         def approximate(profiler: PlanProfiler | None) -> frozenset[tuple[str, ...]]:
             return self._approximate(
-                entry, statement.engine, statement.template, lambda: statement.query,
-                values, bound, profiler, prepared=True,
+                entry, statement.template, lambda: statement.query, values, bound, profiler, prepared=True
             )
 
         def evaluate() -> QueryResponse:
@@ -318,13 +318,7 @@ class QueryService(Frontend):
         payload); prepared executions never profile, so they share slots with
         the equivalent profile-less ad-hoc request.
         """
-        key = (
-            entry.fingerprint,
-            request.query,
-            request.method,
-            request.engine,
-            request.profile,
-        )
+        key = (entry.fingerprint, request.query, request.method, request.profile)
         account = current_account()
         cached = self._answers.get(key)
         if cached is not None:
@@ -388,7 +382,6 @@ class QueryService(Frontend):
     def _approximate(
         self,
         entry: RegisteredDatabase,
-        engine: str,
         shape: str,
         template: Callable[[], Query],
         values: Mapping[str, str],
@@ -400,32 +393,30 @@ class QueryService(Frontend):
 
         *shape* is the canonical text of the query ``template()`` builds (on
         a plan-cache miss only), and *bound* is that query under *values*.
-        The plan cache holds one entry per ``(snapshot, shape, engine)`` —
-        the compiled + optimized plan with
-        :class:`~repro.logic.terms.Parameter` placeholders still inside — and
-        each execution substitutes its values into it, a pure tree rebuild.
-        A shape that is second order or asks for ``engine="tarski"`` has no
-        plan and evaluates *bound* directly.  The plan depends on the
+        The plan cache holds one entry per ``(snapshot, shape)`` — the
+        compiled + optimized plan with :class:`~repro.logic.terms.Parameter`
+        placeholders still inside — and each execution substitutes its values
+        into it, a pure tree rebuild.  A shape whose rewrite is second order
+        has no plan and evaluates *bound* directly.  The plan depends on the
         snapshot content, never on the method, so content-identical snapshots
         share plans across aliases.
         """
         storage = entry.storage
-        evaluator = ApproximateEvaluator(engine=engine)
 
         def compute_plan():
-            plan = evaluator.plan_on_storage(storage, template())
+            plan = _EVALUATOR.plan_on_storage(storage, template())
             return _AST_ROUTE if plan is None else plan
 
-        plan, __ = self._plans.get_or_compute((entry.fingerprint, shape, engine), compute_plan)
+        plan, __ = self._plans.get_or_compute((entry.fingerprint, shape), compute_plan)
         if plan is _AST_ROUTE:
-            return evaluator.answers_on_storage(storage, bound)
+            return _EVALUATOR.answers_on_storage(storage, bound)
         # Resolving through constant_value makes an unknown constant fail
         # exactly as compiling it into the plan did.
         resolved = {name: storage.constant_value(value) for name, value in values.items()}
         if prepared:
             with self._registry_lock:
                 self._prepared["generic_plans"] += 1
-        return evaluator.answers_on_storage(
+        return _EVALUATOR.answers_on_storage(
             storage, bound, plan=substitute_plan_parameters(plan, resolved), profiler=profiler
         )
 
@@ -454,7 +445,7 @@ class QueryService(Frontend):
         exact: frozenset[tuple[str, ...]] | None = None
         profiler = PlanProfiler() if request.profile else None
         if request.method in ("approx", "both"):
-            with span("evaluate approx", engine=request.engine):
+            with span("evaluate approx"):
                 approx = approximate(profiler)
             answers["approximate"] = canonical_rows(approx)
         if request.method in ("exact", "both"):
@@ -470,7 +461,6 @@ class QueryService(Frontend):
             fingerprint=entry.fingerprint,
             query=request.query,
             method=request.method,
-            engine=request.engine,
             arity=query.arity,
             answers=answers,
             complete=complete,

@@ -42,6 +42,7 @@ from repro.service.protocol import (
     StatsResponse,
     build_classify_response,
     build_info_response,
+    check_method,
 )
 
 __all__ = ["Frontend", "WarmupReport"]
@@ -131,10 +132,9 @@ class Frontend(abc.ABC):
         database: str,
         query: str,
         method: str = "approx",
-        engine: str = "algebra",
     ) -> QueryResponse:
         """Convenience wrapper building the :class:`QueryRequest` inline."""
-        return self.execute(QueryRequest(database, query, method, engine))
+        return self.execute(QueryRequest(database, query, method))
 
     def classify(self, query_text: str) -> ClassifyResponse:
         """Classify a query: pure syntax, parse-cached, no database involved."""
@@ -188,7 +188,7 @@ class Frontend(abc.ABC):
         database: str,
         template: str,
         method: str = "approx",
-        engine: str = "algebra",
+        engine: str = "auto",
     ) -> PreparedStatement:
         """Parse and register a query template.
 
@@ -196,10 +196,13 @@ class Frontend(abc.ABC):
         a parameter-free query simply pins its parse).  Preparing the same
         template twice returns the same statement.  The returned statement's
         id drives :meth:`execute_prepared` / :meth:`execute_prepared_many`.
+        *engine* accepts only ``"auto"``
+        (:func:`~repro.service.protocol.check_method`).
         """
         entry = self.entry(database)
         query = self._parse(template)
-        statement, created = self._statements.intern(entry.name, query, method, engine)
+        check_method(method, engine)
+        statement, created = self._statements.intern(entry.name, query, method)
         if created:
             with self._registry_lock:
                 self._prepared["templates"] += 1
@@ -224,7 +227,7 @@ class Frontend(abc.ABC):
         statement = self._statements.get(statement_id)
         values = dict(params or {})
         bound, rendered = statement.bind(values)
-        request = QueryRequest(statement.database, rendered, statement.method, statement.engine)
+        request = QueryRequest(statement.database, rendered, statement.method)
         with self._registry_lock:
             self._prepared["executions"] += 1
         return self._execute_bound(statement, request, bound, values)

@@ -27,7 +27,6 @@ from repro.errors import UnknownStatementError
 from repro.logic.printer import query_to_text
 from repro.logic.queries import Query
 from repro.logic.template import bind_query, query_parameters
-from repro.service.protocol import normalize_options
 
 __all__ = ["PreparedStatement", "StatementRegistry"]
 
@@ -47,7 +46,6 @@ class PreparedStatement:
     template: str
     query: Query
     method: str
-    engine: str
     parameters: tuple[str, ...]
     arity: int
 
@@ -58,13 +56,13 @@ class PreparedStatement:
 
     def dedup_key(self) -> tuple:
         """Statements with equal keys are interchangeable (one registry slot)."""
-        return (self.database, self.template, self.method, self.engine)
+        return (self.database, self.template, self.method)
 
 
 class StatementRegistry:
     """Thread-safe statement store, deduplicating by content.
 
-    Preparing the same (database, template, options) twice returns the
+    Preparing the same (database, template, method) twice returns the
     *same* statement — the registry's size is bounded by the number of
     distinct templates a deployment actually uses, not by how often clients
     call ``prepare``.
@@ -81,16 +79,14 @@ class StatementRegistry:
         database: str,
         query: Query,
         method: str,
-        engine: str,
     ) -> tuple[PreparedStatement, bool]:
         """Register (or find) a statement; returns ``(statement, created)``.
 
-        Options normalize exactly as on an ad-hoc request, so a prepared
-        execution lands on the same answer-cache slot as its bound text.
+        *method* is already validated (:meth:`Frontend.prepare` checks it as
+        an ad-hoc request does).
         """
-        method, engine = normalize_options(method, engine)
         template = query_to_text(query)
-        key = (database, template, method, engine)
+        key = (database, template, method)
         with self._lock:
             existing = self._by_key.get(key)
             if existing is not None:
@@ -101,7 +97,6 @@ class StatementRegistry:
                 template=template,
                 query=query,
                 method=method,
-                engine=engine,
                 parameters=query_parameters(query),
                 arity=query.arity,
             )

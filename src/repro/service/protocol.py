@@ -24,7 +24,7 @@ version, v1 included, is refused with a :class:`~repro.errors.ProtocolError`
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
@@ -37,8 +37,7 @@ __all__ = [
     "SUPPORTED_PROTOCOL_VERSIONS",
     "DEFAULT_PAGE_SIZE",
     "METHODS",
-    "ENGINES",
-    "normalize_options",
+    "check_method",
     "QueryRequest",
     "QueryResponse",
     "ClassifyRequest",
@@ -79,27 +78,25 @@ SUPPORTED_PROTOCOL_VERSIONS = (2,)
 DEFAULT_PAGE_SIZE = 1024
 
 METHODS = ("approx", "exact", "both")
-ENGINES = ("tarski", "algebra", "auto")
 
 
-def normalize_options(method: str, engine: str) -> tuple[str, str]:
-    """Validate evaluation options and normalize the exact route.
+def check_method(method: str, engine: str = "auto") -> None:
+    """Validate a request's ``method``.
 
-    The single source of this rule — :class:`QueryRequest`,
-    :class:`PrepareRequest` and the statement registry all delegate here, so
-    an ad-hoc request and a prepared statement can never normalize
-    differently (they must share answer-cache slots).  The exact route never
-    consults the approximation engine, so that field collapses to a
-    canonical value and all equivalent exact requests compare equal (one
-    cache slot, batch dedup hit).
+    A served request names no engine: it always takes the capability rule
+    (first-order rewrites on the algebra engine, second-order ones on the
+    Tarskian evaluator).
     """
     if method not in METHODS:
         raise ServiceError(f"unknown method {method!r}; expected one of {METHODS}")
-    if engine not in ENGINES:
-        raise ServiceError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    if method == "exact":
-        return method, "algebra"
-    return method, engine
+    # Compatibility shim: E21 still passes "auto" positionally to
+    # QueryRequest and to both prepare methods.  ROADMAP item 1's benchmark
+    # change drops those arguments, and then this slot goes.
+    if engine != "auto":
+        raise ServiceError(
+            f"a served request takes no engine (got {engine!r}); choose one in the "
+            "library with ApproximateEvaluator(engine=...)"
+        )
 
 
 def canonical_rows(answers: Iterable[tuple[str, ...]]) -> tuple[tuple[str, ...], ...]:
@@ -163,18 +160,18 @@ class QueryRequest:
     answers; it joins the cache key so a profiled request never collides
     with a profile-less cached response (and vice versa).  Unknown wire keys
     are dropped by :func:`parse_wire`, so the ``NE``-encoding flag older
-    clients still send changes nothing: ``NE`` has one encoding.
+    clients still send changes nothing: ``NE`` has one encoding.  Nor does
+    the ``engine`` key they send: every request takes the capability rule.
     """
 
     database: str
     query: str
     method: str = "approx"
-    engine: str = "algebra"
+    engine: InitVar[str] = "auto"
     profile: bool = False
 
-    def __post_init__(self) -> None:
-        __, engine = normalize_options(self.method, self.engine)
-        object.__setattr__(self, "engine", engine)
+    def __post_init__(self, engine: str) -> None:
+        check_method(self.method, engine)
         object.__setattr__(self, "profile", bool(self.profile))
 
 
@@ -210,7 +207,6 @@ class QueryResponse:
     fingerprint: str
     query: str
     method: str
-    engine: str
     arity: int
     answers: Mapping[str, tuple[tuple[str, ...], ...]]
     complete: bool | None = None
@@ -319,7 +315,7 @@ class MetricsResponse:
     """A telemetry snapshot: counters, gauges, latency histograms.
 
     Served at ``GET /metrics``.  ``histograms`` maps a metric name (e.g.
-    ``"query.algebra"``) to its log-bucketed distribution with precomputed
+    ``"query.evaluate"``) to its log-bucketed distribution with precomputed
     ``p50``/``p95``/``p99`` upper bounds in seconds (see
     :mod:`repro.observability.metrics`).  The cluster router answers with
     the merged view across its own registry and every reachable worker;
@@ -381,19 +377,17 @@ class ErrorResponse:
 class PrepareRequest:
     """Register a query template (with ``$name`` parameters) for execution.
 
-    Options mean exactly what they mean on :class:`QueryRequest`, with the
-    same exact-route normalization, so a prepared execution is always
-    byte-identical to the equivalent ad-hoc request.
+    ``method`` means exactly what it means on :class:`QueryRequest`, so a
+    prepared execution is always byte-identical to the equivalent ad-hoc
+    request.
     """
 
     database: str
     template: str
     method: str = "approx"
-    engine: str = "algebra"
 
     def __post_init__(self) -> None:
-        __, engine = normalize_options(self.method, self.engine)
-        object.__setattr__(self, "engine", engine)
+        check_method(self.method)
 
 
 @dataclass(frozen=True)
@@ -412,7 +406,6 @@ class PrepareResponse:
     parameters: tuple[str, ...]
     arity: int
     method: str
-    engine: str
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parameters", tuple(self.parameters))
@@ -477,7 +470,6 @@ class CursorResponse:
     fingerprint: str
     query: str
     method: str
-    engine: str
     arity: int
     label: str
     total_rows: int

@@ -364,12 +364,7 @@ class _Handler(BaseHTTPRequestHandler):
                 return service.batch(request.requests)
             if path == "/prepare":
                 request = _expect_type(message, PrepareRequest)
-                statement = service.prepare(
-                    request.database,
-                    request.template,
-                    request.method,
-                    request.engine,
-                )
+                statement = service.prepare(request.database, request.template, request.method)
                 return _prepare_response(service, statement)
             if path == "/execute":
                 request = _expect_type(message, (ExecuteRequest, ExecuteManyRequest))
@@ -451,7 +446,6 @@ def _prepare_response(service: Frontend, statement) -> PrepareResponse:
         parameters=statement.parameters,
         arity=statement.arity,
         method=statement.method,
-        engine=statement.engine,
     )
 
 

@@ -11,8 +11,7 @@ exactly those shapes, for the service, cache and concurrency tests:
   uniformly from the whole pool; repeats are what the response cache and
   the batch deduplicator exploit;
 * **approx-vs-exact mix** — a fraction of requests takes the exact
-  (Theorem 1) route, the rest the Section 5 approximation, with the
-  approximation engines alternating between algebra and Tarski;
+  (Theorem 1) route, the rest the Section 5 approximation;
 * **batch bursts** — :func:`batch_bursts` chops a stream into the request
   lists a bursty client would POST to ``/batch``;
 * **recorded logs** — :func:`save_traffic_log` / :func:`load_traffic_log`
@@ -65,14 +64,12 @@ class TrafficProfile:
     request draws from that head.  ``exact_fraction`` requests take the
     exponential exact route (keep it small — that is the paper's point);
     half of those ask for ``method="both"`` so soundness is re-checked in
-    flight.  ``tarski_fraction`` of the approximate requests use the direct
-    Tarskian engine instead of the algebra compiler.
+    flight.
     """
 
     hot_keys: int = 2
     hot_fraction: float = 0.8
     exact_fraction: float = 0.1
-    tarski_fraction: float = 0.25
 
 
 def default_scenarios() -> tuple[Scenario, ...]:
@@ -120,8 +117,7 @@ def traffic_stream(
             method = "exact" if rng.random() < 0.5 else "both"
         else:
             method = "approx"
-        engine = "tarski" if rng.random() < profile.tarski_fraction else "algebra"
-        stream.append(QueryRequest(database, query_text, method, engine))
+        stream.append(QueryRequest(database, query_text, method))
     return stream
 
 

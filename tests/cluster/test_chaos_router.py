@@ -40,7 +40,7 @@ from repro.workloads.generators import random_cw_database
 
 PREDICATES = {"P": 1, "R": 2}
 
-REQUEST = QueryRequest("db", "(x) . P(x)", "approx", "algebra", False)
+REQUEST = QueryRequest("db", "(x) . P(x)", "approx")
 
 
 def _database(seed: int = 0):
@@ -309,7 +309,7 @@ class TestDegradedMode:
             assert router.metrics().counters["router.degraded_served"] == 1
             # A request never answered before has nothing stale to serve.
             with pytest.raises(ClusterError):
-                router.execute(QueryRequest("db", "(x, y) . R(x, y)", "approx", "algebra", False))
+                router.execute(QueryRequest("db", "(x, y) . R(x, y)", "approx"))
         finally:
             router.close()
 
@@ -341,7 +341,7 @@ class TestDegradedMode:
             assert stale.cached is True
             assert stale.answers == fresh.answers
             # The bound text is the same request ad hoc: one stale entry.
-            adhoc = router.execute(QueryRequest("db", fresh.query, "approx", "algebra", False))
+            adhoc = router.execute(QueryRequest("db", fresh.query, "approx"))
             assert adhoc.degraded is True
             assert adhoc.answers == fresh.answers
             assert router.metrics().counters["router.degraded_served"] == 2
@@ -460,7 +460,7 @@ class TestScriptedChaos:
                 if act == "recovery":
                     assert router.health_check() == {0: True, 1: True}
                 for shape in CHAOS_SHAPES:
-                    request = QueryRequest("db", shape, "both", "algebra", False)
+                    request = QueryRequest("db", shape, "both")
                     with tracing.trace(f"chaos {act}") as trace:
                         trace_ids.add(trace.trace_id)
                         try:
@@ -505,7 +505,7 @@ class TestScriptedChaos:
             for __ in range(5):
                 for text in ("(x) . P(x)", "(x, y) . R(x, y)", "(x) . ~P(x)"):
                     try:
-                        router.execute(QueryRequest("db", text, "approx", "algebra", False))
+                        router.execute(QueryRequest("db", text, "approx"))
                     except ClusterError:
                         pass
         finally:

@@ -67,13 +67,12 @@ class TestPlacement:
 class TestByteIdentity:
     @pytest.mark.parametrize("text", QUERIES)
     def test_every_routing_rule_matches_single_process(self, router, single, text):
-        for engine in ("algebra", "tarski"):
-            clustered = router.execute(QueryRequest("emp", text, "approx", engine))
-            direct = single.execute(QueryRequest("emp", text, "approx", engine))
-            assert clustered.answers == direct.answers
-            assert clustered.arity == direct.arity
-            assert clustered.database == "emp"
-            assert clustered.fingerprint == direct.fingerprint
+        clustered = router.execute(QueryRequest("emp", text, "approx"))
+        direct = single.execute(QueryRequest("emp", text, "approx"))
+        assert clustered.answers == direct.answers
+        assert clustered.arity == direct.arity
+        assert clustered.database == "emp"
+        assert clustered.fingerprint == direct.fingerprint
 
     def test_all_rules_were_actually_exercised(self, router, single):
         for text in QUERIES:

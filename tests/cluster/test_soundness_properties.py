@@ -15,8 +15,7 @@ answer.  These tests hammer that on randomized instances, three ways:
 
 The query pool deliberately includes non-decomposable shapes (joins across
 split relations, negation over split relations) so the full-copy fallback is
-exercised alongside the scatter/conjunction merges, plus both ``NE``
-encodings and both engines.
+exercised alongside the scatter/conjunction merges.
 """
 
 from __future__ import annotations
@@ -77,8 +76,7 @@ def _requests(database, seed: int) -> list[QueryRequest]:
         text = shape.replace("{c}", f"'{rng.choice(constants)}'").replace(
             "{d}", f"'{rng.choice(constants)}'"
         )
-        engine = rng.choice(("algebra", "tarski"))
-        requests.append(QueryRequest("db", text, "both", engine))
+        requests.append(QueryRequest("db", text, "both"))
     return requests
 
 
@@ -112,7 +110,7 @@ def test_replication_threshold_never_changes_answers(seed):
     """The same stream answers identically under every partitioning choice."""
     database = _instance(seed)
     requests = [
-        QueryRequest(request.database, request.query, "approx", request.engine)
+        QueryRequest(request.database, request.query, "approx")
         for request in _requests(database, seed)
     ]
     reference = None

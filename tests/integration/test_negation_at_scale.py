@@ -133,7 +133,7 @@ def test_the_first_negated_request_allocates_at_most_5_mb(large_database, large_
     text = _texts(large_database)["neg_members"]
     tracemalloc.start()
     try:
-        answers = large_service.execute(QueryRequest("emp", text, "approx", "auto")).answer_set("approximate")
+        answers = large_service.execute(QueryRequest("emp", text, "approx")).answer_set("approximate")
         __, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -118,9 +118,9 @@ def served(database, reference, oracle, refused, tmp_path_factory):
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_every_e21_shape_is_served_without_enumerating_ne(served, oracle, shape):
     binding, text, truth = oracle[shape]
-    adhoc = served.execute(QueryRequest("emp", text, "approx", "auto"))
+    adhoc = served.execute(QueryRequest("emp", text, "approx"))
     assert [list(row) for row in adhoc.answers["approximate"]] == truth
-    statement = served.prepare("emp", SHAPES[shape].template, "approx", "auto")
+    statement = served.prepare("emp", SHAPES[shape].template, "approx")
     prepared = served.execute_prepared(statement.statement_id, binding)
     assert prepared.answers == adhoc.answers
 
@@ -141,7 +141,7 @@ def test_statistics_partition_and_store_never_enumerate_ne(database, refused, tm
 @pytest.mark.parametrize("excluded, rows", [("emp3", 5), ("emp61", 4)])
 def test_negated_equality_explains_as_an_anti_join_against_pe(served, reference, excluded, rows):
     text = f"(x) . EMP_DEPT(x, 'dept1') & ~(x = '{excluded}')"
-    response = served.execute(QueryRequest("emp", text, "approx", "algebra", profile=True))
+    response = served.execute(QueryRequest("emp", text, "approx", profile=True))
     explain = render_profile(response.profile)
     assert "AntiJoin" in explain and "~NE(" in explain
     assert "Scan NE" not in explain and " NE(" not in explain

@@ -216,7 +216,7 @@ class TestPossiblyEqual:
 
         def request():
             barrier.wait(timeout=10)
-            seen.append(service.execute(QueryRequest("emp", text, "approx", "algebra")).answer_set("approximate"))
+            seen.append(service.execute(QueryRequest("emp", text, "approx")).answer_set("approximate"))
 
         threads = [threading.Thread(target=request) for __ in range(8)]
         interval = sys.getswitchinterval()

@@ -1,4 +1,5 @@
-"""Tests for ``engine="auto"``: the engine is chosen by capability."""
+"""Tests for ``engine="auto"``, the rule every served request takes: the
+engine is chosen by capability."""
 
 import pytest
 
@@ -36,17 +37,15 @@ class TestCapabilityRule:
             (12, 4, "(x, y) . ~EMP_DEPT(x, y)"),
         ],
     )
-    def test_auto_caches_the_algebra_plan(self, size, seed, text):
+    def test_a_served_request_caches_the_algebra_plan(self, size, seed, text):
         service = QueryService(answer_cache_capacity=0)
-        entry = service.register("emp", employee_database(size, seed=seed))
-        auto = service.query("emp", text, engine="auto")
-        algebra = service.query("emp", text, engine="algebra")
-        tarski = service.query("emp", text, engine="tarski")
-        assert auto.answers == algebra.answers == tarski.answers
+        database = employee_database(size, seed=seed)
+        entry = service.register("emp", database)
+        served = service.query("emp", text)
+        tarski = ApproximateEvaluator(engine="tarski").answers(database, parse_query(text))
+        assert served.answer_set("approximate") == tarski
         shape, __ = lifted_text(service._parse(text))
-        auto_plan = service._plans.get((entry.fingerprint, shape, "auto"))
-        assert isinstance(auto_plan, PlanNode)
-        assert auto_plan == service._plans.get((entry.fingerprint, shape, "algebra"))
+        assert isinstance(service._plans.get((entry.fingerprint, shape)), PlanNode)
 
     @pytest.mark.parametrize(
         "text",

@@ -81,7 +81,7 @@ def test_chaos_answers_are_byte_identical_or_absent(instance_seed, plan):
     try:
         answered = 0
         for shape in QUERY_SHAPES:
-            request = QueryRequest("db", shape, "both", "algebra")
+            request = QueryRequest("db", shape, "both")
             try:
                 clustered = router.execute(request)
             except AVAILABILITY_ERRORS:
@@ -125,7 +125,7 @@ def test_chaos_never_breaks_the_fault_free_rerun(plan):
         # Burn the (zero-length) fault budget, then demand full availability:
         # every backend answers cleanly, so every request must succeed.
         for shape in QUERY_SHAPES:
-            request = QueryRequest("db", shape, "approx", "algebra")
+            request = QueryRequest("db", shape, "approx")
             assert router.execute(request).answers == single.execute(request).answers
     finally:
         router.close()

@@ -108,7 +108,7 @@ def test_negated_equality_shapes_answer_as_on_the_reference(database):
             if not query_parameters(template):
                 _assert_answers_match_the_reference(database, template)
                 continue
-            statement = service.prepare("db", text, engine="algebra")
+            statement = service.prepare("db", text)
             for constant in database.constants:
                 bound = bind_query(template, {"p": constant})
                 _assert_answers_match_the_reference(database, bound)

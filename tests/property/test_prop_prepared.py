@@ -43,7 +43,6 @@ from repro.service.protocol import QueryRequest, answers_to_wire
 from tests.property.strategies import cw_databases, materialized_ph2, queries
 
 MAX_EXAMPLES = 30
-ENGINES = ("tarski", "algebra", "auto")
 
 
 def _parameterize_term(term):
@@ -97,20 +96,6 @@ class TestPreparedEqualsAdhoc:
         finally:
             service.close()
 
-    @settings(max_examples=MAX_EXAMPLES, deadline=None)
-    @given(database=cw_databases(max_constants=3), query=queries())
-    def test_auto_engine_byte_identical(self, database, query):
-        template, binding = _template_of(query)
-        service = QueryService(answer_cache_capacity=0)
-        service.register("db", database)
-        try:
-            statement = service.prepare("db", query_to_text(template), engine="auto")
-            prepared = service.execute_prepared(statement.statement_id, binding)
-            adhoc = service.execute(QueryRequest("db", prepared.query, engine="auto"))
-            assert prepared.answers == adhoc.answers
-        finally:
-            service.close()
-
     @settings(max_examples=20, deadline=None)
     @given(database=cw_databases(max_constants=3, max_facts=4), query=queries())
     def test_exact_route_matches_tarskian_ground_truth(self, database, query):
@@ -153,12 +138,12 @@ class TestShapePlansMatchTheReference:
         assert lifted_text(query) == (query_to_text(template), values)
 
     @settings(max_examples=MAX_EXAMPLES, deadline=None)
-    @given(database=cw_databases(max_constants=3), query=queries(), engine=st.sampled_from(ENGINES))
-    def test_adhoc_route_matches_the_materialized_reference(self, database, query, engine):
+    @given(database=cw_databases(max_constants=3), query=queries())
+    def test_adhoc_route_matches_the_materialized_reference(self, database, query):
         service = QueryService(answer_cache_capacity=0)
         service.register("db", database)
         try:
-            adhoc = service.execute(QueryRequest("db", query_to_text(query), engine=engine))
+            adhoc = service.execute(QueryRequest("db", query_to_text(query)))
             assert [list(row) for row in adhoc.answers["approximate"]] == _reference(database, query)
         finally:
             service.close()
@@ -167,10 +152,9 @@ class TestShapePlansMatchTheReference:
     @given(
         database=cw_databases(max_constants=4),
         query=queries(),
-        engine=st.sampled_from(ENGINES),
         data=st.data(),
     )
-    def test_a_second_binding_of_one_shape_is_a_plan_cache_hit(self, database, query, engine, data):
+    def test_a_second_binding_of_one_shape_is_a_plan_cache_hit(self, database, query, data):
         template, values = lift_constants(query)
         # Another injective binding over the database's constants lifts back
         # to the same shape: distinct parameters stay distinct constants.
@@ -180,7 +164,7 @@ class TestShapePlansMatchTheReference:
         service.register("db", database)
         try:
             for index, bound in enumerate((query, second)):
-                response = service.execute(QueryRequest("db", query_to_text(bound), engine=engine))
+                response = service.execute(QueryRequest("db", query_to_text(bound)))
                 assert [list(row) for row in response.answers["approximate"]] == _reference(database, bound)
                 assert service.stats().plan_cache["hits"] == index
             assert service.stats().plan_cache["size"] == 1

@@ -36,7 +36,7 @@ class TestDeduplication:
             service,
             [
                 QueryRequest("ripper", "(x) . LONDONER(x)"),
-                QueryRequest("ripper", "(x) . LONDONER(x)", engine="tarski"),
+                QueryRequest("ripper", "(x) . LONDONER(x)", profile=True),
                 QueryRequest("ripper", "(x) . LONDONER(x)", method="exact"),
             ],
         )

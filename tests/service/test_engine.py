@@ -95,7 +95,7 @@ class TestAnswers:
 
 
 class TestCacheKeys:
-    """Distinct methods/engines/encodings must never share a cache entry."""
+    """Distinct methods and profiles must never share a cache entry."""
 
     def test_repeat_is_served_from_cache(self, service):
         request = QueryRequest("ripper", "(x) . LONDONER(x)")
@@ -112,8 +112,7 @@ class TestCacheKeys:
         "variant",
         [
             dict(method="exact"),
-            dict(engine="tarski"),
-            dict(engine="auto"),
+            dict(profile=True),
             dict(method="both"),
         ],
     )

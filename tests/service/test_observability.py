@@ -73,7 +73,7 @@ class TestMetricsEndpoint:
         assert metrics.counters["query.requests"] == 2
         assert metrics.counters["query.cache_hits"] == 1
         assert metrics.uptime_seconds >= 0.0
-        for name in ("query.algebra", "http./query"):
+        for name in ("query.evaluate", "http./query"):
             histogram = metrics.histograms[name]
             assert histogram["count"] >= 1
             assert 0.0 <= histogram["p50"] <= histogram["p95"] <= histogram["p99"]

@@ -86,7 +86,7 @@ class TestPacking:
     @settings(max_examples=40, deadline=None)
     @given(rows=answers(), page_size=st.sampled_from((1, 7, 256)))
     def test_cursor_pages_concatenate_to_the_answer(self, rows, page_size):
-        response = QueryResponse("db", "f" * 64, "q", "approx", "algebra", 0, {"approximate": rows})
+        response = QueryResponse("db", "f" * 64, "q", "approx", 0, {"approximate": rows})
         store = CursorStore()
         cursor = store.open(response, "approximate", page_size)
         pages = [store.fetch(cursor.cursor_id, page) for page in range(cursor.pages)]

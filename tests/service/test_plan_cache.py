@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.approx.evaluator import ApproximateEvaluator
 from repro.approx.rewrite import rewrite_query
 from repro.logic.printer import query_to_text
 from repro.logical.ph import ph2
@@ -37,20 +38,13 @@ class TestPlanCache:
         second = service.query("emp", QUERY)
         assert first.answers == second.answers
 
-    def test_tarski_engine_does_not_break_plan_cache(self):
+    def test_one_plan_per_shape_whatever_the_method(self):
         service = _service(answer_cache_capacity=0)
-        first = service.query("emp", QUERY, engine="tarski")
-        second = service.query("emp", QUERY, engine="tarski")
-        third = service.query("emp", QUERY, engine="algebra")
-        assert first.answers == second.answers == third.answers
-
-    def test_plan_cache_keyed_per_engine(self):
-        service = _service(answer_cache_capacity=0)
-        service.query("emp", QUERY, engine="algebra")
-        service.query("emp", QUERY, engine="algebra", method="both")
-        assert service.stats().plan_cache["size"] == 1
-        service.query("emp", QUERY, engine="auto")
-        assert service.stats().plan_cache["size"] == 2
+        service.query("emp", QUERY)
+        service.query("emp", QUERY, method="both")
+        service.query("emp", QUERY)
+        stats = service.stats().plan_cache
+        assert stats["size"] == 1 and stats["hits"] == 2
 
     def test_unregister_drops_plans(self):
         service = _service(answer_cache_capacity=0)
@@ -123,17 +117,17 @@ class TestPlanAnswers:
         # Unrestricted negation: the shape the retired cost model sent to
         # Tarskian enumeration.  ``auto`` caches and reuses the algebra plan.
         text = "(x, y) . ~EMP_DEPT(x, y)"
-        first = service.query("emp", text, engine="auto")
+        first = service.query("emp", text)
         stats = service.stats().plan_cache
         assert stats["misses"] == 1 and stats["size"] == 1
-        second = service.query("emp", text, engine="auto")
+        second = service.query("emp", text)
         stats = service.stats().plan_cache
         assert stats["hits"] == 1, "the plan was not served from the plan cache"
         assert first.answers == second.answers
         shape = query_to_text(service._parse(text))
-        assert isinstance(service._plans.get((entry.fingerprint, shape, "auto")), PlanNode)
-        tarski = service.query("emp", text, engine="tarski")
-        assert tarski.answers == first.answers
+        assert isinstance(service._plans.get((entry.fingerprint, shape)), PlanNode)
+        tarski = ApproximateEvaluator(engine="tarski").answers(entry.database, service._parse(text))
+        assert first.answer_set("approximate") == tarski
 
 
 class TestPreloadInvalidation:
@@ -142,7 +136,7 @@ class TestPreloadInvalidation:
         entry = service.register("emp", employee_database(12, seed=4))
         other = service.register("other", employee_database(14, seed=5))
         service.query("emp", QUERY)
-        service.query("emp", QUERY, engine="auto")
+        service.query("emp", "(x) . EMP_DEPT(x, 'dept0')")
         service.query("other", QUERY)
         assert service.stats().plan_cache["size"] == 3
 
@@ -150,9 +144,8 @@ class TestPreloadInvalidation:
         assert dropped == 2  # exactly the entries of the emp fingerprint
         shape = query_to_text(service._parse(QUERY))
         remaining = set(service._plans.keys())
-        assert (entry.fingerprint, shape, "algebra") not in remaining
-        assert (entry.fingerprint, shape, "auto") not in remaining
-        assert (other.fingerprint, shape, "algebra") in remaining
+        assert (entry.fingerprint, shape) not in remaining
+        assert (other.fingerprint, shape) in remaining
 
 
 class TestMalformedWarmup:

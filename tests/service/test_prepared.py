@@ -51,11 +51,12 @@ class TestPrepare:
         with pytest.raises(ServiceError, match="unknown method"):
             service.prepare("emp", "(x) . EMP_DEPT($k, x)", method="psychic")
 
-    def test_exact_statements_normalize_engine(self, service):
-        statement = service.prepare(
-            "emp", "(x) . EMP_DEPT($k, x)", method="exact", engine="tarski"
+    def test_prepare_refuses_an_engine_other_than_auto(self, service):
+        with pytest.raises(ServiceError, match="takes no engine"):
+            service.prepare("emp", "(x) . EMP_DEPT($k, x)", "approx", "tarski")
+        assert service.prepare("emp", "(x) . EMP_DEPT($k, x)", "approx", "auto") == service.prepare(
+            "emp", "(x) . EMP_DEPT($k, x)"
         )
-        assert statement.engine == "algebra"
 
     def test_parameter_free_queries_can_be_prepared(self, service):
         statement = service.prepare("emp", "(x) . EMP_DEPT('ada', x)")
@@ -84,9 +85,8 @@ class TestExecute:
         assert prepared.answers == adhoc.answers
         assert prepared.query == "(x) . EMP_DEPT('ada', x)"
 
-    @pytest.mark.parametrize("engine", ["algebra", "tarski", "auto"])
-    def test_every_engine_agrees(self, service, engine):
-        statement = service.prepare("emp", "(x) . EMP_DEPT($k, x)", engine=engine)
+    def test_a_bound_execution_answers(self, service):
+        statement = service.prepare("emp", "(x) . EMP_DEPT($k, x)")
         response = service.execute_prepared(statement.statement_id, {"k": "ada"})
         assert response.answers["approximate"] == (("eng",),)
 
@@ -198,12 +198,12 @@ class TestExecuteMany:
         employees = sorted({row[0] for row in database.facts_for("EMP_DEPT")})
         bindings = [{"e": employee} for employee in employees]
         try:
-            statement = prepared.prepare("emp", SWEEP_TEMPLATE, engine="auto")
+            statement = prepared.prepare("emp", SWEEP_TEMPLATE)
             batch = prepared.execute_prepared_many(statement.statement_id, bindings, max_workers=1)
             for binding, response in zip(bindings, batch.responses):
                 text = query_to_text(bind_query(template, binding))
                 assert response.query == text
-                assert response.answers == adhoc.query("emp", text, engine="auto").answers, binding
+                assert response.answers == adhoc.query("emp", text).answers, binding
             for binding, response in list(zip(bindings, batch.responses))[:3]:
                 exact = certain_answers(database, bind_query(template, binding))
                 assert answers_from_wire(response.answers["approximate"]) == exact, binding

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields, replace
 
 import pytest
 
@@ -12,9 +13,12 @@ from repro.service.protocol import (
     BatchRequest,
     BatchResponse,
     ClassifyRequest,
+    CursorResponse,
     DatabasesResponse,
     ErrorResponse,
     HealthResponse,
+    PrepareRequest,
+    PrepareResponse,
     QueryRequest,
     QueryResponse,
     answers_from_wire,
@@ -33,7 +37,6 @@ def _query_response(**overrides) -> QueryResponse:
         fingerprint="f" * 64,
         query="(x) . P(x)",
         method="approx",
-        engine="algebra",
         arity=1,
         answers={"approximate": (("a",), ("b",))},
     )
@@ -60,26 +63,27 @@ class TestValidation:
         with pytest.raises(ServiceError, match="unknown method"):
             QueryRequest("db", "(x) . P(x)", method="psychic")
 
-    def test_bad_engine_rejected(self):
-        with pytest.raises(ServiceError, match="unknown engine"):
-            QueryRequest("db", "(x) . P(x)", engine="quantum")
+    def test_a_served_request_names_no_engine(self):
+        assert [f.name for f in fields(QueryRequest)] == ["database", "query", "method", "profile"]
+        for message in (QueryResponse, PrepareRequest, PrepareResponse, CursorResponse):
+            assert "engine" not in {f.name for f in fields(message)}, message
 
-    def test_exact_requests_normalize_irrelevant_fields(self):
-        # engine cannot change an exact answer, so equivalent exact
-        # requests compare equal (one cache slot, batch dedup hit).
-        a = QueryRequest("db", "(x) . P(x)", method="exact", engine="tarski")
-        b = QueryRequest("db", "(x) . P(x)", method="exact")
-        assert a == b
-        # "both" evaluates the approximation too, so the fields stay.
-        c = QueryRequest("db", "(x) . P(x)", method="both", engine="tarski")
-        assert c.engine == "tarski"
+    @pytest.mark.parametrize("engine", ["tarski", "algebra", "quantum"])
+    def test_an_engine_other_than_auto_is_refused(self, engine):
+        with pytest.raises(ServiceError, match="ApproximateEvaluator"):
+            QueryRequest("db", "(x) . P(x)", "approx", engine)
+
+    def test_the_positional_auto_slot_keeps_profile_in_place(self):
+        request = QueryRequest("db", "(x) . P(x)", "approx", "auto")
+        assert request == QueryRequest("db", "(x) . P(x)") and request.profile is False
+        assert replace(request, query="(x) . Q(x)").query == "(x) . Q(x)"
 
 
 class TestWireRoundTrips:
     @pytest.mark.parametrize(
         "message",
         [
-            QueryRequest("db", "(x) . P(x)", "both", "tarski"),
+            QueryRequest("db", "(x) . P(x)", "both", profile=True),
             ClassifyRequest("(x) . P(x)"),
             ErrorResponse("boom", "ParseError"),
             HealthResponse("ok", "1.0.0"),

@@ -43,14 +43,13 @@ QUERY_RESPONSE = QueryResponse(
     fingerprint="f" * 64,
     query="(x) . P($k, x)",
     method="approx",
-    engine="algebra",
     arity=1,
     answers={"approximate": (("a",), ("b",))},
 )
 
 #: One representative instance per message type.
 MESSAGES = [
-    QueryRequest("db", "(x) . P(x)", "both", "tarski"),
+    QueryRequest("db", "(x) . P(x)", "both", profile=True),
     QUERY_RESPONSE,
     ClassifyRequest("(x) . P(x)"),
     ClassifyResponse("(x) . P(x)", True, "Sigma_1", True, "PTIME", "PSPACE", "summary"),
@@ -70,8 +69,8 @@ MESSAGES = [
     BatchRequest((QueryRequest("db", "(x) . P(x)"),)),
     BatchResponse((QUERY_RESPONSE, ErrorResponse("boom", "ParseError", "parse")), 2, 2, 0),
     ErrorResponse("boom", "CapacityError", "capacity"),
-    PrepareRequest("db", "(x) . P($k, x)", "approx", "auto"),
-    PrepareResponse("stmt-1", "db", "f" * 64, "(x) . P($k, x)", ("k",), 1, "approx", "auto"),
+    PrepareRequest("db", "(x) . P($k, x)", "approx"),
+    PrepareResponse("stmt-1", "db", "f" * 64, "(x) . P($k, x)", ("k",), 1, "approx"),
     ExecuteRequest("stmt-1", {"k": "v"}, stream=True, page_size=16),
     ExecuteManyRequest("stmt-1", ({"k": "a"}, {"k": "b"})),
     CursorResponse(
@@ -80,7 +79,6 @@ MESSAGES = [
         fingerprint="f" * 64,
         query="(x) . P('a', x)",
         method="approx",
-        engine="algebra",
         arity=1,
         label="approximate",
         total_rows=3,
@@ -209,7 +207,7 @@ def query_requests(draw):
         database=draw(name),
         query=draw(name),
         method=draw(st.sampled_from(("approx", "both"))),
-        engine=draw(st.sampled_from(("tarski", "algebra", "auto"))),
+        profile=draw(st.booleans()),
     )
 
 
@@ -265,7 +263,6 @@ class TestFuzzedRoundTrips:
             fingerprint="f" * 64,
             query="(x) . P(x)",
             method="both",
-            engine="algebra",
             arity=1,
             answers=answers,
         )

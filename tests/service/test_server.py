@@ -9,11 +9,17 @@ from contextlib import closing
 
 import pytest
 
+from repro.approx.evaluator import ApproximateEvaluator
 from repro.errors import ParseError, ServiceError
+from repro.logic.parser import parse_query
 from repro.service.client import ServiceClient
-from repro.service.engine import QueryService
-from repro.service.protocol import QueryRequest
+from repro.service.engine import _AST_ROUTE, QueryService
+from repro.service.protocol import QueryRequest, to_wire
 from repro.service.server import running_server
+from repro.workloads.scenarios import jack_the_ripper_database
+from repro.workloads.traffic import load_traffic_log
+
+DATABASE = "jack-the-ripper"
 
 
 def _refused(request) -> tuple[int, bytes]:
@@ -110,6 +116,10 @@ class TestRoundTrips:
         assert client.query("jack-the-ripper", text).cached
 
 
+def _query(text: str, **extra) -> dict:
+    return {"type": "query_request", "v": 2, "database": DATABASE, "query": text, "method": "approx", **extra}
+
+
 def _post(server, path: str, payload: dict) -> dict:
     request = urllib.request.Request(
         server.base_url + path, data=json.dumps(payload).encode(), method="POST",
@@ -131,7 +141,7 @@ class TestRetiredEncodingFlag:
                 "method": "both", "engine": "algebra", "virtual_ne": flag}  # fmt: skip
         response = _post(server, "/query", body)
         assert "virtual_ne" not in response
-        plain = client.query("jack-the-ripper", self.TEXT, method="both", engine="algebra")
+        plain = client.query("jack-the-ripper", self.TEXT, method="both")
         assert response["answers"] == {label: [list(row) for row in rows] for label, rows in plain.answers.items()}
 
     def test_prepare_answers_as_without_the_flag(self, served):
@@ -144,10 +154,104 @@ class TestRetiredEncodingFlag:
         execute = {"type": "execute_request", "v": 2, "statement_id": prepared["statement_id"],
                    "params": {"k": "jack_the_ripper"}}  # fmt: skip
         response = _post(server, "/execute", execute)
-        handle = client.prepare("jack-the-ripper", template, "approx", "auto")
+        handle = client.prepare("jack-the-ripper", template, "approx")
         assert handle.statement_id == prepared["statement_id"]  # one registry slot
         plain = handle.execute({"k": "jack_the_ripper"})
         assert response["answers"] == {label: [list(row) for row in rows] for label, rows in plain.answers.items()}
+
+
+class TestRetiredEngineKey:
+    """A served request names no engine: every one takes the capability rule.
+
+    First-order rewrites run on the algebra engine and second-order rewrites
+    on the Tarskian evaluator.  An older sender's ``"engine"`` key is dropped
+    on parse, so it changes neither the answer nor the entries it lands on.
+    """
+
+    QUERY = "(x, y) . LIVED_IN_LONDON(x) & LIVED_IN_LONDON(y) & ~(x = y)"
+    TEMPLATE = "(y) . LIVED_IN_LONDON(y) & ~(y = $k)"
+    SECOND_ORDER = "(x) . LIVED_IN_LONDON(x) & exists2 Q/1. Q(x) & MURDERER(x)"
+    #: Fields of a response that differ between a miss and a hit, or per serving.
+    VOLATILE = ("cached", "cost", "trace")
+
+    @pytest.fixture
+    def fresh(self):
+        """Its own service, so cache counts start at zero."""
+        service = QueryService()
+        service.register(DATABASE, jack_the_ripper_database())
+        with running_server(service) as server, closing(ServiceClient(server.base_url)) as client:
+            yield service, server, client
+        service.close()
+
+    def test_one_query_four_ways_lands_on_one_entry(self, fresh):
+        service, server, __ = fresh
+        payloads = [
+            _post(server, "/query", _query(self.QUERY, **extra))
+            for extra in ({"engine": "algebra"}, {"engine": "auto"}, {"engine": "tarski"}, {})
+        ]
+        stats = service.stats()
+        assert (stats.answer_cache["size"], stats.answer_cache["hits"]) == (1, 3)
+        assert stats.plan_cache["size"] == 1
+        assert len(payloads[0]["answers"]["approximate"]) == 6
+        assert [payload["cached"] for payload in payloads] == [False, True, True, True]
+        stable = [{k: v for k, v in p.items() if k not in self.VOLATILE} for p in payloads]
+        assert all(payload == stable[0] for payload in stable)
+        assert "engine" not in payloads[0]
+
+    @pytest.mark.parametrize("engine", ["tarski", "algebra", "bogus"])
+    def test_a_query_request_with_an_engine_lands_on_the_plain_entry(self, fresh, engine):
+        service, server, client = fresh
+        old = _post(server, "/query", _query(self.QUERY, engine=engine))
+        plain = client.query(DATABASE, self.QUERY)
+        assert plain.cached
+        assert old["answers"] == {label: [list(row) for row in rows] for label, rows in plain.answers.items()}
+        assert service.stats().answer_cache["size"] == 1
+
+    @pytest.mark.parametrize("engine", ["tarski", "algebra", "bogus"])
+    def test_a_prepare_request_with_an_engine_lands_on_the_plain_statement(self, fresh, engine):
+        service, server, client = fresh
+        body = {"type": "prepare_request", "v": 2, "database": DATABASE, "template": self.TEMPLATE,
+                "method": "approx", "engine": engine}  # fmt: skip
+        prepared = _post(server, "/prepare", body)
+        assert "engine" not in prepared
+        handle = client.prepare(DATABASE, self.TEMPLATE)
+        assert handle.statement_id == prepared["statement_id"]
+        execute = {"type": "execute_request", "v": 2, "statement_id": prepared["statement_id"],
+                   "params": {"k": "jack_the_ripper"}}  # fmt: skip
+        old = _post(server, "/execute", execute)
+        plain = client.query(DATABASE, old["query"])
+        assert plain.cached
+        assert old["answers"] == {label: [list(row) for row in rows] for label, rows in plain.answers.items()}
+        assert service.stats().answer_cache["size"] == 1
+
+    def test_a_traffic_log_with_engine_values_warms_the_plain_entries(self, tmp_path):
+        texts = (self.QUERY, "(x) . MURDERER(x)")
+        log = tmp_path / "traffic.jsonl"
+        with log.open("w") as handle:
+            for text in texts:
+                for engine in ("algebra", "tarski", "auto"):
+                    line = {**to_wire(QueryRequest(DATABASE, text)), "engine": engine}
+                    handle.write(json.dumps(line, sort_keys=True) + "\n")
+        service = QueryService()
+        service.register(DATABASE, jack_the_ripper_database())
+        try:
+            report = service.warm(load_traffic_log(log))
+            assert (report.total, report.warmed, report.already_cached, report.failed) == (6, 2, 4, 0)
+            for text in texts:
+                assert service.execute(QueryRequest(DATABASE, text)).cached
+            assert service.stats().answer_cache["size"] == len(texts)
+        finally:
+            service.close()
+
+    def test_a_second_order_query_takes_the_tarskian_route_over_http(self, fresh):
+        """``engine="algebra"`` raised on this query; the key is now ignored."""
+        service, server, __ = fresh
+        payload = _post(server, "/query", _query(self.SECOND_ORDER, engine="algebra"))
+        tarski = ApproximateEvaluator(engine="tarski")
+        expected = tarski.answers(jack_the_ripper_database(), parse_query(self.SECOND_ORDER))
+        assert payload["answers"] == {"approximate": sorted([list(row) for row in expected])}
+        assert expected == frozenset({("jack_the_ripper",)})
+        assert [service._plans.get(key) for key in list(service._plans.keys())] == [_AST_ROUTE]
 
 
 class TestErrors:

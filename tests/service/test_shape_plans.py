@@ -26,8 +26,6 @@ from repro.service.server import running_server
 from repro.workloads.generators import employee_database
 from repro.workloads.traffic import SWEEP_TEMPLATE
 
-ENGINES = ("tarski", "algebra", "auto")
-
 DEPT0 = (("emp0",), ("emp10",), ("emp2",), ("emp4",), ("emp6",), ("emp8",))
 DEPT1 = (("emp1",), ("emp11",), ("emp3",), ("emp5",), ("emp7",), ("emp9",))
 
@@ -49,8 +47,8 @@ def service(database):
     service.close()
 
 
-def _approx(service, text, engine):
-    return service.execute(QueryRequest("emp", text, "approx", engine)).answers["approximate"]
+def _approx(service, text):
+    return service.execute(QueryRequest("emp", text, "approx")).answers["approximate"]
 
 
 class TestLift:
@@ -78,59 +76,54 @@ class TestLift:
 
 
 class TestHazards:
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_constant_equalities_are_decided_per_binding(self, service, engine):
+    def test_constant_equalities_are_decided_per_binding(self, service):
         for first, second in (("emp1", "emp2"), ("emp3", "emp4")):
             text = f"(x) . EMP_DEPT(x, 'dept0') & '{first}' = '{second}'"
-            assert _approx(service, text, engine) == ()
-            assert _approx(service, f"() . '{first}' = '{second}'", engine) == ()
+            assert _approx(service, text) == ()
+            assert _approx(service, f"() . '{first}' = '{second}'") == ()
         for same in ("emp1", "emp3"):
-            assert _approx(service, f"(x) . EMP_DEPT(x, 'dept0') & '{same}' = '{same}'", engine) == DEPT0
-            assert _approx(service, f"() . '{same}' = '{same}'", engine) == ((),)
+            assert _approx(service, f"(x) . EMP_DEPT(x, 'dept0') & '{same}' = '{same}'") == DEPT0
+            assert _approx(service, f"() . '{same}' = '{same}'") == ((),)
 
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("warm", [False, True])
-    def test_an_unknown_constant_fails_as_before(self, service, engine, warm):
+    def test_an_unknown_constant_fails_as_before(self, service, warm):
         if warm:  # the shape's plan is cached before the unknown constant arrives
-            _approx(service, "(x) . EMP_DEPT(x, 'dept0')", engine)
-            _approx(service, "() . 'dept0' = 'dept0'", engine)
+            _approx(service, "(x) . EMP_DEPT(x, 'dept0')")
+            _approx(service, "() . 'dept0' = 'dept0'")
         for text in ("(x) . EMP_DEPT(x, 'nope')", "() . 'nope' = 'nope'"):
             with pytest.raises(DatabaseError, match=r"^unknown constant symbol 'nope'$"):
-                _approx(service, text, engine)
+                _approx(service, text)
 
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("method", ["approx", "exact", "both"])
-    def test_a_parameter_in_an_ad_hoc_text_is_refused(self, service, engine, method):
+    def test_a_parameter_in_an_ad_hoc_text_is_refused(self, service, method):
         message = (
             r"^query mentions unbound parameter\(s\) \$d — "
             r"bind them \(prepared execute, --param\) before evaluation$"
         )
         with pytest.raises(UnboundParameterError, match=message):
-            service.execute(QueryRequest("emp", "(x) . EMP_DEPT(x, $d)", method, engine))
+            service.execute(QueryRequest("emp", "(x) . EMP_DEPT(x, $d)", method))
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_negated_atoms_over_a_constant_in_u(self, service, engine):
+    def test_negated_atoms_over_a_constant_in_u(self, service):
         shape = "(d) . exists x. EMP_DEPT(x, d) & ~DEPT_MGR(d, '{}')"
-        assert _approx(service, shape.format("mgr_null1"), engine) == ()
-        assert _approx(service, shape.format("emp1"), engine) == (("dept0",),)
-        assert _approx(service, shape.format("mgr_null1"), engine) == ()
-        managed = _approx(service, "(m) . ~DEPT_MGR('mgr_null1', m)", engine)
+        assert _approx(service, shape.format("mgr_null1")) == ()
+        assert _approx(service, shape.format("emp1")) == (("dept0",),)
+        assert _approx(service, shape.format("mgr_null1")) == ()
+        managed = _approx(service, "(m) . ~DEPT_MGR('mgr_null1', m)")
         assert ("dept1",) not in managed and ("dept0",) in managed and len(managed) == 15
-        assert ("dept1",) in _approx(service, "(m) . ~DEPT_MGR('dept0', m)", engine)
+        assert ("dept1",) in _approx(service, "(m) . ~DEPT_MGR('dept0', m)")
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_two_texts_of_one_shape_share_a_plan_not_an_answer(self, database, engine):
+    def test_two_texts_of_one_shape_share_a_plan_not_an_answer(self, database):
         service = QueryService()
         service.register("emp", database)
-        first = service.query("emp", "(x) . EMP_DEPT(x, 'dept0')", engine=engine)
-        second = service.query("emp", "(x) . EMP_DEPT(x, 'dept1')", engine=engine)
+        first = service.query("emp", "(x) . EMP_DEPT(x, 'dept0')")
+        second = service.query("emp", "(x) . EMP_DEPT(x, 'dept1')")
         assert first.answers["approximate"] == DEPT0
         assert second.answers["approximate"] == DEPT1
         assert not second.cached
         stats = service.stats()
         assert stats.plan_cache["size"] == 1 and stats.plan_cache["hits"] == 1
         assert stats.answer_cache["size"] == 2
-        assert service.query("emp", "(x) . EMP_DEPT(x, 'dept1')", engine=engine).cached
+        assert service.query("emp", "(x) . EMP_DEPT(x, 'dept1')").cached
         service.close()
 
     def test_plan_cache_size_tracks_shapes_not_constants(self, database):
@@ -145,7 +138,7 @@ class TestHazards:
         with running_server(service) as server, closing(ServiceClient(server.base_url)) as client:
             for employee in employees:
                 for shape in shapes:
-                    client.query("emp", shape.format(e=employee), engine="auto")
+                    client.query("emp", shape.format(e=employee))
             stats = client.stats()
         assert stats.plan_cache["size"] == len(shapes)
         assert stats.plan_cache["misses"] == len(shapes)
@@ -159,21 +152,19 @@ class TestParameterFreeTemplates:
     TEMPLATE = "(x) . exists d. EMP_DEPT(x, d)"
     EVERYONE = tuple(sorted((f"emp{i}",) for i in range(12)))
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_in_process(self, service, engine):
-        statement = service.prepare("emp", self.TEMPLATE, engine=engine)
+    def test_in_process(self, service):
+        statement = service.prepare("emp", self.TEMPLATE)
         for __ in range(2):
             prepared = service.execute_prepared(statement.statement_id, {})
             assert prepared.answers["approximate"] == self.EVERYONE
-            assert _approx(service, self.TEMPLATE, engine) == self.EVERYONE
+            assert _approx(service, self.TEMPLATE) == self.EVERYONE
         assert service.stats().plan_cache["size"] == 1
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_over_http(self, service, engine):
+    def test_over_http(self, service):
         with running_server(service) as server, closing(ServiceClient(server.base_url)) as client:
-            handle = client.prepare("emp", self.TEMPLATE, engine=engine)
+            handle = client.prepare("emp", self.TEMPLATE)
             assert handle.execute({}).answers["approximate"] == self.EVERYONE
-            adhoc = client.query("emp", self.TEMPLATE, engine=engine)
+            adhoc = client.query("emp", self.TEMPLATE)
             assert adhoc.answers["approximate"] == self.EVERYONE
             assert handle.execute({}).answers["approximate"] == self.EVERYONE
 
@@ -242,7 +233,7 @@ class TestEveryShapeKind:
         for binding in BINDINGS:
             __, __, query = _bind(shape, binding)
             expected = _oracle(database, shape, query)
-            assert _approx(service, query_to_text(query), "auto") == expected
+            assert _approx(service, query_to_text(query)) == expected
             answers.add(expected)
         assert len(answers) > 1  # the bindings really ask different questions
         plan_cache = service.stats().plan_cache
@@ -250,7 +241,7 @@ class TestEveryShapeKind:
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     def test_prepared_bindings_match_the_oracle(self, service, database, shape):
-        statement = service.prepare("emp", SHAPES[shape][0], engine="algebra")
+        statement = service.prepare("emp", SHAPES[shape][0])
         for binding in BINDINGS:
             __, values, query = _bind(shape, binding)
             prepared = service.execute_prepared(statement.statement_id, values)
@@ -274,7 +265,7 @@ class TestServedExecution:
         query = query_to_text(
             bind_query(parsed, {name: BINDINGS[0][name] for name in query_parameters(parsed)})
         )
-        request = QueryRequest("emp", query, "approx", "algebra")
+        request = QueryRequest("emp", query, "approx")
         service.execute(request)  # plan the shape
         index_calls.clear()
         expected = service.execute(request).answers

@@ -19,7 +19,6 @@ def _response(n_rows: int) -> QueryResponse:
         fingerprint="f" * 64,
         query="(x) . P(x)",
         method="approx",
-        engine="algebra",
         arity=1,
         answers={"approximate": rows},
     )

@@ -83,10 +83,6 @@ class TestQuery:
         out = capsys.readouterr().out
         assert "<true>" in out
 
-    def test_tarski_engine_option(self, stored_database, capsys):
-        code = main(["query", str(stored_database), "(x) . ~LONDONER(x)", "--engine", "tarski"])
-        assert code == 0
-
     def test_bad_query_text_is_a_clean_error(self, stored_database, capsys):
         assert main(["query", str(stored_database), "P(x"]) == 2
         assert "error:" in capsys.readouterr().err

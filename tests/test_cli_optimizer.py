@@ -1,9 +1,12 @@
-"""Tests for the CLI's engine choice and its one serving configuration."""
+"""Tests for the CLI's one serving configuration."""
 
 import pytest
 
+from repro.approx.evaluator import ApproximateEvaluator
 from repro.cli import build_parser, main
+from repro.logic.parser import parse_query
 from repro.physical.csvio import save_cw_database
+from repro.service.protocol import parse_wire
 
 
 @pytest.fixture
@@ -26,14 +29,25 @@ class TestOneConfiguration:
             build_parser().parse_args(["serve", "somedir", flag])
 
 
-class TestEngineChoices:
-    def test_auto_is_the_default_engine(self):
-        arguments = build_parser().parse_args(["query", "somedir", "(x) . P(x)"])
-        assert arguments.engine == "auto"
+class TestNoEngineFlag:
+    """Every command takes the capability rule; none names an engine."""
 
-    def test_auto_engine_answers_match_the_explicit_engines(self, stored_database, capsys):
-        outputs = {}
-        for engine in ("auto", "tarski", "algebra"):
-            assert main(["query", str(stored_database), "(x) . LONDONER(x)", "--engine", engine]) == 0
-            outputs[engine] = capsys.readouterr().out
-        assert outputs["auto"] == outputs["tarski"] == outputs["algebra"]
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["query", "somedir", "(x) . P(x)"],
+            ["client", "http://127.0.0.1:1", "query", "db", "(x) . P(x)"],
+            ["client", "http://127.0.0.1:1", "explain", "db", "(x) . P(x)"],
+            ["client", "http://127.0.0.1:1", "prepared", "db", "(x) . P($k, x)"],
+        ],
+    )
+    def test_engine_is_not_an_option(self, argv, capsys):
+        assert not hasattr(build_parser().parse_args(argv), "engine")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([*argv, "--engine", "tarski"])
+
+    def test_query_answers_as_the_tarskian_evaluator(self, ripper_cw, stored_database, capsys):
+        assert main(["query", str(stored_database), "(x) . ~LONDONER(x)", "--json"]) == 0
+        response = parse_wire(capsys.readouterr().out)
+        expected = ApproximateEvaluator(engine="tarski").answers(ripper_cw, parse_query("(x) . ~LONDONER(x)"))
+        assert response.answer_set("approximate") == expected

@@ -41,7 +41,7 @@ and only reads the atom's ``predicate`` and ``args``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, TYPE_CHECKING
+from typing import Mapping, Sequence, TYPE_CHECKING
 
 from repro.errors import FormulaError
 from repro.logic.formulas import (
@@ -138,26 +138,21 @@ class AlphaAtom(ExtensionAtom):
         object.__setattr__(self, "predicate", predicate)
         object.__setattr__(self, "args", tuple(args))
 
-    def holds(self, database: "PhysicalDatabase", values: tuple[object, ...]) -> bool:
-        ne_relation = database.relation(NE_PREDICATE) if database.has_relation(NE_PREDICATE) else frozenset()
-        stored = database.relation(self.predicate)
-        return all(disagree(values, row, ne_relation) for row in stored)
-
-    def holds_with(
+    def holds(
         self,
         database: "PhysicalDatabase",
         values: tuple[object, ...],
-        relation_overrides: dict[str, frozenset[tuple]],
+        relations: Mapping[str, frozenset[tuple]] = {},
     ) -> bool:
         # A predicate bound by an enclosing second-order quantifier is read
         # from its candidate relation, not from storage (Theorem 11's
         # induction adds the candidate tuples as atomic facts).
-        if self.predicate in relation_overrides:
-            stored = relation_overrides[self.predicate]
+        if self.predicate in relations:
+            stored = relations[self.predicate]
         else:
             stored = database.relation(self.predicate)
-        if NE_PREDICATE in relation_overrides:
-            ne_relation = relation_overrides[NE_PREDICATE]
+        if NE_PREDICATE in relations:
+            ne_relation = relations[NE_PREDICATE]
         elif database.has_relation(NE_PREDICATE):
             ne_relation = database.relation(NE_PREDICATE)
         else:

@@ -33,10 +33,9 @@ from repro.logical.ph import ph2
 from repro.physical.algebra import execute
 from repro.physical.compiler import compile_query
 from repro.physical.database import PhysicalDatabase
-from repro.physical.evaluator import evaluate_query
+from repro.physical.evaluator import DEFAULT_MAX_RELATIONS, evaluate_query
 from repro.physical.optimizer import optimize as optimize_plan
 from repro.physical.plan import PlanNode
-from repro.physical.second_order import DEFAULT_MAX_RELATIONS, evaluate_query_so
 from repro.approx.rewrite import rewrite_query
 
 __all__ = ["ApproximateEvaluator", "approximate_answers", "approximately_holds"]
@@ -128,13 +127,11 @@ class ApproximateEvaluator:
             return execute(plan, storage, profiler=profiler).rows
         check_bound(query)
         rewritten = self.rewrite(query)
-        if is_first_order(rewritten.formula):
-            if self.engine == "tarski":
-                return evaluate_query(storage, rewritten)
+        if self.engine != "tarski" and is_first_order(rewritten.formula):
             return execute(self._plan_for(storage, rewritten), storage, profiler=profiler).rows
         if self.engine == "algebra":
             raise UnsupportedFormulaError("the algebra engine cannot evaluate second-order queries")
-        return evaluate_query_so(storage, rewritten, self.max_relations)
+        return evaluate_query(storage, rewritten, self.max_relations)
 
     def holds(self, database: CWDatabase, sentence: Formula) -> bool:
         """Boolean form: does the approximation derive the sentence?"""

@@ -56,13 +56,11 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from repro.approx.evaluator import ApproximateEvaluator
 from repro.complexity.classes import classify_query
 from repro.errors import ReproError
 from repro.harness.reporting import format_table
 from repro.logic.parser import parse_query
-from repro.logical.exact import certain_answers
-from repro.observability.explain import PlanProfiler, render_profile
+from repro.observability.explain import render_profile
 from repro.physical.csvio import load_cw_database
 from repro.service.client import ServiceClient
 from repro.service.engine import QueryService
@@ -401,70 +399,34 @@ def _command_info(arguments: argparse.Namespace) -> int:
 
 
 def _command_query(arguments: argparse.Namespace) -> int:
+    # One-shot service: same evaluation, soundness check and serialization
+    # as the server, printed as JSON or as the client prints it.
     params = _parse_params(arguments.param)
+    name = Path(arguments.database).name or str(arguments.database)
+    service = QueryService()
+    service.register(name, load_cw_database(arguments.database), precompute=False)
+    # A substring check ("$" in text) would misfire on quoted constants
+    # containing a dollar sign; the parsed query knows for sure.
+    is_template = params or parse_query(arguments.query).is_template
+    if is_template and not arguments.analyze:
+        # The prepared path: the CLI exercises exactly the session API
+        # a server would, so the printed response is byte-compatible.
+        statement = service.prepare(name, arguments.query, arguments.method)
+        response = service.execute_prepared(statement.statement_id, params)
+    else:
+        text = arguments.query
+        if is_template:
+            # The session API shares answer-cache slots with unprofiled
+            # requests and never profiles; bind locally and profile the
+            # bound query as an ad-hoc request instead.
+            from repro.logic.template import bind_query
+
+            text = str(bind_query(parse_query(text), params))
+        response = service.execute(QueryRequest(name, text, arguments.method, profile=arguments.analyze))
     if arguments.json:
-        # One-shot service: same evaluation and same serialization as the server.
-        name = Path(arguments.database).name or str(arguments.database)
-        service = QueryService()
-        service.register(name, load_cw_database(arguments.database), precompute=False)
-        # A substring check ("$" in text) would misfire on quoted constants
-        # containing a dollar sign; the parsed query knows for sure.
-        is_template = params or parse_query(arguments.query).is_template
-        if is_template and not arguments.analyze:
-            # The prepared path: the CLI exercises exactly the session API
-            # a server would, so the printed response is byte-compatible.
-            statement = service.prepare(name, arguments.query, arguments.method)
-            response = service.execute_prepared(statement.statement_id, params)
-        else:
-            text = arguments.query
-            if is_template:
-                # The session API shares answer-cache slots with unprofiled
-                # requests and never profiles; bind locally and profile the
-                # bound query as an ad-hoc request instead.
-                from repro.logic.template import bind_query
-
-                text = str(bind_query(parse_query(text), params))
-            response = service.execute(
-                QueryRequest(name, text, arguments.method, profile=arguments.analyze)
-            )
         print(dump_wire(response, indent=2))
-        return 0
-
-    database = load_cw_database(arguments.database)
-    query = parse_query(arguments.query)
-    if params or query.is_template:
-        from repro.logic.template import bind_query
-
-        query = bind_query(query, params)
-
-    results: dict[str, frozenset[tuple[str, ...]]] = {}
-    profiler: PlanProfiler | None = None
-    if arguments.method in ("approx", "both"):
-        evaluator = ApproximateEvaluator(engine="auto")
-        if arguments.analyze:
-            profiler = PlanProfiler()
-            results["approximate"] = evaluator.answers_on_storage(
-                evaluator.storage(database), query, profiler=profiler
-            )
-        else:
-            results["approximate"] = evaluator.answers(database, query)
-    if arguments.method in ("exact", "both"):
-        results["exact"] = certain_answers(database, query)
-
-    _print_answer_sets(results, query.arity)
-    if arguments.analyze:
-        from repro.observability.explain import profile_payload
-        from repro.physical.algebra import node_label
-
-        print(render_profile(profile_payload(arguments.method, profiler, node_label)))
-
-    if arguments.method == "both":
-        approx, exact = results["approximate"], results["exact"]
-        if not approx <= exact:
-            print("WARNING: soundness violated — please report this as a bug")
-            return 1
-        status = "complete" if approx == exact else f"sound but missed {len(exact - approx)} certain answer(s)"
-        print(f"approximation was {status} on this instance")
+    else:
+        _print_query_response(response)
     return 0
 
 

@@ -75,7 +75,7 @@ from repro.logic.printer import query_to_text
 from repro.logic.queries import Query
 from repro.logic.template import bind_query, query_parameters
 from repro.observability import events, tracing
-from repro.observability.accounting import activate as activate_account, current_account
+from repro.observability.accounting import current_account
 from repro.observability.metrics import merge_metric_snapshots
 from repro.resilience import deadlines
 from repro.resilience.retry import BREAKER_STATE_GAUGE, BackoffPolicy, CircuitBreaker
@@ -559,28 +559,18 @@ class ClusterRouter(Frontend):
     def _scatter(self, layout: PartitionLayout, request: QueryRequest, query: Query) -> QueryResponse:
         """Fan the request out to every shard; union-merge the answer sets."""
         n_workers = len(self._workers)
-        # Thread-locals do not cross the fan-out pool: capture the caller's
-        # trace *and current span* — its deadline, and its resource account
-        # — here and re-activate them inside each shard task, so worker
-        # spans stitch under the router's scatter span in one tree, every
-        # shard hop inherits the request's remaining budget, and shard
-        # charges land on the request's bill (int adds under the GIL are
-        # safe across concurrent shard tasks).  With all three off this is
-        # four thread-local reads plus no-op context managers.
-        active = tracing.current_trace()
-        parent = tracing.current_span_id()
-        deadline = deadlines.current_deadline()
-        account = current_account()
 
+        # Worker spans stitch under the router's scatter span, every shard
+        # hop inherits the request's remaining budget, and shard charges
+        # land on the request's bill.
+        @deadlines.carry_request_context
         def on_shard(shard: int) -> QueryResponse:
-            with deadlines.activate(deadline), activate_account(account):
-                with tracing.activate(active, parent=parent):
-                    with tracing.span(f"scatter shard {shard}"):
-                        return self._on_workers(
-                            shard_hosts(shard, n_workers, self._replicas),
-                            replace(request, database=layout.shard_name(shard)),
-                            f"shard {shard} of {layout.name!r}",
-                        )
+            with tracing.span(f"scatter shard {shard}"):
+                return self._on_workers(
+                    shard_hosts(shard, n_workers, self._replicas),
+                    replace(request, database=layout.shard_name(shard)),
+                    f"shard {shard} of {layout.name!r}",
+                )
 
         pool = self._fanout()
         futures = [pool.submit(on_shard, shard) for shard in range(layout.n_shards)]

@@ -48,9 +48,8 @@ class EvaluationError(ReproError):
 class UnsupportedFormulaError(EvaluationError):
     """An evaluator met a formula kind it cannot handle.
 
-    Raised for instance when the plain first-order evaluator encounters a
-    second-order quantifier, or when the algebra compiler meets an unsafe
-    (non range-restricted) sub-formula.
+    Raised for instance when the algebra compiler meets a second-order
+    quantifier or an unsafe (non range-restricted) sub-formula.
     """
 
 

@@ -28,7 +28,7 @@ connectives are also available through operators (``&``, ``|``, ``~``,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, TYPE_CHECKING
+from typing import Iterable, Iterator, Mapping, TYPE_CHECKING
 
 from repro.errors import FormulaError
 from repro.logic.terms import Constant, Term, Variable, is_term
@@ -333,32 +333,22 @@ class ExtensionAtom(Formula):
     #: the Tarskian evaluator, through :meth:`holds`.
     predicate: str
 
-    def holds(self, database: "PhysicalDatabase", values: tuple[object, ...]) -> bool:
+    def holds(
+        self,
+        database: "PhysicalDatabase",
+        values: tuple[object, ...],
+        relations: Mapping[str, frozenset[tuple]] = {},
+    ) -> bool:
         """Return the truth value of the atom for already-evaluated arguments.
 
         ``values`` contains the domain elements the atom's terms evaluate to
         under the current variable assignment, in the same order as
-        ``self.args``.
+        ``self.args``.  ``relations`` maps the predicate names bound by an
+        enclosing second-order quantifier to their candidate relations; a
+        subclass that reads stored relations reads a bound one from there
+        instead (Theorem 11's induction case).  It is never mutated.
         """
         raise NotImplementedError
-
-    def holds_with(
-        self,
-        database: "PhysicalDatabase",
-        values: tuple[object, ...],
-        relation_overrides: dict[str, frozenset[tuple]],
-    ) -> bool:
-        """Truth value when some predicates are bound by second-order quantifiers.
-
-        ``relation_overrides`` maps predicate names currently bound by an
-        enclosing second-order quantifier to their candidate relations.  The
-        default ignores the overrides; subclasses that read stored relations
-        (like the ``alpha_P`` atoms) override this so that a quantified
-        predicate is read from the candidate relation instead of the database
-        — this is what makes the approximation's treatment of second-order
-        quantification (Theorem 11's induction case) work.
-        """
-        return self.holds(database, values)
 
     def with_args(self, args: tuple[Term, ...]) -> "ExtensionAtom":
         """Return a copy of the atom with its argument terms replaced."""

@@ -20,14 +20,12 @@ from __future__ import annotations
 from itertools import product
 
 from repro.errors import CapacityError
-from repro.logic.analysis import is_first_order
 from repro.logic.formulas import Formula
 from repro.logic.queries import Query, TRUE_ANSWER, boolean_query
 from repro.logical.database import CWDatabase
 from repro.logical.mappings import DEFAULT_MAX_MAPPINGS, mappings
 from repro.logical.ph import ph1
-from repro.physical.evaluator import evaluate_query
-from repro.physical.second_order import DEFAULT_MAX_RELATIONS, evaluate_query_so
+from repro.physical.evaluator import DEFAULT_MAX_RELATIONS, evaluate_query
 
 __all__ = ["certain_answers", "certainly_holds", "possible_answers", "CertainAnswerEvaluator"]
 
@@ -75,13 +73,12 @@ class CertainAnswerEvaluator:
                 f"query arity {arity} over {len(constants)} constants yields {candidate_count} candidate tuples"
             )
         surviving: set[tuple[str, ...]] = set(product(constants, repeat=arity))
-        evaluate = self._evaluator_for(query.formula)
         base = ph1(database)
         for mapping in mappings(database, self.strategy, self.max_mappings):
             if not surviving:
                 break
             image = base.map_domain(mapping)
-            answers = evaluate(image, query)
+            answers = evaluate_query(image, query, self.max_relations)
             surviving = {
                 candidate
                 for candidate in surviving
@@ -99,28 +96,15 @@ class CertainAnswerEvaluator:
         constants = database.constants
         arity = query.arity
         possible: set[tuple[str, ...]] = set()
-        evaluate = self._evaluator_for(query.formula)
         base = ph1(database)
         all_candidates = list(product(constants, repeat=arity))
         for mapping in mappings(database, self.strategy, self.max_mappings):
             image = base.map_domain(mapping)
-            answers = evaluate(image, query)
+            answers = evaluate_query(image, query, self.max_relations)
             for candidate in all_candidates:
                 if tuple(mapping[value] for value in candidate) in answers:
                     possible.add(candidate)
         return frozenset(possible)
-
-    # Internals ---------------------------------------------------------------
-
-    def _evaluator_for(self, formula: Formula):
-        if is_first_order(formula):
-            return evaluate_query
-        max_relations = self.max_relations
-
-        def evaluate_so(database, query):
-            return evaluate_query_so(database, query, max_relations)
-
-        return evaluate_so
 
 
 def certain_answers(

@@ -25,14 +25,12 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.errors import FormulaError
-from repro.logic.analysis import is_first_order
 from repro.logic.queries import Query
 from repro.logical.database import CWDatabase
 from repro.logical.mappings import DEFAULT_MAX_MAPPINGS, enumerate_canonical_mappings
 from repro.logical.ph import ph1
 from repro.physical.database import PhysicalDatabase
 from repro.physical.evaluator import evaluate_query
-from repro.physical.second_order import evaluate_query_so
 
 __all__ = ["CounterExample", "explain_non_answer", "explain_answer", "why_unknown"]
 
@@ -77,12 +75,6 @@ class CounterExample:
         return hash((self.candidate, self.image, tuple(sorted(self.mapping.items()))))
 
 
-def _evaluate(model: PhysicalDatabase, query: Query) -> frozenset[tuple]:
-    if is_first_order(query.formula):
-        return evaluate_query(model, query)
-    return evaluate_query_so(model, query)
-
-
 def _collapsed_groups(mapping: dict[str, str]) -> tuple[tuple[str, ...], ...]:
     groups: dict[str, list[str]] = {}
     for source in mapping:
@@ -115,7 +107,7 @@ def explain_non_answer(
     for mapping in enumerate_canonical_mappings(database, max_mappings):
         model = base.map_domain(mapping)
         image = tuple(mapping[value] for value in candidate)
-        if image not in _evaluate(model, query):
+        if image not in evaluate_query(model, query):
             return CounterExample(
                 candidate=tuple(candidate),
                 mapping=dict(mapping),
@@ -141,7 +133,7 @@ def explain_answer(
     for mapping in enumerate_canonical_mappings(database, max_mappings):
         model = base.map_domain(mapping)
         image = tuple(mapping[value] for value in candidate)
-        if image not in _evaluate(model, query):
+        if image not in evaluate_query(model, query):
             raise FormulaError(
                 f"{candidate!r} is not a certain answer; the mapping {mapping!r} is a counterexample"
             )

@@ -19,7 +19,6 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterator
 
-from repro.logic.analysis import is_first_order
 from repro.logic.queries import Query
 from repro.logic.terms import Constant
 from repro.logic.transform import substitute
@@ -28,7 +27,6 @@ from repro.logical.mappings import DEFAULT_MAX_MAPPINGS, enumerate_canonical_map
 from repro.logical.ph import ph1
 from repro.physical.database import PhysicalDatabase
 from repro.physical.evaluator import evaluate_sentence, satisfies
-from repro.physical.second_order import satisfies_so
 
 __all__ = ["is_model", "enumerate_models", "certain_answers_by_model_checking"]
 
@@ -69,15 +67,11 @@ def certain_answers_by_model_checking(
     :func:`repro.logical.exact.certain_answers`; used only as a test oracle.
     """
     constants = database.constants
-    first_order = is_first_order(query.formula)
     models = list(enumerate_models(database, max_mappings))
     answers = set()
     for candidate in product(constants, repeat=query.arity):
         grounding = {variable: Constant(value) for variable, value in zip(query.head, candidate)}
         grounded = substitute(query.formula, grounding)
-        if all(
-            (satisfies(model, grounded, {}) if first_order else satisfies_so(model, grounded, {}))
-            for model in models
-        ):
+        if all(satisfies(model, grounded, {}) for model in models):
             answers.add(candidate)
     return frozenset(answers)

@@ -2,9 +2,9 @@
 
 This is the "database as interpretation" half of the paper's dichotomy.  It
 provides the storage and evaluation substrate the logical-database layer and
-the approximation algorithm run on: materialized relations, Tarskian
-first-order evaluation, second-order evaluation by relation enumeration, and
-a small relational-algebra engine with a calculus-to-algebra compiler.
+the approximation algorithm run on: materialized relations, one Tarskian
+evaluator (second-order quantifiers range over enumerated relations), and a
+small relational-algebra engine with a calculus-to-algebra compiler.
 """
 
 from repro.physical.algebra import execute, plan_size, plan_to_text
@@ -17,14 +17,15 @@ from repro.physical.csvio import (
     save_physical_database,
 )
 from repro.physical.database import PhysicalDatabase
-from repro.physical.evaluator import evaluate_query, evaluate_sentence, evaluate_term, satisfies
-from repro.physical.relation import Relation, RelationLike, tuples_of
-from repro.physical.second_order import (
+from repro.physical.evaluator import (
     DEFAULT_MAX_RELATIONS,
     enumerate_relations,
-    evaluate_query_so,
-    satisfies_so,
+    evaluate_query,
+    evaluate_sentence,
+    evaluate_term,
+    satisfies,
 )
+from repro.physical.relation import Relation, RelationLike, tuples_of
 
 __all__ = [
     "Relation",
@@ -35,8 +36,6 @@ __all__ = [
     "evaluate_query",
     "evaluate_sentence",
     "evaluate_term",
-    "satisfies_so",
-    "evaluate_query_so",
     "enumerate_relations",
     "DEFAULT_MAX_RELATIONS",
     "execute",

@@ -6,29 +6,38 @@ This is the classical semantic notion of truth the paper attributes to the
 tuples ``d`` over the domain such that ``I`` satisfies ``phi(d)``
 (Section 2.1).
 
-The evaluator walks the formula with an explicit variable assignment.
-Quantifiers conceptually range over the whole (finite) domain, but the
-enumeration is **bounded** wherever that is provably lossless: a quantified
-variable that must satisfy a positive atom (in a conjunctive position) can
-only take values stored in the matching relation column, so only those are
-tried — the classic semi-naive restriction.  The candidate sets are
-*necessary* conditions derived per variable (atoms intersect across
-conjunctions, union across disjunctions, nothing through negations), so the
-bounded search returns exactly the unbounded answer; variables with no such
-restriction still range over the full domain, which keeps e.g.
-``(x) . ~P(x)`` ranging over elements mentioned nowhere.  Second-order
-quantifiers are *not* handled here — see
-:mod:`repro.physical.second_order` — so that callers that expect first-order
-behaviour get a clear error instead of an accidental exponential
-enumeration.
+The evaluator walks the formula with an explicit variable assignment and a
+*relation assignment*: the candidate relations of the predicates bound by
+enclosing second-order quantifiers (empty for a first-order formula).  Free
+predicate names read the database's stored relations.
+
+First-order quantifiers conceptually range over the whole (finite) domain,
+but the enumeration is **bounded** wherever that is provably lossless: a
+quantified variable that must satisfy a positive atom (in a conjunctive
+position) can only take values stored in the matching relation column, so
+only those are tried — the classic semi-naive restriction.  The candidate
+sets are *necessary* conditions derived per variable (atoms intersect
+across conjunctions, union across disjunctions, nothing through negations),
+so the bounded search returns exactly the unbounded answer; variables with
+no such restriction still range over the full domain, which keeps e.g.
+``(x) . ~P(x)`` ranging over elements mentioned nowhere.
+
+A second-order quantifier ranges over all relations of its arity on the
+domain, of which there are ``2^(|D|^arity)``.  The precise simulation of
+Section 3.2 and the Sigma^k_2 classes of Theorems 8/9 need it; it is only
+feasible for tiny instances, which is exactly the point the paper makes
+about the cost of unknown values.  To keep accidental blow-ups from hanging
+a test run, the evaluator refuses to enumerate more than ``max_relations``
+candidate relations per quantifier (default ``2**16``) and raises
+:class:`~repro.errors.CapacityError` instead.
 """
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Callable, Mapping
+from itertools import chain, combinations, product
+from typing import Callable, Iterable, Iterator, Mapping
 
-from repro.errors import DatabaseError, EvaluationError, UnsupportedFormulaError
+from repro.errors import CapacityError, DatabaseError, EvaluationError
 from repro.logic.formulas import (
     And,
     Atom,
@@ -57,7 +66,33 @@ __all__ = [
     "evaluate_query",
     "evaluate_sentence",
     "candidate_values",
+    "enumerate_relations",
+    "DEFAULT_MAX_RELATIONS",
 ]
+
+#: Default cap on the number of candidate relations per second-order quantifier.
+DEFAULT_MAX_RELATIONS = 2**16
+
+
+def enumerate_relations(domain: Iterable, arity: int, max_relations: int = DEFAULT_MAX_RELATIONS) -> Iterator[frozenset[tuple]]:
+    """Yield every relation of the given arity over *domain*.
+
+    Relations are produced in increasing cardinality (the empty relation
+    first), which lets existential searches succeed quickly on sparse
+    witnesses.  Raises :class:`CapacityError` when there are more than
+    *max_relations* candidate relations.
+    """
+    elements = sorted(domain, key=repr)
+    all_tuples = list(product(elements, repeat=arity))
+    count = 2 ** len(all_tuples)
+    if count > max_relations:
+        raise CapacityError(
+            f"enumerating relations of arity {arity} over a domain of size {len(elements)} "
+            f"needs {count} candidates, above the cap of {max_relations}"
+        )
+    subsets = chain.from_iterable(combinations(all_tuples, size) for size in range(len(all_tuples) + 1))
+    for subset in subsets:
+        yield frozenset(subset)
 
 
 def evaluate_term(database: PhysicalDatabase, term: Term, assignment: Mapping[Variable, object]) -> object:
@@ -76,15 +111,24 @@ def satisfies(
     database: PhysicalDatabase,
     formula: Formula,
     assignment: Mapping[Variable, object] | None = None,
+    relations: Mapping[str, frozenset[tuple]] | None = None,
+    max_relations: int = DEFAULT_MAX_RELATIONS,
 ) -> bool:
-    """Return ``True`` when *database* satisfies *formula* under *assignment*."""
-    return _satisfies(database, formula, dict(assignment or {}), {})
+    """Return ``True`` when *database* satisfies *formula* under *assignment*.
+
+    *relations* interprets predicate names bound by an enclosing
+    second-order quantifier; *max_relations* caps the candidates tried per
+    second-order quantifier in *formula*.
+    """
+    return _satisfies(database, formula, dict(assignment or {}), dict(relations or {}), max_relations, {})
 
 
 def _satisfies(
     database: PhysicalDatabase,
     formula: Formula,
     assignment: dict[Variable, object],
+    relations: dict[str, frozenset[tuple]],
+    max_relations: int,
     cache: dict,
 ) -> bool:
     if isinstance(formula, Top):
@@ -93,37 +137,48 @@ def _satisfies(
         return False
     if isinstance(formula, ExtensionAtom):
         values = tuple(evaluate_term(database, term, assignment) for term in formula.args)
-        return formula.holds(database, values)
+        return formula.holds(database, values, relations)
     if isinstance(formula, Atom):
         values = tuple(evaluate_term(database, term, assignment) for term in formula.args)
+        if formula.predicate in relations:
+            return values in relations[formula.predicate]
         return values in database.relation(formula.predicate)
     if isinstance(formula, Equals):
         return evaluate_term(database, formula.left, assignment) == evaluate_term(
             database, formula.right, assignment
         )
     if isinstance(formula, Not):
-        return not _satisfies(database, formula.operand, assignment, cache)
+        return not _satisfies(database, formula.operand, assignment, relations, max_relations, cache)
     if isinstance(formula, And):
-        return all(_satisfies(database, operand, assignment, cache) for operand in formula.operands)
+        return all(
+            _satisfies(database, operand, assignment, relations, max_relations, cache)
+            for operand in formula.operands
+        )
     if isinstance(formula, Or):
-        return any(_satisfies(database, operand, assignment, cache) for operand in formula.operands)
+        return any(
+            _satisfies(database, operand, assignment, relations, max_relations, cache)
+            for operand in formula.operands
+        )
     if isinstance(formula, Implies):
-        if not _satisfies(database, formula.antecedent, assignment, cache):
+        if not _satisfies(database, formula.antecedent, assignment, relations, max_relations, cache):
             return True
-        return _satisfies(database, formula.consequent, assignment, cache)
+        return _satisfies(database, formula.consequent, assignment, relations, max_relations, cache)
     if isinstance(formula, Iff):
-        return _satisfies(database, formula.left, assignment, cache) == _satisfies(
-            database, formula.right, assignment, cache
+        return _satisfies(database, formula.left, assignment, relations, max_relations, cache) == _satisfies(
+            database, formula.right, assignment, relations, max_relations, cache
         )
     if isinstance(formula, Exists):
-        return _satisfies_quantifier(database, formula, assignment, want=True, cache=cache)
+        return _satisfies_quantifier(database, formula, assignment, relations, max_relations, cache, want=True)
     if isinstance(formula, Forall):
-        return not _satisfies_quantifier(database, formula, assignment, want=False, cache=cache)
+        return not _satisfies_quantifier(database, formula, assignment, relations, max_relations, cache, want=False)
     if isinstance(formula, (SecondOrderExists, SecondOrderForall)):
-        raise UnsupportedFormulaError(
-            "second-order quantifier met by the first-order evaluator; "
-            "use repro.physical.second_order.satisfies_so instead"
-        )
+        want = isinstance(formula, SecondOrderExists)
+        for candidate in enumerate_relations(database.domain, formula.arity, max_relations):
+            extended = dict(relations)
+            extended[formula.predicate] = candidate
+            if _satisfies(database, formula.body, assignment, extended, max_relations, cache) == want:
+                return want
+        return not want
     raise EvaluationError(f"unknown formula node: {formula!r}")
 
 
@@ -131,8 +186,10 @@ def _satisfies_quantifier(
     database: PhysicalDatabase,
     formula: Exists | Forall,
     assignment: dict[Variable, object],
-    want: bool,
+    relations: dict[str, frozenset[tuple]],
+    max_relations: int,
     cache: dict,
+    want: bool,
 ) -> bool:
     """Search for an assignment of the bound variables making the body == *want*.
 
@@ -147,35 +204,30 @@ def _satisfies_quantifier(
     """
     variables = formula.variables
     if want:
-        value_lists = []
-        for variable in variables:
-            candidates = _cached_candidates(database, formula.body, variable, cache)
-            if candidates is None:
-                value_lists.append(_sorted_domain(database))
-            elif not candidates:
-                return False
-            else:
-                value_lists.append(sorted(candidates, key=repr))
-        for values in product(*value_lists):
+        for values in product(*_value_lists(database, formula.body, variables, relations, cache)):
             extended = dict(assignment)
             extended.update(zip(variables, values))
-            if _satisfies(database, formula.body, extended, cache):
+            if _satisfies(database, formula.body, extended, relations, max_relations, cache):
                 return True
         return False
     for variable in variables:
-        candidates = _cached_candidates(database, formula.body, variable, cache)
+        candidates = _cached_candidates(database, formula.body, variable, relations, cache)
         if candidates is not None and database.domain - candidates:
             return True  # any value outside the necessary set falsifies the body
     domain = _sorted_domain(database)
     for values in product(domain, repeat=len(variables)):
         extended = dict(assignment)
         extended.update(zip(variables, values))
-        if not _satisfies(database, formula.body, extended, cache):
+        if not _satisfies(database, formula.body, extended, relations, max_relations, cache):
             return True
     return False
 
 
-def evaluate_query(database: PhysicalDatabase, query: Query) -> frozenset[tuple]:
+def evaluate_query(
+    database: PhysicalDatabase,
+    query: Query,
+    max_relations: int = DEFAULT_MAX_RELATIONS,
+) -> frozenset[tuple]:
     """Return ``Q(PB)``: all domain tuples satisfying the query condition.
 
     For a Boolean query the result is ``{()}`` (true) or ``frozenset()``
@@ -183,19 +235,13 @@ def evaluate_query(database: PhysicalDatabase, query: Query) -> frozenset[tuple]
     a 0-ary relation.  Head variables are enumerated over their candidate
     values when the formula provably confines them (and over the whole
     domain otherwise), which changes nothing about the answer set.
+    *max_relations* caps the candidates tried per second-order quantifier.
     """
     cache: dict = {}
-    value_lists = []
-    for variable in query.head:
-        candidates = _cached_candidates(database, query.formula, variable, cache)
-        if candidates is None:
-            value_lists.append(_sorted_domain(database))
-        else:
-            value_lists.append(sorted(candidates, key=repr))
     answers = set()
-    for values in product(*value_lists):
+    for values in product(*_value_lists(database, query.formula, query.head, {}, cache)):
         assignment = dict(zip(query.head, values))
-        if _satisfies(database, query.formula, assignment, cache):
+        if _satisfies(database, query.formula, assignment, {}, max_relations, cache):
             answers.add(tuple(values))
     return frozenset(answers)
 
@@ -220,12 +266,14 @@ def candidate_values(
     then ranges over the whole domain).  The analysis only trusts contexts
     where an atom *must* hold: positive atoms contribute their relation
     column's values, conjunctions intersect, disjunctions union (and give up
-    if any branch is unrestricted), quantifiers pass through unless they
-    shadow the variable, and anything under a negation/implication/extension
-    atom contributes nothing.  ``atom_values(predicate, position)`` supplies
-    the distinct values of one relation column, or ``None`` when that
-    relation's interpretation is unknown or too expensive to enumerate
-    (lazy relations, second-order bound predicates).
+    if any branch is unrestricted), first-order quantifiers pass through
+    unless they shadow the variable, and anything under a
+    negation/implication/extension atom/second-order quantifier contributes
+    nothing — so a predicate re-bound by a second-order quantifier inside
+    *formula* is never read under that binding.  ``atom_values(predicate,
+    position)`` supplies the distinct values of one relation column, or
+    ``None`` when that relation's interpretation is unknown or too
+    expensive to enumerate (lazy relations).
     """
     if isinstance(formula, Bottom):
         return frozenset()
@@ -274,18 +322,45 @@ def candidate_values(
     return None
 
 
+def _value_lists(
+    database: PhysicalDatabase,
+    formula: Formula,
+    variables: tuple[Variable, ...],
+    relations: Mapping[str, frozenset[tuple]],
+    cache: dict,
+) -> list[tuple | list]:
+    """Each variable's candidate values in a deterministic order (the domain if unrestricted)."""
+    value_lists: list[tuple | list] = []
+    for variable in variables:
+        candidates = _cached_candidates(database, formula, variable, relations, cache)
+        value_lists.append(_sorted_domain(database) if candidates is None else sorted(candidates, key=repr))
+    return value_lists
+
+
 def _cached_candidates(
     database: PhysicalDatabase,
     formula: Formula,
     variable: Variable,
+    relations: Mapping[str, frozenset[tuple]],
     cache: dict,
 ) -> frozenset | None:
-    """Candidates for one (sub)formula/variable pair, memoized per evaluation."""
+    """Candidates for one (sub)formula/variable pair, memoized per evaluation.
+
+    A predicate bound by an enclosing second-order quantifier is read from
+    its candidate relation in *relations*.  A second-order search revisits
+    the same quantifier under many relation assignments, so a result that
+    read such a relation is not memoized: it changes between visits.
+    """
     key = (id(formula), variable)
     if key in cache:
         return cache[key]
+    read_bound = False
 
     def atom_values(predicate: str, position: int) -> frozenset | None:
+        nonlocal read_bound
+        if predicate in relations:
+            read_bound = True
+            return frozenset(row[position] for row in relations[predicate])
         try:
             relation = database.relation(predicate)
         except DatabaseError:
@@ -295,7 +370,8 @@ def _cached_candidates(
         return None  # lazy relation: enumerating it may be quadratic
 
     result = candidate_values(formula, variable, atom_values, database.constant_value)
-    cache[key] = result
+    if not read_bound:
+        cache[key] = result
     return result
 
 

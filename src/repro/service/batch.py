@@ -7,6 +7,10 @@ at most once, concurrently on a :class:`~concurrent.futures.ThreadPoolExecutor`;
 the positional response list is then rebuilt so ``responses[i]`` always
 answers ``requests[i]``.
 
+Each item runs under the batch request's deadline, resource account and
+trace, carried onto the pool thread: an item past the deadline answers
+``deadline_exceeded``, and the batch's bill is the sum of its items'.
+
 Failures stay local: a request that raises a
 :class:`~repro.errors.ReproError` (parse error, capacity refusal, unknown
 database...) yields an :class:`~repro.service.protocol.ErrorResponse` in its
@@ -19,6 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Hashable, Sequence
 
 from repro.errors import ReproError
+from repro.resilience.deadlines import carry_request_context
 from repro.service.protocol import BatchResponse, ErrorResponse, QueryRequest
 
 __all__ = ["BatchEvaluator", "PreparedBatchEvaluator", "evaluate_batch", "DEFAULT_MAX_WORKERS"]
@@ -57,6 +62,7 @@ class _FanOut:
                 unique.append(item)
             slots.append(slot)
 
+        @carry_request_context
         def guarded(item):
             try:
                 return evaluate(item)

@@ -50,7 +50,7 @@ from repro.logic.transform import rename_predicate, standardize_apart
 from repro.logic.vocabulary import NE_PREDICATE, Vocabulary
 from repro.logical.database import CWDatabase
 from repro.logical.ph import ph2
-from repro.physical.second_order import DEFAULT_MAX_RELATIONS, evaluate_query_so
+from repro.physical.evaluator import DEFAULT_MAX_RELATIONS, evaluate_query
 
 __all__ = ["SimulationQuery", "build_simulation_query", "evaluate_by_simulation", "H_PREDICATE"]
 
@@ -206,4 +206,4 @@ def evaluate_by_simulation(
     """
     simulation = build_simulation_query(query, database.vocabulary)
     storage = ph2(database)
-    return evaluate_query_so(storage, simulation.query, max_relations)
+    return evaluate_query(storage, simulation.query, max_relations)

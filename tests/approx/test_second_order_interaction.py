@@ -3,7 +3,7 @@
 Theorem 11's induction covers second-order existential and universal
 quantification: the rewritten query treats a quantified predicate like an
 ordinary stored predicate whose tuples are the candidate relation.  These
-tests pin the mechanism that makes that work — ``AlphaAtom.holds_with``
+tests pin the mechanism that makes that work — ``AlphaAtom.holds``
 reading the candidate relation instead of storage — and check soundness of
 the whole pipeline on second-order queries.
 """
@@ -22,18 +22,18 @@ class TestHoldsWithOverrides:
         storage = ph2(ripper_cw)
         atom = AlphaAtom("HYPOTHESIS", (Variable("x"),))
         # With an empty candidate relation every tuple is provably absent.
-        assert atom.holds_with(storage, ("jack",), {"HYPOTHESIS": frozenset()})
+        assert atom.holds(storage, ("jack",), {"HYPOTHESIS": frozenset()})
         # With a candidate relation containing jack, and no uniqueness axioms
         # for jack, nothing is provably absent.
         candidate = frozenset({("jack",)})
-        assert not atom.holds_with(storage, ("jack",), {"HYPOTHESIS": candidate})
-        assert not atom.holds_with(storage, ("disraeli",), {"HYPOTHESIS": candidate})
+        assert not atom.holds(storage, ("jack",), {"HYPOTHESIS": candidate})
+        assert not atom.holds(storage, ("disraeli",), {"HYPOTHESIS": candidate})
 
     def test_stored_predicates_still_come_from_storage(self, ripper_cw):
         storage = ph2(ripper_cw)
         atom = AlphaAtom("MURDERER", (Variable("x"),))
         # An override for an unrelated predicate must not change the answer.
-        assert atom.holds_with(storage, ("disraeli",), {"OTHER": frozenset()}) == atom.holds(
+        assert atom.holds(storage, ("disraeli",), {"OTHER": frozenset()}) == atom.holds(
             storage, ("disraeli",)
         )
 
@@ -47,7 +47,7 @@ class TestHoldsWithOverrides:
             for right in ripper_cw.constants
             if left != right
         )
-        assert atom.holds_with(storage, ("disraeli",), {"NE": all_pairs})
+        assert atom.holds(storage, ("disraeli",), {"NE": all_pairs})
 
 
 class TestSecondOrderSoundness:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import EvaluationError, UnsupportedFormulaError
+from repro.errors import EvaluationError
 from repro.logic.formulas import SecondOrderExists
 from repro.logic.parser import parse_formula, parse_query
 from repro.logic.queries import TRUE_ANSWER, boolean_query
@@ -60,9 +60,11 @@ class TestSatisfaction:
         formula = parse_formula("forall x. (exists y. TEACHES(x, y)) -> PHILOSOPHER(x)")
         assert satisfies(teaches_physical, formula)
 
-    def test_second_order_rejected(self, teaches_physical):
-        with pytest.raises(UnsupportedFormulaError):
-            satisfies(teaches_physical, SecondOrderExists("Q", 1, parse_formula("exists x. Q(x)")))
+    def test_second_order_quantifiers_enumerate_relations(self, teaches_physical):
+        # The one walker reads a quantified predicate from each candidate
+        # relation; the enumeration cap is tested in test_second_order.py.
+        assert satisfies(teaches_physical, SecondOrderExists("Q", 1, parse_formula("exists x. Q(x)")))
+        assert not satisfies(teaches_physical, SecondOrderExists("Q", 1, parse_formula("exists x. Q(x) & ~Q(x)")))
 
     def test_top_bottom(self, teaches_physical):
         assert evaluate_sentence(teaches_physical, parse_formula("true"))

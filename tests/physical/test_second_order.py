@@ -1,4 +1,4 @@
-"""Unit tests for second-order evaluation by relation enumeration."""
+"""Unit tests for the Tarskian evaluator's second-order quantifiers (relation enumeration)."""
 
 import pytest
 
@@ -17,7 +17,7 @@ from repro.logic.queries import Query, boolean_query
 from repro.logic.terms import Variable
 from repro.logic.vocabulary import Vocabulary
 from repro.physical.database import PhysicalDatabase
-from repro.physical.second_order import enumerate_relations, evaluate_query_so, satisfies_so
+from repro.physical.evaluator import enumerate_relations, evaluate_query, satisfies
 
 x, y = Variable("x"), Variable("y")
 
@@ -53,30 +53,30 @@ class TestSatisfaction:
         formula = SecondOrderExists(
             "Q", 1, parse_formula("forall x. (Q(x) -> P(x)) & (P(x) -> Q(x))")
         )
-        assert satisfies_so(two_element_db, formula)
+        assert satisfies(two_element_db, formula)
 
     def test_existential_fails_when_impossible(self, two_element_db):
         # No unary Q can contain everything and nothing at once.
         formula = SecondOrderExists(
             "Q", 1, parse_formula("(forall x. Q(x)) & (forall x. ~Q(x))")
         )
-        assert not satisfies_so(two_element_db, formula)
+        assert not satisfies(two_element_db, formula)
 
     def test_universal_over_relations(self, two_element_db):
         # Every unary Q satisfies: Q(a) or not Q(a).
         formula = SecondOrderForall("Q", 1, parse_formula("Q('a') | ~Q('a')"))
-        assert satisfies_so(two_element_db, formula)
+        assert satisfies(two_element_db, formula)
         formula_false = SecondOrderForall("Q", 1, parse_formula("Q('a')"))
-        assert not satisfies_so(two_element_db, formula_false)
+        assert not satisfies(two_element_db, formula_false)
 
     def test_quantified_relation_shadows_stored_one(self, two_element_db):
         # Even though stored P = {a}, exists P with P(b).
         formula = SecondOrderExists("P", 1, parse_formula("P('b')"))
-        assert satisfies_so(two_element_db, formula)
+        assert satisfies(two_element_db, formula)
 
     def test_first_order_parts_still_work(self, two_element_db):
-        assert satisfies_so(two_element_db, parse_formula("exists x. E('a', x)"))
-        assert not satisfies_so(two_element_db, parse_formula("forall x. E(x, x)"))
+        assert satisfies(two_element_db, parse_formula("exists x. E('a', x)"))
+        assert not satisfies(two_element_db, parse_formula("forall x. E(x, x)"))
 
     def test_graph_2_colorability_as_so_query(self, two_element_db):
         # E = {(a,b)} is 2-colorable: exists C with endpoints colored differently.
@@ -85,7 +85,7 @@ class TestSatisfaction:
             1,
             parse_formula("forall x. forall y. E(x, y) -> ((C(x) & ~C(y)) | (~C(x) & C(y)))"),
         )
-        assert satisfies_so(two_element_db, formula)
+        assert satisfies(two_element_db, formula)
 
 
 class TestQueries:
@@ -93,8 +93,8 @@ class TestQueries:
         # x such that some unary Q holds of x and is contained in P.
         formula = SecondOrderExists("Q", 1, parse_formula("Q(x) & forall y. Q(y) -> P(y)"))
         query = Query((x,), formula)
-        assert evaluate_query_so(two_element_db, query) == frozenset({("a",)})
+        assert evaluate_query(two_element_db, query) == frozenset({("a",)})
 
     def test_boolean_so_query(self, two_element_db):
         query = boolean_query(SecondOrderForall("Q", 1, parse_formula("Q('a') | ~Q('a')")))
-        assert evaluate_query_so(two_element_db, query) == frozenset({()})
+        assert evaluate_query(two_element_db, query) == frozenset({()})

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.logical.exact import CertainAnswerEvaluator
 from repro.physical.csvio import save_cw_database
 from repro.service.engine import QueryService
 from repro.service.protocol import (
@@ -86,6 +87,13 @@ class TestQuery:
     def test_bad_query_text_is_a_clean_error(self, stored_database, capsys):
         assert main(["query", str(stored_database), "P(x"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_a_soundness_violation_exits_non_zero(self, stored_database, monkeypatch, capsys):
+        # An exact route that certifies nothing makes the approximation's
+        # answer unsound: the one-shot service refuses it, as a server would.
+        monkeypatch.setattr(CertainAnswerEvaluator, "certain_answers", lambda self, database, query: frozenset())
+        assert main(["query", str(stored_database), "(x) . MURDERER(x)", "--method", "both"]) != 0
+        assert "soundness violated" in capsys.readouterr().err
 
 
 class TestClassify:

@@ -75,9 +75,8 @@ from repro.logic.printer import query_to_text
 from repro.logic.queries import Query
 from repro.logic.template import bind_query, query_parameters
 from repro.observability import events, tracing
-from repro.observability.accounting import current_account
+from repro.observability.context import carry, current
 from repro.observability.metrics import merge_metric_snapshots
-from repro.resilience import deadlines
 from repro.resilience.retry import BREAKER_STATE_GAUGE, BackoffPolicy, CircuitBreaker
 from repro.service.cache import LRUCache
 from repro.service.client import ServiceClient
@@ -563,7 +562,7 @@ class ClusterRouter(Frontend):
         # Worker spans stitch under the router's scatter span, every shard
         # hop inherits the request's remaining budget, and shard charges
         # land on the request's bill.
-        @deadlines.carry_request_context
+        @carry
         def on_shard(shard: int) -> QueryResponse:
             with tracing.span(f"scatter shard {shard}"):
                 return self._on_workers(
@@ -667,7 +666,8 @@ class ClusterRouter(Frontend):
         before any ambiguous replay.
         """
         rng = None  # the jitter stream is only built once a retry happens
-        deadline = deadlines.current_deadline()
+        context = current()
+        deadline = context.deadline
         last_error: ServiceError | None = None
         for retry_round in range(max(1, self._retry.rounds)):
             if retry_round:
@@ -681,9 +681,8 @@ class ClusterRouter(Frontend):
                     delay = min(delay, max(0.0, deadline.remaining_seconds()))
                 time.sleep(delay)
                 self.metrics_registry.increment("router.retries")
-                account = current_account()
-                if account is not None:
-                    account.note_retry()
+                if context.account is not None:
+                    context.account.note_retry()
                 events.emit(
                     "router.retry",
                     level="warning",

@@ -22,7 +22,6 @@ from repro.logical.exact import (
     CertainAnswerEvaluator,
     certain_answers,
     certainly_holds,
-    possible_answers,
 )
 from repro.logical.explain import (
     CounterExample,
@@ -75,7 +74,6 @@ __all__ = [
     "DEFAULT_MAX_MAPPINGS",
     "certain_answers",
     "certainly_holds",
-    "possible_answers",
     "CertainAnswerEvaluator",
     "CounterExample",
     "explain_non_answer",

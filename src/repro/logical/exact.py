@@ -10,7 +10,7 @@ The evaluator below iterates over respecting mappings (by default one per
 kernel, see :mod:`repro.logical.mappings`), evaluates the query over each
 image database, and intersects.  Candidate answers are pruned as soon as a
 mapping eliminates them, and the enumeration stops early once no candidate
-survives.  The cost is exponential in the number of constants — that is the
+survives or the request's deadline passes (checked once per mapping).  The cost is exponential in the number of constants — that is the
 co-NP-hardness of Theorem 5 showing up in practice, and it is precisely what
 the approximation algorithm of Section 5 avoids.
 """
@@ -26,8 +26,9 @@ from repro.logical.database import CWDatabase
 from repro.logical.mappings import DEFAULT_MAX_MAPPINGS, mappings
 from repro.logical.ph import ph1
 from repro.physical.evaluator import DEFAULT_MAX_RELATIONS, evaluate_query
+from repro.resilience.deadlines import check_deadline
 
-__all__ = ["certain_answers", "certainly_holds", "possible_answers", "CertainAnswerEvaluator"]
+__all__ = ["certain_answers", "certainly_holds", "CertainAnswerEvaluator"]
 
 
 class CertainAnswerEvaluator:
@@ -77,6 +78,7 @@ class CertainAnswerEvaluator:
         for mapping in mappings(database, self.strategy, self.max_mappings):
             if not surviving:
                 break
+            check_deadline("exact kernel enumeration")
             image = base.map_domain(mapping)
             answers = evaluate_query(image, query, self.max_relations)
             surviving = {
@@ -89,22 +91,6 @@ class CertainAnswerEvaluator:
     def certainly_holds(self, database: CWDatabase, sentence: Formula) -> bool:
         """Decide ``T |=_f sentence`` for a sentence (Boolean certain answer)."""
         return self.certain_answers(database, boolean_query(sentence)) == TRUE_ANSWER
-
-    def possible_answers(self, database: CWDatabase, query: Query) -> frozenset[tuple[str, ...]]:
-        """Tuples true in *some* model: the dual notion (not studied in the paper,
-        but useful as a sanity bound — certain answers are always a subset)."""
-        constants = database.constants
-        arity = query.arity
-        possible: set[tuple[str, ...]] = set()
-        base = ph1(database)
-        all_candidates = list(product(constants, repeat=arity))
-        for mapping in mappings(database, self.strategy, self.max_mappings):
-            image = base.map_domain(mapping)
-            answers = evaluate_query(image, query, self.max_relations)
-            for candidate in all_candidates:
-                if tuple(mapping[value] for value in candidate) in answers:
-                    possible.add(candidate)
-        return frozenset(possible)
 
 
 def certain_answers(
@@ -126,12 +112,3 @@ def certainly_holds(
     """Decide whether a sentence is finitely implied by the database's theory."""
     return CertainAnswerEvaluator(strategy, max_mappings).certainly_holds(database, sentence)
 
-
-def possible_answers(
-    database: CWDatabase,
-    query: Query,
-    strategy: str = "canonical",
-    max_mappings: int = DEFAULT_MAX_MAPPINGS,
-) -> frozenset[tuple[str, ...]]:
-    """Tuples satisfied in at least one model of the database."""
-    return CertainAnswerEvaluator(strategy, max_mappings).possible_answers(database, query)

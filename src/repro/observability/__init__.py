@@ -28,9 +28,12 @@ cost (almost) nothing when disabled:
   in-flight, shed/degraded rates and breaker states from ``/metrics``
   snapshots.
 
-The serving layers import these modules unconditionally, but every hook is
-behind an ``is it on?`` check (an active thread-local trace, a non-``None``
-profiler or account).  Those checks guard the hook calls only: the
+A request's deadline, account, trace and current span ride one request
+context (:mod:`repro.observability.context`): one context variable, set
+for a block by ``scope`` and carried across a pool by ``carry``.  The
+serving layers import these modules unconditionally, but every hook is
+behind an ``is it on?`` check (a trace or account in the request context,
+a non-``None`` profiler).  Those checks guard the hook calls only: the
 executor runs the same operators and access paths whether or not anything
 observes it.
 """

@@ -1,18 +1,18 @@
-"""Per-query resource accounting, mirrored on the tracing/deadline design.
+"""Per-query resource accounting.
 
 A :class:`ResourceAccount` is one request's itemized bill: rows scanned at
 base relations, rows emitted in the answer, wall time inside the
 executor, cache hits, time spent queued at admission, retry rounds, and
-bytes in/out on the wire.  The server opens an account per request,
-activates it on the handling thread, and every layer underneath charges
-it without any parameter threading — the executor, the engine and the
-admission controller each perform **one thread-local read** and charge
-the account if one is active.
+bytes in/out on the wire.  The server opens an account per request
+and puts it in the request context (:mod:`repro.observability.context`);
+every layer underneath charges it without any parameter threading — the
+executor, the engine and the admission controller each perform **one
+context read** and charge the account if one is active.
 
 Design rules (the same priority order as tracing and deadlines):
 
 1. **Zero cost when off.**  :func:`current_account` is a single
-   thread-local read; with no account active, every charge site is an
+   context read; with no account active, every charge site is an
    ``is None`` check.  The column-batch executor captures the account
    once per execution and charges at base-relation access points
    (len-based, never per row); it bills the path it takes and never
@@ -21,9 +21,9 @@ Design rules (the same priority order as tracing and deadlines):
    ``cost`` field on the query response; ``parse_wire`` filters unknown
    keys, so a pre-accounting peer ignores it harmlessly — no protocol
    version bump.
-3. **Explicit thread handoff.**  Pool fan-out captures
-   :func:`current_account` and re-activates it in the worker thread with
-   :func:`activate` (inert for ``None``); charges are lock-free but
+3. **Explicit thread handoff.**  Pool fan-out carries the whole request
+   context onto the worker thread with
+   :func:`repro.observability.context.carry`; charges are lock-free but
    int/float adds under the GIL, so concurrent shard tasks may charge one
    account safely.
 
@@ -33,22 +33,19 @@ flight recorder can shape-check what they store.
 
 from __future__ import annotations
 
-import contextlib
-import threading
 import time
-from typing import Iterator, Mapping
+from typing import Mapping
+
+from repro.observability.context import current
 
 __all__ = [
     "COST_SCHEMA",
     "ResourceAccount",
-    "activate",
     "cost_summary",
     "current_account",
 ]
 
 COST_SCHEMA = "repro-cost/v1"
-
-_ACTIVE = threading.local()
 
 
 class ResourceAccount:
@@ -137,27 +134,8 @@ class ResourceAccount:
 
 
 def current_account() -> ResourceAccount | None:
-    """The account active on this thread, if any (the disabled-path check)."""
-    return getattr(_ACTIVE, "account", None)
-
-
-@contextlib.contextmanager
-def activate(account: ResourceAccount | None) -> Iterator[ResourceAccount | None]:
-    """Make *account* the current thread's account for the block.
-
-    ``activate(None)`` is an inert pass-through so pool-handoff code can
-    call it unconditionally; the previous account is restored on exit so
-    an in-process router driving a service nests correctly.
-    """
-    if account is None:
-        yield None
-        return
-    previous = getattr(_ACTIVE, "account", None)
-    _ACTIVE.account = account
-    try:
-        yield account
-    finally:
-        _ACTIVE.account = previous
+    """The request's account, if any (the disabled-path check)."""
+    return current().account
 
 
 def cost_summary(payload: object) -> str:

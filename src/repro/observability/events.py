@@ -40,7 +40,7 @@ import time
 from collections import deque
 from typing import Iterator, Mapping
 
-from repro.observability import tracing
+from repro.observability.context import current
 
 __all__ = [
     "EVENT_SCHEMA",
@@ -112,9 +112,9 @@ class EventLog:
     def emit(self, kind: str, level: str = "info", **attributes: object) -> dict | None:
         """Record one event; returns the record, or ``None`` if suppressed.
 
-        The trace and span ids are read from the calling thread's active
-        trace, so events emitted while serving a request correlate with
-        its spans without any plumbing at the call site.
+        The trace and span ids are read from the request context, so
+        events emitted while serving a request correlate with its spans
+        without any plumbing at the call site.
         """
         if level not in LEVELS:
             level = "info"
@@ -150,7 +150,8 @@ class EventLog:
 
     def _build(self, kind: str, level: str, attributes: Mapping[str, object]) -> dict:
         self._sequence += 1
-        trace = tracing.current_trace()
+        context = current()
+        trace = context.trace
         record: dict = {
             "schema": EVENT_SCHEMA,
             "seq": self._sequence,
@@ -158,7 +159,7 @@ class EventLog:
             "kind": str(kind),
             "level": level,
             "trace_id": trace.trace_id if trace is not None else None,
-            "span_id": tracing.current_span_id(),
+            "span_id": context.span_id,
             "attributes": {str(key): _clean_value(value) for key, value in attributes.items()},
         }
         return record

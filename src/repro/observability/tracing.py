@@ -9,18 +9,19 @@ parent links that stitch the tree together across processes.
 Design rules, in priority order:
 
 1. **Zero cost when off.**  Nothing here allocates, locks or reads a clock
-   unless a trace is active on the current thread; :func:`span` is a single
-   thread-local read on the disabled path.  The serving layers call it
-   unconditionally, so this property is what keeps the benchmark speedups
-   (e14/e16/e17) intact.
+   unless the request context (:mod:`repro.observability.context`) holds
+   a trace; :func:`span` is a single context read on the disabled path.
+   The serving layers call it unconditionally, so this property is what
+   keeps the benchmark speedups (e14/e16/e17) intact.
 2. **Wire-envelope propagation.**  The trace context travels as an extra
    ``"trace"`` key on the request envelope and the recorded spans come back
    as a ``"trace"`` key on the response envelope.  ``parse_wire`` filters
    unknown keys against the message schema, so a pre-telemetry peer ignores
    both harmlessly — tracing needs no protocol version bump.
-3. **Explicit thread handoff.**  Thread-locals do not cross pool threads;
-   the router re-activates the caller's trace inside its fan-out tasks via
-   :func:`activate` (a no-op when handed ``None``).
+3. **Explicit thread handoff.**  The request context does not cross pool
+   threads by itself; the router and the batch pool wrap their fan-out
+   tasks in :func:`repro.observability.context.carry`, which carries the
+   trace and the current span id, so pooled spans nest under the caller's.
 
 Typical edge usage::
 
@@ -38,10 +39,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
+from repro.observability.context import CURRENT, current, scope
+
 __all__ = [
     "Span",
     "Trace",
-    "activate",
     "adopt",
     "current_trace",
     "current_span_id",
@@ -49,8 +51,6 @@ __all__ = [
     "span",
     "trace",
 ]
-
-_ACTIVE = threading.local()
 
 
 def _new_id() -> str:
@@ -120,8 +120,9 @@ class Trace:
 
     Created at the edge by :func:`trace`, or server-side by :func:`adopt`
     when a request envelope carries a trace context.  ``parent_span_id``
-    (server side) is the remote caller's span the local root spans hang off,
-    so the cross-process tree has no gaps.
+    (server side) is the remote caller's span the local root spans hang off
+    — the server scopes it as the context's ``span_id`` — so the
+    cross-process tree has no gaps.
     """
 
     def __init__(self, trace_id: str | None = None, parent_span_id: str | None = None) -> None:
@@ -192,74 +193,43 @@ class Trace:
 
 
 def current_trace() -> Trace | None:
-    """The trace active on this thread, if any (the disabled-path check)."""
-    return getattr(_ACTIVE, "trace", None)
+    """The request's trace, if any (the disabled-path check)."""
+    return current().trace
 
 
 def current_span_id() -> str | None:
-    stack = getattr(_ACTIVE, "stack", None)
-    return stack[-1] if stack else None
-
-
-@contextlib.contextmanager
-def activate(active: Trace | None, parent: str | None = None) -> Iterator[Trace | None]:
-    """Make *active* the current thread's trace for the block.
-
-    ``activate(None)`` is an inert pass-through, so pool-thread handoff code
-    can call it unconditionally.  The previous trace (and span stack) is
-    restored on exit, so nesting — a traced server thread serving a traced
-    in-process router — unwinds correctly.
-
-    *parent* seeds the span stack, so spans recorded in the block nest under
-    a specific span of the handing-off thread (captured there with
-    :func:`current_span_id`) instead of at the trace root; it defaults to
-    the trace's own adopted parent.
-    """
-    if active is None:
-        yield None
-        return
-    previous_trace = getattr(_ACTIVE, "trace", None)
-    previous_stack = getattr(_ACTIVE, "stack", None)
-    seed = parent or active.parent_span_id
-    _ACTIVE.trace = active
-    _ACTIVE.stack = [seed] if seed else []
-    try:
-        yield active
-    finally:
-        _ACTIVE.trace = previous_trace
-        _ACTIVE.stack = previous_stack
+    """The open span new spans nest under (``None`` at a trace's root)."""
+    return current().span_id
 
 
 @contextlib.contextmanager
 def span(name: str, **attributes) -> Iterator[Span | None]:
-    """Record one timed span under the active trace; a no-op without one.
+    """Record one timed span under the request's trace; a no-op without one.
 
     Yields the :class:`Span` (so callers may add attributes or read its id)
     or ``None`` when tracing is off — callers on hot paths never pay more
-    than the one thread-local read that said so.
+    than the one context read that said so.  The span is the context's
+    ``span_id`` for the block, set and reset here directly.
     """
-    active = getattr(_ACTIVE, "trace", None)
+    context = CURRENT.get()
+    active = context.trace
     if active is None:
         yield None
         return
-    stack = getattr(_ACTIVE, "stack", None)
-    if stack is None:
-        stack = _ACTIVE.stack = []
-    parent = stack[-1] if stack else active.parent_span_id
     record = Span(
         trace_id=active.trace_id,
         span_id=_new_id(),
-        parent_id=parent,
+        parent_id=context.span_id,
         name=name,
         start=time.monotonic(),
         attributes=dict(attributes),
     )
-    stack.append(record.span_id)
+    token = CURRENT.set(context._replace(span_id=record.span_id))
     try:
         yield record
     finally:
         record.duration = time.monotonic() - record.start
-        stack.pop()
+        CURRENT.reset(token)
         active.record(record)
 
 
@@ -267,7 +237,7 @@ def span(name: str, **attributes) -> Iterator[Span | None]:
 def trace(name: str, **attributes) -> Iterator[Trace]:
     """Start a fresh trace with a root span *name*; the edge entry point."""
     active = Trace()
-    with activate(active):
+    with scope(trace=active, span_id=None):
         with span(name, **attributes):
             yield active
 

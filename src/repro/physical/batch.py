@@ -54,7 +54,7 @@ from time import perf_counter
 from typing import Iterator, Mapping, Sequence
 
 from repro.errors import EvaluationError
-from repro.observability.accounting import current_account
+from repro.observability.context import current
 from repro.physical.algebra import _ExecutionContext, probed_within
 from repro.physical.database import PhysicalDatabase, PossiblyEqualRelation
 from repro.physical.indexes import indexes_for
@@ -77,7 +77,6 @@ from repro.physical.plan import (
     UnionAll,
 )
 from repro.physical.relation import Relation
-from repro.resilience.deadlines import current_deadline
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",
@@ -222,12 +221,13 @@ class _BatchContext(_ExecutionContext):
         super().__init__(database, use_indexes)
         self.batch_rows = max(1, batch_rows)
         self.profiler = profiler
-        # Captured once per execution (one thread-local read each).  The
+        # Captured once per execution (one request-context read).  The
         # deadline is enforced at pipeline-breaker materializations, so a
         # query that overran its budget stops between operators; the account
         # is charged len-based at base-relation access points, never per row.
-        self.deadline = current_deadline()
-        self.account = current_account()
+        context = current()
+        self.deadline = context.deadline
+        self.account = context.account
         #: Shared subplans, materialized once as one deduplicated batch.
         self._batch_memo: dict[PlanNode, ColumnBatch] = {}
 

@@ -29,7 +29,8 @@ feasible for tiny instances, which is exactly the point the paper makes
 about the cost of unknown values.  To keep accidental blow-ups from hanging
 a test run, the evaluator refuses to enumerate more than ``max_relations``
 candidate relations per quantifier (default ``2**16``) and raises
-:class:`~repro.errors.CapacityError` instead.
+:class:`~repro.errors.CapacityError` instead; it also checks the request's
+deadline once per candidate relation.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from repro.logic.formulas import (
 from repro.logic.queries import Query
 from repro.logic.terms import Constant, Term, Variable
 from repro.physical.database import PhysicalDatabase
+from repro.resilience.deadlines import check_deadline
 from repro.physical.relation import Relation
 
 __all__ = [
@@ -174,6 +176,7 @@ def _satisfies(
     if isinstance(formula, (SecondOrderExists, SecondOrderForall)):
         want = isinstance(formula, SecondOrderExists)
         for candidate in enumerate_relations(database.domain, formula.arity, max_relations):
+            check_deadline("second-order quantifier")
             extended = dict(relations)
             extended[formula.predicate] = candidate
             if _satisfies(database, formula.body, assignment, extended, max_relations, cache) == want:

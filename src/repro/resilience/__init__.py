@@ -8,9 +8,9 @@ available second* when parts of it misbehave:
   benchmarks script outages (refusals, drops, latency, trickle, garbled
   payloads) without killing processes.
 - :mod:`repro.resilience.deadlines` — per-request deadline propagation
-  through the wire envelope, mirrored on the tracing design: a
-  thread-local active deadline, explicit pool-thread handoff, and zero
-  cost (one thread-local read) when no deadline is set.
+  through the wire envelope.  The deadline is a field of the request
+  context (:mod:`repro.observability.context`), carried across pools with
+  the account and trace, and costs one context read when none is set.
 - :mod:`repro.resilience.retry` — capped exponential backoff with
   deterministic jitter, and per-backend circuit breakers
   (closed / open / half-open).

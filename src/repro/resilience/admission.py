@@ -34,8 +34,7 @@ from typing import Iterator
 
 from repro.errors import OverloadedError
 from repro.observability import events
-from repro.observability.accounting import current_account
-from repro.resilience.deadlines import current_deadline
+from repro.observability.context import current
 
 __all__ = ["AdmissionController", "DEFAULT_MAX_IN_FLIGHT", "DEFAULT_MAX_QUEUE_DEPTH"]
 
@@ -86,8 +85,9 @@ class AdmissionController:
             self.release()
 
     def acquire(self) -> None:
-        deadline = current_deadline()
-        account = current_account()
+        context = current()
+        deadline = context.deadline
+        account = context.account
         entered = time.monotonic() if account is not None else 0.0
         with self._lock:
             if self._in_flight < self.max_in_flight:

@@ -1,4 +1,4 @@
-"""Per-request deadline propagation, mirrored on the tracing design.
+"""Per-request deadline propagation.
 
 A **deadline** is an absolute point on this process's monotonic clock by
 which a request must finish.  It travels between processes as a *relative*
@@ -10,48 +10,38 @@ time already burned, with no clock synchronization anywhere.
 
 Design rules (same priority order as :mod:`repro.observability.tracing`):
 
-1. **Zero cost when off.**  :func:`check_deadline` is a single
-   thread-local read when no deadline is active; the engine and executor
-   call it unconditionally on hot paths.
+1. **Zero cost when off.**  The deadline is a field of the request
+   context (:mod:`repro.observability.context`); :func:`check_deadline` is
+   one read of it when no deadline is active, so the engine, the executor
+   and the exponential loops call it unconditionally.
 2. **Wire-envelope propagation.**  ``deadline_ms`` rides next to the
    ``trace`` key on the request envelope; ``parse_wire`` filters unknown
    keys, so a pre-resilience peer ignores it harmlessly — no protocol
    version bump.
 3. **Explicit thread handoff.**  Code that fans a request out on a pool
    (the router's scatter, a batch) wraps each task in
-   :func:`carry_request_context`, which captures the deadline — with the
-   request's resource account and trace — before the handoff and
-   re-activates them on the pool thread.
+   :func:`repro.observability.context.carry`, which restores the whole
+   request context — deadline, account and trace — on the pool thread.
 
-Enforcement sits at **pipeline-breaker materialization points** in the
-streaming executor (where a doomed query would otherwise burn unbounded
-CPU) and at the engine's evaluation entry points; exceeding raises the
-typed :class:`~repro.errors.DeadlineExceededError`, wire code
+Enforcement sits where a doomed query would otherwise burn unbounded CPU
+— at **pipeline-breaker materialization points** in the streaming
+executor, once per kernel of the exact enumeration and once per candidate
+relation of a second-order quantifier — and at the engine's evaluation
+entry points; exceeding raises the typed
+:class:`~repro.errors.DeadlineExceededError`, wire code
 ``deadline_exceeded``, HTTP 504.
 """
 
 from __future__ import annotations
 
 import contextlib
-import threading
 import time
-from typing import Callable, Iterator, TypeVar
+from typing import Iterator
 
 from repro.errors import DeadlineExceededError
-from repro.observability import tracing
-from repro.observability.accounting import activate as activate_account, current_account
+from repro.observability.context import current, scope
 
-__all__ = [
-    "Deadline",
-    "activate",
-    "adopt",
-    "carry_request_context",
-    "check_deadline",
-    "current_deadline",
-    "deadline_scope",
-]
-
-_ACTIVE = threading.local()
+__all__ = ["Deadline", "adopt", "check_deadline", "current_deadline", "deadline_scope"]
 
 #: Floor stamped on the wire: a positive budget that has not *yet* expired
 #: locally is never rounded down to "no deadline" or to an expired one.
@@ -90,8 +80,8 @@ class Deadline:
         overrun = time.monotonic() - self.expires_at
         if overrun >= 0.0:
             # Imported here, not at module top: the expiry path is cold by
-            # definition, and the lazy import keeps this hot-path module
-            # free of any observability dependency.
+            # definition, and the lazy import keeps this hot-path module's
+            # only observability dependency the leaf context module.
             from repro.observability import events
 
             events.emit(
@@ -119,62 +109,15 @@ class Deadline:
 
 
 def current_deadline() -> Deadline | None:
-    """The deadline active on this thread, if any (the disabled-path check)."""
-    return getattr(_ACTIVE, "deadline", None)
+    """The request's deadline, if any (the disabled-path check)."""
+    return current().deadline
 
 
 def check_deadline(what: str = "request") -> None:
-    """Enforce the active deadline; a single thread-local read when none is set."""
-    active = getattr(_ACTIVE, "deadline", None)
-    if active is not None:
-        active.check(what)
-
-
-@contextlib.contextmanager
-def activate(deadline: Deadline | None) -> Iterator[Deadline | None]:
-    """Make *deadline* the current thread's deadline for the block.
-
-    ``activate(None)`` is an inert pass-through, so pool-thread handoff
-    code can call it unconditionally.  The previous deadline is restored
-    on exit, so nesting — a server thread with a request deadline driving
-    an in-process router — unwinds correctly.  (A forwarded budget is
-    always ≤ the enclosing one, so "replace" and "tighten" coincide.)
-    """
-    if deadline is None:
-        yield None
-        return
-    previous = getattr(_ACTIVE, "deadline", None)
-    _ACTIVE.deadline = deadline
-    try:
-        yield deadline
-    finally:
-        _ACTIVE.deadline = previous
-
-
-_Result = TypeVar("_Result")
-
-
-def carry_request_context(task: Callable[..., _Result]) -> Callable[..., _Result]:
-    """*task*, to run on a pool thread under the calling thread's request context.
-
-    Thread-locals do not cross a pool: capture the caller's deadline, its
-    resource account and its trace *with the current span* here, and
-    re-activate them around every call of the returned function — so each
-    pooled task inherits the request's remaining budget, its charges land
-    on the request's bill (int adds under the GIL are safe across
-    concurrent tasks), and its spans nest under the caller's.  With all
-    three off this is four thread-local reads plus no-op context managers.
-    """
-    deadline = current_deadline()
-    account = current_account()
-    active = tracing.current_trace()
-    parent = tracing.current_span_id()
-
-    def carried(*args, **kwargs) -> _Result:
-        with activate(deadline), activate_account(account), tracing.activate(active, parent=parent):
-            return task(*args, **kwargs)
-
-    return carried
+    """Enforce the request's deadline; one context read when none is set."""
+    deadline = current().deadline
+    if deadline is not None:
+        deadline.check(what)
 
 
 @contextlib.contextmanager
@@ -187,8 +130,8 @@ def deadline_scope(budget_ms: float | None) -> Iterator[Deadline | None]:
     if budget_ms is None:
         yield None
         return
-    with activate(Deadline.after_ms(budget_ms)) as active:
-        yield active
+    with scope(deadline=Deadline.after_ms(budget_ms)) as context:
+        yield context.deadline
 
 
 def adopt(value: object) -> Deadline | None:

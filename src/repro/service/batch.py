@@ -23,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Hashable, Sequence
 
 from repro.errors import ReproError
-from repro.resilience.deadlines import carry_request_context
+from repro.observability.context import carry
 from repro.service.protocol import BatchResponse, ErrorResponse, QueryRequest
 
 __all__ = ["BatchEvaluator", "PreparedBatchEvaluator", "evaluate_batch", "DEFAULT_MAX_WORKERS"]
@@ -62,7 +62,7 @@ class _FanOut:
                 unique.append(item)
             slots.append(slot)
 
-        @carry_request_context
+        @carry
         def guarded(item):
             try:
                 return evaluate(item)

@@ -63,9 +63,9 @@ from repro.errors import (
     ServiceUnavailableError,
     error_for_code,
 )
-from repro.observability.tracing import current_trace, span
+from repro.observability.context import current
+from repro.observability.tracing import span
 from repro.resilience import FAULTS_ENV
-from repro.resilience.deadlines import current_deadline
 from repro.resilience.faults import FaultPlan
 from repro.service.protocol import (
     BatchRequest,
@@ -266,20 +266,21 @@ class ServiceClient:
             # Ask the server to attach the per-request resource bill; a
             # pre-accounting server ignores the extra envelope key.
             wire["account"] = True
-        deadline = current_deadline()
+        context = current()
+        deadline = context.deadline
         if deadline is not None:
             # Stamp the *remaining* budget: each hop re-anchors it on its own
             # monotonic clock, so the envelope decrements by exactly the time
             # already burned — no cross-process clock comparison anywhere.
             # Raises DeadlineExceededError instead of forwarding a dead request.
             wire["deadline_ms"] = deadline.wire_budget_ms()
-        active = current_trace()
+        active = context.trace
         if active is None:
             return self._parse(self._round_trip("POST", path, json.dumps(wire).encode()))
         # A trace is active: stamp its context on the request envelope so the
         # server's spans stitch under ours, and fold the spans it returns
-        # back into the active trace.  The no-trace path above stays as
-        # cheap as before — one thread-local read.
+        # back into the active trace.  The no-trace path above reads the
+        # request context once, for the deadline and the trace together.
         with span(f"rpc POST {path}", url=self.base_url):
             wire["trace"] = active.wire_context()
             decoded = self._round_trip("POST", path, json.dumps(wire).encode())

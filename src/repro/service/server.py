@@ -48,8 +48,9 @@ every request time out.  GETs bypass admission so monitoring stays usable
 exactly when the server is overloaded.
 
 **Accounting and forensics.**  Every POST opens a
-:class:`~repro.observability.accounting.ResourceAccount` and activates it
-on the handling thread, so the executor, engine, admission controller and
+:class:`~repro.observability.accounting.ResourceAccount` and scopes it,
+with the deadline and trace, as the request context of the handling
+thread, so the executor, engine, admission controller and
 router charge the request's itemized bill without parameter threading.
 An envelope carrying ``"account": true`` gets the bill back
 as a ``cost`` field on the response; either way the bill is folded into
@@ -85,7 +86,8 @@ from repro.errors import (
     UnknownStatementError,
 )
 from repro.observability import events, tracing
-from repro.observability.accounting import ResourceAccount, activate as activate_account
+from repro.observability.accounting import ResourceAccount
+from repro.observability.context import scope
 from repro.observability.recorder import FlightRecorder
 from repro.resilience import deadlines
 from repro.resilience.admission import AdmissionController
@@ -286,17 +288,16 @@ class _Handler(BaseHTTPRequestHandler):
             deadline = deadlines.adopt(payload.get("deadline_ms"))
             wants_cost = payload.get("account") is True
             message = parse_wire(payload)
-            with deadlines.activate(deadline):
+            # Admission *inside* the request's scope: a queued request's
+            # wait is bounded by its own remaining budget and billed to its
+            # account.  Spans hang off the caller's span.
+            span_id = trace_ctx.parent_span_id if trace_ctx is not None else None
+            with scope(deadline=deadline, account=account, trace=trace_ctx, span_id=span_id):
                 if deadline is not None:
                     deadline.check("request admission")
-                # Admission *inside* the deadline scope: a queued request's
-                # wait is bounded by its own remaining budget.  The account
-                # activates around admission too, so queue wait is billed.
-                with activate_account(account):
-                    with self.server.admission.admit():
-                        with tracing.activate(trace_ctx):
-                            with tracing.span(f"POST {url.path}"):
-                                response = self._dispatch_post(url.path, message)
+                with self.server.admission.admit():
+                    with tracing.span(f"POST {url.path}"):
+                        response = self._dispatch_post(url.path, message)
             wire = to_wire(response)
             if trace_ctx is not None:
                 # Embedded after the root span closed, so the caller's tree

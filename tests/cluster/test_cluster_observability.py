@@ -14,6 +14,9 @@ import pytest
 from repro.cluster import start_cluster
 from repro.cluster.deploy import local_router
 from repro.observability import tracing
+from repro.observability.accounting import ResourceAccount
+from repro.observability.context import current, scope
+from repro.resilience.deadlines import Deadline
 from repro.service.protocol import QueryRequest
 from repro.workloads.generators import employee_database
 
@@ -69,6 +72,51 @@ class TestScatterTracing:
         response = cluster.router.execute(QueryRequest("emp", "(x) . EMP_SAL(x, 'mid')"))
         assert response.answers is not None
         assert tracing.current_trace() is None
+
+
+class _ContextRecorder:
+    """A shard backend that records the request context each execute sees."""
+
+    def __init__(self, inner, seen):
+        self.inner = inner
+        self.seen = seen
+
+    def execute(self, request):
+        self.seen.append((request.database, current()))
+        return self.inner.execute(request)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+class TestScatterCarriesTheRequestContext:
+    def test_every_shard_sees_the_callers_context_under_its_shard_span(self, employee):
+        seen = []
+        router = local_router(
+            {"emp": employee},
+            shards=2,
+            replication_threshold=0,
+            backend_wrapper=lambda backend, __: _ContextRecorder(backend, seen),
+        )
+        deadline = Deadline.after_ms(60_000)
+        account = ResourceAccount()
+        try:
+            with tracing.trace("edge") as active:
+                with scope(deadline=deadline, account=account):
+                    router.execute(QueryRequest("emp", SCATTER_QUERY))
+        finally:
+            router.close()
+        shard_spans = {
+            span.span_id: span.name for span in active.spans if span.name.startswith("scatter shard")
+        }
+        assert sorted(shard_spans.values()) == ["scatter shard 0", "scatter shard 1"]
+        assert sorted(database for database, __ in seen) == ["emp::shard0", "emp::shard1"]
+        for database, context in seen:
+            assert context.deadline is deadline
+            assert context.account is account
+            assert context.trace is active
+            assert shard_spans[context.span_id] == f"scatter shard {database[-1]}"
+        assert account.rows_scanned > 0
 
 
 class TestClusterMetrics:

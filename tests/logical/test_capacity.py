@@ -11,7 +11,7 @@ import pytest
 from repro.errors import CapacityError
 from repro.logic.parser import parse_query
 from repro.logical.database import CWDatabase
-from repro.logical.exact import CertainAnswerEvaluator, possible_answers
+from repro.logical.exact import CertainAnswerEvaluator
 from repro.simulation.precise import evaluate_by_simulation
 from repro.workloads.generators import random_cw_database
 
@@ -32,11 +32,6 @@ class TestExactEvaluatorCaps:
         evaluator = CertainAnswerEvaluator(strategy="canonical", max_mappings=3)
         with pytest.raises(CapacityError):
             evaluator.certain_answers(database, parse_query("(x) . P(x)"))
-
-    def test_possible_answers_respects_the_cap_too(self):
-        database = CWDatabase(tuple(f"c{i}" for i in range(12)), {"P": 1})
-        with pytest.raises(CapacityError):
-            possible_answers(database, parse_query("(x) . P(x)"), strategy="all", max_mappings=10_000)
 
 
 class TestSimulationCaps:

@@ -1,4 +1,4 @@
-"""Per-query resource accounting: thread-local plumbing and charge sites."""
+"""Per-query resource accounting: request-context plumbing and charge sites."""
 
 from __future__ import annotations
 
@@ -9,10 +9,10 @@ import pytest
 from repro.observability.accounting import (
     COST_SCHEMA,
     ResourceAccount,
-    activate,
     cost_summary,
     current_account,
 )
+from repro.observability.context import scope
 from repro.observability.metrics import MetricsRegistry
 from repro.service import QueryService
 from repro.service.protocol import QueryRequest
@@ -29,27 +29,23 @@ def service():
     service.close()
 
 
-class TestThreadLocal:
+class TestRequestContext:
     def test_no_account_by_default(self):
         assert current_account() is None
 
-    def test_activate_and_restore(self):
+    def test_scope_and_restore(self):
         account = ResourceAccount()
-        with activate(account):
+        with scope(account=account):
             assert current_account() is account
             nested = ResourceAccount()
-            with activate(nested):
+            with scope(account=nested):
                 assert current_account() is nested
             assert current_account() is account
         assert current_account() is None
 
-    def test_activate_none_is_inert(self):
-        with activate(None):
-            assert current_account() is None
-
     def test_accounts_do_not_leak_across_threads(self):
         seen = []
-        with activate(ResourceAccount()):
+        with scope(account=ResourceAccount()):
             thread = threading.Thread(target=lambda: seen.append(current_account()))
             thread.start()
             thread.join()
@@ -102,7 +98,7 @@ class TestPayload:
 class TestEngineCharges:
     def test_execution_charges_scans_and_emissions(self, service):
         account = ResourceAccount()
-        with activate(account):
+        with scope(account=account):
             response = service.execute(QueryRequest("emp", QUERY))
         assert account.rows_emitted == len(response.answers["approximate"])
         assert account.rows_scanned >= account.rows_emitted
@@ -110,10 +106,10 @@ class TestEngineCharges:
         assert account.cache_hits == 0
 
     def test_cached_execution_charges_a_cache_hit(self, service):
-        with activate(ResourceAccount()):
+        with scope(account=ResourceAccount()):
             service.execute(QueryRequest("emp", QUERY))
         account = ResourceAccount()
-        with activate(account):
+        with scope(account=account):
             response = service.execute(QueryRequest("emp", QUERY))
         assert response.cached
         assert account.cache_hits == 1
@@ -123,6 +119,6 @@ class TestEngineCharges:
     def test_no_account_means_no_charges_and_identical_answers(self, service):
         bare = service.execute(QueryRequest("emp", QUERY, method="approx"))
         account = ResourceAccount()
-        with activate(account):
+        with scope(account=account):
             billed = service.execute(QueryRequest("emp", QUERY, method="approx"))
         assert billed.answers == bare.answers

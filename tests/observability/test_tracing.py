@@ -5,6 +5,7 @@ from __future__ import annotations
 import threading
 
 from repro.observability import tracing
+from repro.observability.context import carry, scope
 from repro.observability.tracing import Span, Trace
 
 
@@ -15,11 +16,6 @@ class TestDisabledPath:
             assert record is None
         assert tracing.current_trace() is None
         assert tracing.current_span_id() is None
-
-    def test_activate_none_is_an_inert_pass_through(self):
-        with tracing.activate(None) as active:
-            assert active is None
-            assert tracing.current_trace() is None
 
 
 class TestNesting:
@@ -43,16 +39,17 @@ class TestNesting:
             assert tracing.current_trace() is not None
         assert tracing.current_trace() is None
 
-    def test_activate_restores_the_previous_trace(self):
+    def test_scope_restores_the_previous_trace(self):
         outer = Trace()
         inner = Trace()
-        with tracing.activate(outer):
+        with scope(trace=outer):
             with tracing.span("outer work"):
-                with tracing.activate(inner):
+                with scope(trace=inner, span_id=None):
                     assert tracing.current_trace() is inner
                     with tracing.span("inner work"):
                         pass
                 assert tracing.current_trace() is outer
+            assert tracing.current_span_id() is None
         assert tracing.current_trace() is None
         assert [span.name for span in inner.spans] == ["inner work"]
         assert [span.name for span in outer.spans] == ["outer work"]
@@ -72,14 +69,13 @@ class TestNesting:
 
 
 class TestThreadHandoff:
-    def test_pool_thread_spans_join_the_captured_trace(self):
+    def test_pool_thread_spans_join_the_carried_trace(self):
         with tracing.trace("edge") as active:
-            captured = tracing.current_trace()
 
+            @carry
             def worker():
-                with tracing.activate(captured):
-                    with tracing.span("pooled work"):
-                        pass
+                with tracing.span("pooled work"):
+                    pass
 
             thread = threading.Thread(target=worker)
             thread.start()
@@ -88,16 +84,14 @@ class TestThreadHandoff:
         assert names == {"edge", "pooled work"}
         assert {span.trace_id for span in active.spans} == {active.trace_id}
 
-    def test_activate_parent_nests_pool_spans_under_the_caller(self):
+    def test_carry_nests_pool_spans_under_the_callers_span(self):
         with tracing.trace("edge") as active:
             with tracing.span("fan out") as fan_out:
-                captured = tracing.current_trace()
-                parent = tracing.current_span_id()
 
+                @carry
                 def worker():
-                    with tracing.activate(captured, parent=parent):
-                        with tracing.span("shard task"):
-                            pass
+                    with tracing.span("shard task"):
+                        pass
 
                 thread = threading.Thread(target=worker)
                 thread.start()
@@ -119,7 +113,7 @@ class TestWire:
         assert adopted is not None
         assert adopted.trace_id == "cafe"
         assert adopted.parent_span_id == "beef"
-        with tracing.activate(adopted):
+        with scope(trace=adopted, span_id=adopted.parent_span_id):
             with tracing.span("server work") as record:
                 assert record.trace_id == "cafe"
                 assert record.parent_id == "beef"

@@ -10,13 +10,12 @@ shared-subplan memo all run watched or not), and a profiler leaves the
 account's bill unchanged.
 """
 
-from contextlib import nullcontext
-
 import pytest
 
 from repro.errors import EvaluationError
 from repro.logic.vocabulary import Vocabulary
-from repro.observability.accounting import ResourceAccount, activate
+from repro.observability.accounting import ResourceAccount
+from repro.observability.context import scope
 from repro.observability.explain import PlanProfiler
 from repro.physical.algebra import execute, node_label
 from repro.physical.batch import DEFAULT_BATCH_SIZE, ColumnBatch, execute_batched
@@ -207,7 +206,7 @@ def observed_run(plan, storage, observer, **options):
     """Execute *plan* under *observer*; ``(table, account, profiler)``."""
     account = ResourceAccount() if observer in ("account", "both") else None
     profiler = PlanProfiler() if observer in ("profiler", "both") else None
-    with activate(account) if account is not None else nullcontext():
+    with scope(account=account):
         table = execute_batched(plan, storage, profiler=profiler, **options)
     return table, account, profiler
 

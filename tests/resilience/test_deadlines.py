@@ -8,10 +8,10 @@ import time
 import pytest
 
 from repro.errors import DeadlineExceededError
+from repro.observability.context import carry, scope
 from repro.resilience import deadlines
 from repro.resilience.deadlines import (
     Deadline,
-    activate,
     adopt,
     check_deadline,
     current_deadline,
@@ -63,36 +63,29 @@ class TestScopes:
             with pytest.raises(DeadlineExceededError):
                 check_deadline("query evaluation")
 
-    def test_activate_nests_and_unwinds(self):
+    def test_scope_nests_and_unwinds(self):
         outer = Deadline.after_ms(10_000)
         inner = Deadline.after_ms(1_000)
-        with activate(outer):
-            with activate(inner):
+        with scope(deadline=outer):
+            with scope(deadline=inner):
                 assert current_deadline() is inner
             assert current_deadline() is outer
         assert current_deadline() is None
 
-    def test_activate_none_is_a_passthrough(self):
-        outer = Deadline.after_ms(10_000)
-        with activate(outer):
-            with activate(None):
-                assert current_deadline() is outer
-
-    def test_deadlines_are_thread_local_until_handed_off(self):
+    def test_deadlines_stay_on_their_thread_until_carried(self):
         seen: dict[str, Deadline | None] = {}
 
-        def worker(handoff: Deadline | None, key: str) -> None:
+        def worker(key: str) -> None:
             seen[key] = current_deadline()
-            with activate(handoff):
-                seen[key + "_activated"] = current_deadline()
 
         with deadline_scope(5_000) as active:
-            # The router's pool-thread pattern: capture, then re-activate.
-            thread = threading.Thread(target=worker, args=(active, "pool"))
-            thread.start()
-            thread.join()
+            # The router's pool-thread pattern: capture, then restore.
+            for target, key in ((worker, "pool"), (carry(worker), "pool_carried")):
+                thread = threading.Thread(target=target, args=(key,))
+                thread.start()
+                thread.join()
         assert seen["pool"] is None  # no implicit inheritance
-        assert seen["pool_activated"] is active
+        assert seen["pool_carried"] is active
 
 
 class TestAdopt:

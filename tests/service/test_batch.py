@@ -8,8 +8,9 @@ import time
 import pytest
 
 from repro.observability import tracing
-from repro.observability.accounting import ResourceAccount, activate as activate_account
-from repro.resilience.deadlines import Deadline, activate as activate_deadline
+from repro.observability.accounting import ResourceAccount
+from repro.observability.context import scope
+from repro.resilience.deadlines import Deadline
 from repro.service.batch import BatchEvaluator, evaluate_batch
 from repro.service.engine import QueryService
 from repro.service.protocol import ErrorResponse, QueryRequest, QueryResponse
@@ -118,7 +119,7 @@ class TestRequestContext:
         return service
 
     def test_an_expired_deadline_fails_every_slot(self, service):
-        with activate_deadline(Deadline(time.monotonic() - 1.0)):
+        with scope(deadline=Deadline(time.monotonic() - 1.0)):
             batch = service.batch(self.REQUESTS)
         assert [response.code for response in batch.responses] == ["deadline_exceeded"] * len(self.REQUESTS)
 
@@ -138,7 +139,7 @@ class TestRequestContext:
         alone = self.fresh(ripper_cw, teaches_cw)
         for request in requests:
             account = ResourceAccount()
-            with activate_account(account):
+            with scope(account=account):
                 alone.execute(request)
             scanned += account.rows_scanned
             emitted += account.rows_emitted
@@ -147,7 +148,7 @@ class TestRequestContext:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with activate_account(account):
+            with scope(account=account):
                 batch = BatchEvaluator(self.fresh(ripper_cw, teaches_cw), max_workers=len(requests)).run(requests)
         finally:
             sys.setswitchinterval(interval)
